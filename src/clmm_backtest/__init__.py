@@ -10,8 +10,8 @@ from .core_math import (CapitalSplit, PriceRange, ReservePair, invariant_residua
                         liquidity_from_x, liquidity_from_y, liquidity_state,
                         position_value, split_capital)
 from .engine import (BacktestConfig, BacktestReport, FeeLedger, GasBreakdown,
-                     GasParams, PoolStateTensor, StrategyConfig, build_state_tensor,
-                     buy_and_hold, compute_fees, gas_cost, run_backtest)
+                     GasParams, StrategyConfig, buy_and_hold, gas_cost,
+                     run_backtest)
 from .errors import (BacktestError, CalibrationUnreachableError, ConfigError,
                      DataError)
 from .prices import PriceSeries, load_prices, write_prices
@@ -24,12 +24,12 @@ __all__ = [
     "BucketPartition", "CalibrationResult", "CalibrationUnreachableError",
     "CapitalSplit", "ConfigError", "DataError", "Epoch", "EpochAllocation",
     "EpochPlan", "FeeCurve", "FeeLedger", "GasBreakdown", "GasParams",
-    "PoolStateTensor", "PriceRange", "PriceSeries", "ProfileParams",
-    "ReservePair", "StrategyConfig", "allocate_epoch", "build_state_tensor",
-    "buy_and_hold", "calibrate_over_mu", "calibrate_variance", "compute_fees",
-    "custom_weights", "fee_curve", "gas_cost", "invariant_residual",
-    "liquidity_from_x", "liquidity_from_y", "liquidity_state", "load_config",
-    "load_prices", "normal_profile_weights", "parse_config", "position_value",
-    "random_band_weights", "run_backtest", "segment_epochs", "split_capital",
-    "uniform_band_weights", "whole_pool_fee", "write_prices",
+    "PriceRange", "PriceSeries", "ProfileParams", "ReservePair",
+    "StrategyConfig", "allocate_epoch", "buy_and_hold", "calibrate_over_mu",
+    "calibrate_variance", "custom_weights", "fee_curve", "gas_cost",
+    "invariant_residual", "liquidity_from_x", "liquidity_from_y",
+    "liquidity_state", "load_config", "load_prices", "normal_profile_weights",
+    "parse_config", "position_value", "random_band_weights", "run_backtest",
+    "segment_epochs", "split_capital", "uniform_band_weights", "whole_pool_fee",
+    "write_prices",
 ]

@@ -75,16 +75,26 @@ class BucketPartition:
         idx = int((p - self.lower) * self.n / (self.upper - self.lower)) + 1
         return min(idx, self.n)
 
+    def _check_inside(self, p: np.ndarray) -> None:
+        """Raise ValueError naming the first price outside [lower, upper]."""
+        # reductions scan without a full-length mask; NaN fails both
+        if p.size and not (self.lower <= p.min() and p.max() <= self.upper):
+            i = int(np.argmax(~np.isfinite(p) | (p < self.lower) | (p > self.upper)))
+            raise ValueError(f"price {p[i]} at index {i} outside partition "
+                             f"[{self.lower}, {self.upper}]")
+
     def bucket_indices(self, prices: np.ndarray) -> np.ndarray:
         """Vectorised bucket_of over a price array."""
         p = np.asarray(prices, dtype=np.float64)
-        bad = ~np.isfinite(p) | (p < self.lower) | (p > self.upper)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(f"price {p[i]} at index {i} outside partition "
-                             f"[{self.lower}, {self.upper}]")
-        idx = np.floor((p - self.lower) * self.n / (self.upper - self.lower)).astype(np.int64) + 1
-        return np.minimum(idx, self.n)
+        self._check_inside(p)
+        # same operation order as bucket_of, in one scratch array
+        scaled = np.subtract(p, self.lower)
+        scaled *= self.n
+        scaled /= self.upper - self.lower
+        np.floor(scaled, out=scaled)
+        idx = scaled.astype(np.int64)
+        idx += 1
+        return np.minimum(idx, self.n, out=idx)
 
 
 class Epoch(NamedTuple):
@@ -124,6 +134,10 @@ class EpochPlan:
         return iter(self.epochs)
 
 
+# rows in the first window of the galloping reset scan; each miss doubles it
+_FIRST_WINDOW = 64
+
+
 def segment_epochs(partition: BucketPartition, prices: np.ndarray, tau: int) -> EpochPlan:
     """Segment a price series into reset epochs.
 
@@ -144,19 +158,29 @@ def segment_epochs(partition: BucketPartition, prices: np.ndarray, tau: int) -> 
     """
     if not isinstance(tau, (int, np.integer)) or tau < 0:
         raise ValueError(f"tau must be a non-negative integer, got {tau}")
-    buckets = partition.bucket_indices(prices)
-    m = len(buckets)
+    p = np.asarray(prices, dtype=np.float64)
+    m = len(p)
     if m == 0:
         raise ValueError("price series is empty")
+    if tau >= partition.n - 1:
+        # every bucket lies within tau of every other, so nothing resets
+        partition._check_inside(p)
+        return EpochPlan((Epoch(0, m - 1, partition.bucket_of(float(p[0]))),),
+                         m, int(tau))
 
-    epochs = []
-    s = int(buckets[0])
-    start = 0
-    for i in range(1, m):
-        b = int(buckets[i])
-        if abs(b - s) > tau:
+    # galloping scan: test windows that double in length for the first
+    # band break, so an epoch of length L costs O(log L) numpy calls
+    buckets = partition.bucket_indices(p)
+    epochs, start, s = [], 0, int(buckets[0])
+    i, window = 1, _FIRST_WINDOW
+    while i < m:
+        hits = np.flatnonzero(np.abs(buckets[i:i + window] - s) > tau)
+        if hits.size:
+            i += int(hits[0])
             epochs.append(Epoch(start, i, s))
-            s = b
-            start = i
+            start, s = i, int(buckets[i])
+            i, window = i + 1, _FIRST_WINDOW
+        else:
+            i, window = i + window, 2 * window
     epochs.append(Epoch(start, m - 1, s))
     return EpochPlan(tuple(epochs), m, int(tau))

@@ -2,26 +2,36 @@
 
 Design notes
 ------------
-Bucket states are evaluated through one vectorised kernel.  For liquidity
-l on a bucket with sqrt bounds [sa, sb] and price sqrt s, the clipped root
-c = clip(s, sa, sb) gives the reserves in all three regimes at once:
+For liquidity l on a bucket with sqrt bounds [sa, sb] and price sqrt s,
+the clipped root c = clip(s, sa, sb) gives the reserves in all three
+regimes at once (c saturates at the bounds):
 
     x = l * (1/c - 1/sb)        y = l * (c - sa)
 
-(c saturates at the bounds, which reproduces the below-range and
-above-range branches exactly.)  Trader inflows per timestep are the
-positive reserve differences between consecutive states; only price moves
-trade, deployments and withdrawals do not.
+Trader inflows per timestep are the positive reserve differences between
+consecutive states, summed over buckets; only price moves trade,
+deployments and withdrawals do not.  Every clipped root moves with the
+price, so all buckets' differences share a sign and the bucket sum of
+their positive parts is the positive part of the change in the aggregate
+reserves.
 
-``run_backtest`` never materialises the full (timestep x bucket) state
-tensor: each epoch is streamed in fixed-size time chunks, accumulating
-fee inflows and the capital trajectory as it goes, so memory stays flat
-in the series length.  ``build_state_tensor``/``compute_fees`` form the
-transparent reference path over the same kernel and are cross-checked
-against the streamed path in the tests.  Per-bucket work at one timestep
-is independent of every other bucket (data parallel); sums run in fixed
-array order (numpy pairwise) with chunk partials added in time order, so
-results are reproducible run to run.
+The kernel therefore never forms a (timestep x bucket) array.  Per epoch
+it tabulates the active buckets with cumulative full depths; per row it
+finds the bucket holding the price with ``searchsorted`` (O(log n), not
+O(n)): buckets below it hold their full token-B depth, buckets above their
+full token-A depth.  Epochs are walked in fixed 2**13-row blocks that
+overlap by one row and take their own square roots, so the working set
+stays inside a 2 MB L2 cache at any series length.
+
+Two precision rules keep the aggregates as exact as the per-bucket sums.
+Steps are differenced from reserves anchored at the epoch's first price: a
+bucket crossed since then counts its full depth, the first price's bucket
+only the part crossed, and the bucket holding the price counts from the
+edge it was entered by, so no term exceeds the change it measures and a
+deep book the walk never reaches cancels nowhere.  The trajectory is
+valued from sums of positive terms only.  Sums run in fixed order (numpy
+pairwise within a block, blocks in time order), so results are
+reproducible run to run.
 
 Trading is assumed frictionless inside the replay: the series is taken as
 the contract price, and repositioning swaps settle at that price with no
@@ -43,9 +53,10 @@ from .allocation import (AllocationWeights, EpochAllocation, ProfileParams,
 from .bucketing import BucketPartition, EpochPlan, segment_epochs
 from .core_math import ReservePair
 from .errors import ConfigError, DataError
+from .prices import check_timestamp_count
 
-# cap on chunk cells (timesteps x active buckets) processed at once
-_CHUNK_CELLS = 1 << 21
+# rows per kernel block; 2**13 rows keep a block's temporaries inside L2
+_BLOCK_ROWS = 1 << 13
 
 # relative tolerance under which a bucket's liquidity counts as unchanged
 # across an epoch transition (no burn + re-mint for a no-op)
@@ -207,95 +218,19 @@ class GasBreakdown:
         return self.initial_mint_b + self.transition_b + self.final_burn_b
 
 
-@dataclass(frozen=True)
-class PoolStateTensor:
-    """Materialised per-epoch reserve states.
+def _bucket_tables(partition: BucketPartition):
+    """Per-run bucket constants the kernel slices from.
 
-    ``states[e]`` has shape (epoch length, buckets, 2) with token-A
-    reserves in channel 0 and token-B in channel 1.  Row t of epoch e is
-    the state at series index ``plan.epochs[e].start + t``.
+    Returns ``roots`` (4, n): each bucket's upper root, lower root, and
+    their inverses in the same order; and ``depth`` (4, n): full token-B
+    depth and negated full token-A depth per unit liquidity, then both
+    with the opposite sign.
     """
-
-    plan: EpochPlan
-    states: tuple
-
-    def epoch_states(self, e: int) -> np.ndarray:
-        return self.states[e]
-
-    def state_at(self, e: int, t: int, bucket: int) -> ReservePair:
-        """Reserves of one bucket (1-based) at row t of epoch e."""
-        x, y = self.states[e][t, bucket - 1]
-        return ReservePair(float(x), float(y))
-
-
-def _sqrt_edges(partition: BucketPartition):
     se = np.sqrt(partition.edges())
-    return se[:-1], se[1:]
-
-
-def _states_rows(liquidity, sqrt_a, sqrt_b, sqrt_prices):
-    """Kernel: reserves of every bucket at every sqrt price row."""
-    c = np.clip(sqrt_prices[:, None], sqrt_a[None, :], sqrt_b[None, :])
-    x = liquidity * (1.0 / c - 1.0 / sqrt_b)
-    y = liquidity * (c - sqrt_a)
-    return x, y
-
-
-def build_state_tensor(partition: BucketPartition, plan: EpochPlan,
-                       allocations: list, prices: np.ndarray) -> PoolStateTensor:
-    """Materialise the reserve states of every epoch, timestep and bucket.
-
-    This is the transparent reference path; it allocates O(series length x
-    buckets) memory, so prefer run_backtest's streaming for long series.
-
-    Args:
-        partition: bucket layout.
-        plan: epoch segmentation of the series.
-        allocations: one EpochAllocation per epoch in the plan.
-        prices: full price series the plan was built for.
-
-    Returns:
-        PoolStateTensor with one (length, buckets, 2) array per epoch.
-    """
-    if len(allocations) != len(plan):
-        raise ValueError(f"{len(allocations)} allocations for {len(plan)} epochs")
-    p = np.asarray(prices, dtype=np.float64)
-    sa, sb = _sqrt_edges(partition)
-    out = []
-    for ep, alloc in zip(plan, allocations):
-        sp = np.sqrt(p[ep.start:ep.end + 1])
-        x, y = _states_rows(alloc.liquidity, sa, sb, sp)
-        out.append(np.stack([x, y], axis=-1))
-    return PoolStateTensor(plan, tuple(out))
-
-
-def compute_fees(tensor: PoolStateTensor, fee_rate: float,
-                 prices: np.ndarray) -> FeeLedger:
-    """Fee ledger from a materialised state tensor.
-
-    Per epoch, trader inflows are the positive reserve differences between
-    consecutive rows, summed over timesteps and buckets.  The boundary
-    index shared by two epochs closes the old epoch's accrual; the next
-    epoch's first difference starts from that index under the new
-    liquidity, so no price step is ever charged twice.
-    """
-    if not 0.0 < fee_rate < 1.0:
-        raise ValueError(f"fee rate must lie in (0, 1), got {fee_rate}")
-    p = np.asarray(prices, dtype=np.float64)
-    inflow_a, inflow_b, end_price = [], [], []
-    for e, ep in enumerate(tensor.plan):
-        st = tensor.states[e]
-        if st.shape[0] >= 2:
-            d = np.diff(st, axis=0)
-            np.clip(d, 0.0, None, out=d)
-            inflow_a.append(float(d[..., 0].sum()))
-            inflow_b.append(float(d[..., 1].sum()))
-        else:
-            inflow_a.append(0.0)
-            inflow_b.append(0.0)
-        end_price.append(float(p[ep.end]))
-    return FeeLedger(fee_rate, np.array(inflow_a), np.array(inflow_b),
-                     np.array(end_price))
+    sa, sb = se[:-1], se[1:]
+    inv_a, inv_b = 1.0 / sa, 1.0 / sb
+    wy, wx = sb - sa, inv_a - inv_b
+    return np.stack([sb, sa, inv_b, inv_a]), np.stack([wy, -wx, -wy, wx])
 
 
 def gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
@@ -350,8 +285,9 @@ def gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
 
 def buy_and_hold(prices: np.ndarray, initial_split: ReservePair) -> np.ndarray:
     """Token-B value of holding a fixed (x, y) bag along the price series."""
-    p = np.asarray(prices, dtype=np.float64)
-    return initial_split.y + initial_split.x * p
+    value = np.multiply(initial_split.x, np.asarray(prices, dtype=np.float64))
+    value += initial_split.y  # in place: one full-length array, not two
+    return value
 
 
 def _epoch_weights(config: BacktestConfig, s: int, epoch_index: int) -> AllocationWeights:
@@ -367,64 +303,86 @@ def _epoch_weights(config: BacktestConfig, s: int, epoch_index: int) -> Allocati
     return normal_profile_weights(config.partition, strat.profile)
 
 
-def _stream_epoch(liquidity, sqrt_a, sqrt_b, prices, sqrt_prices, ep,
-                  trajectory, step_a, step_b):
-    """Accumulate one epoch's inflows and trajectory in time chunks.
+def _stream_epoch(liquidity, tables, prices, ep, trajectory, steps):
+    """Accumulate one epoch's inflows and trajectory from aggregate reserves.
 
-    Writes the position value into trajectory[start..end] and the
-    per-step bucket-summed inflows into step_a/step_b (step t -> t+1 is
-    stored at index t).  Returns (inflow_a, inflow_b, end value).
+    Writes the position value into trajectory[start..end] and, unless
+    steps is None, the per-step inflows into steps (token B in row 0,
+    token A in row 1; step t -> t+1 at column t).  ``tables`` come from
+    ``_bucket_tables``.  Returns (active bucket count, inflow_a, inflow_b,
+    end value).
     """
     start, end = ep.start, ep.end
-    active = np.flatnonzero(liquidity > 0.0)
+    active = (liquidity > 0.0).nonzero()[0]
     if active.size == 0:
         trajectory[start:end + 1] = 0.0
-        return 0.0, 0.0, 0.0
+        return 0, 0.0, 0.0, 0.0
 
-    la = liquidity[active]
-    a = sqrt_a[active]
-    b = sqrt_b[active]
-    inv_b = 1.0 / b
-    chunk = max(2, _CHUNK_CELLS // active.size)
+    # one column per bucket from the first to the last active one; empty
+    # ones between hold nothing, and since neighbours share edges a price
+    # clipped to the whole span lies inside the bucket holding it.  Rows:
+    #   0-2  liquidity, lower root, inverse upper root
+    #   3-4  root and inverse root the bucket's anchored reserves count from
+    #   5-6  token B held by the buckets below, token A by those above
+    #   7-8  anchored token B and token A of the buckets in between
+    roots, depth = tables
+    span = slice(active[0], active[-1] + 1)
+    upper = roots[0, span]
+    tab = np.zeros((9, len(upper)))
+    tab[0] = liquidity[span]
+    tab[1:3] = roots[1:3, span]
+    depths = depth[:, span] * tab[0]
+    depths[0, :-1].cumsum(out=tab[5, 1:])
+    depths[3, :0:-1].cumsum(out=tab[6, -2::-1])
+    lower = tab[1, 1:]
+    low, high = float(tab[1, 0]), float(upper[-1])
 
-    inflow_a = inflow_b = 0.0
-    v_end = 0.0
-    prev_c = prev_ic = None
-    t = start
-    while t <= end:
-        t1 = min(end, t + chunk - 1)
-        sp = sqrt_prices[t:t1 + 1]
-        c = np.clip(sp[:, None], a[None, :], b[None, :])
-        ic = 1.0 / c
+    inflow_b = inflow_a = 0.0
+    t0 = start
+    while True:
+        t1 = min(end, t0 + _BLOCK_ROWS - 1)
+        p = prices[t0:t1 + 1]
+        root = np.empty((2, len(p)))
+        np.sqrt(p, out=root[0])
+        k = lower.searchsorted(root[0], side="right")
+        np.minimum(np.maximum(root[0], low, out=root[0]), high, out=root[0])
+        np.divide(1.0, root[0], out=root[1])
+        if t0 == start:
+            # anchor at the first price, clipped root c0 in bucket k0: a
+            # bucket below counts from its upper edge, one above from its
+            # lower edge, so no anchored term exceeds the distance the
+            # price travelled from c0
+            k0 = int(k[0])
+            l0, a0 = tab[:2, k0].tolist()
+            b0, c0 = float(upper[k0]), float(root[0, 0])
+            tab[3:5, :k0] = roots[::2, span][:, :k0]
+            tab[3:5, k0 + 1:] = roots[1::2, span][:, k0 + 1:]
+            tab[3:5, k0] = c0, 1.0 / c0
+            depths[:, k0] = (l0 * (b0 - c0), l0 * (1.0 / b0 - 1.0 / c0),
+                             l0 * (a0 - c0), l0 * (1.0 / a0 - 1.0 / c0))
+            depths[:2, k0:-1].cumsum(axis=1, out=tab[7:, k0 + 1:])
+            depths[2:, 1:k0 + 1][:, ::-1].cumsum(axis=1, out=tab[7:, :k0][:, ::-1])
 
-        x_tot = ((ic - inv_b) * la).sum(axis=1)
-        y_tot = ((c - a) * la).sum(axis=1)
-        vals = y_tot + prices[t:t1 + 1] * x_tot
-        trajectory[t:t1 + 1] = vals
-        v_end = float(vals[-1])
+        rows = tab.take(k, axis=1)
+        # (y, x) of the bucket holding the price, then the same anchored
+        own = root - rows[1:5].reshape(2, 2, -1)
+        own *= rows[0]
+        held = rows[5:].reshape(2, 2, -1)
+        held += own
+        value = trajectory[t0:t1 + 1]
+        np.multiply(p, rows[6], out=value)
+        value += rows[5]
 
-        if prev_c is None:
-            dy = c[1:] - c[:-1]
-            di = ic[1:] - ic[:-1]
-            step0 = t
-        else:
-            dy = np.diff(c, axis=0, prepend=prev_c[None, :])
-            di = np.diff(ic, axis=0, prepend=prev_ic[None, :])
-            step0 = t - 1
-        if dy.shape[0]:
-            np.clip(dy, 0.0, None, out=dy)
-            np.clip(di, 0.0, None, out=di)
-            sb_steps = (dy * la).sum(axis=1)
-            sa_steps = (di * la).sum(axis=1)
-            step_b[step0:step0 + len(sb_steps)] = sb_steps
-            step_a[step0:step0 + len(sa_steps)] = sa_steps
-            inflow_b += float(sb_steps.sum())
-            inflow_a += float(sa_steps.sum())
-
-        prev_c = c[-1].copy()
-        prev_ic = ic[-1].copy()
-        t = t1 + 1
-    return inflow_a, inflow_b, v_end
+        step = np.subtract(rows[7:, 1:], rows[7:, :-1])
+        np.maximum(step, 0.0, out=step)
+        if steps is not None:
+            steps[:, t0:t1] = step
+        block_b, block_a = step.sum(axis=1).tolist()
+        inflow_b += block_b
+        inflow_a += block_a
+        if t1 == end:
+            return active.size, inflow_a, inflow_b, float(value[-1])
+        t0 = t1
 
 
 def _monthly_attribution(timestamps, prices, step_a, step_b, fee_rate):
@@ -526,8 +484,9 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
         config: validated run configuration.
         prices: 1-d positive price series, or any object with ``prices``
             and ``timestamps`` attributes.
-        timestamps: optional unix-second timestamps (enables monthly fee
-            attribution); ignored when ``prices`` carries its own.
+        timestamps: optional unix-second timestamps, one per price
+            (enables monthly fee attribution; DataError otherwise);
+            ignored when ``prices`` carries its own.
 
     Returns:
         BacktestReport with ledger, gas, trajectories and summary rates.
@@ -539,16 +498,18 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
     p = np.ascontiguousarray(prices, dtype=np.float64)
     if p.ndim != 1 or len(p) < 2:
         raise DataError("price series must be one-dimensional with at least 2 points")
-    bad = ~np.isfinite(p) | (p <= 0.0)
-    if bad.any():
-        i = int(np.argmax(bad))
+    if timestamps is not None:
+        check_timestamp_count(timestamps, p)
+    # reductions scan the series without a full-length mask; NaN fails both
+    lo, hi = p.min(), p.max()
+    if not (lo > 0.0 and hi < np.inf):
+        i = int(np.argmax(~np.isfinite(p) | (p <= 0.0)))
         raise DataError(f"price {p[i]} at index {i} is not a positive finite number")
 
     part = config.partition
     if config.price_mode == "strict":
-        out = (p < part.lower) | (p > part.upper)
-        if out.any():
-            i = int(np.argmax(out))
+        if lo < part.lower or hi > part.upper:
+            i = int(np.argmax((p < part.lower) | (p > part.upper)))
             raise DataError(f"price {p[i]} at index {i} outside partition "
                             f"[{part.lower}, {part.upper}] (clamp mode would proceed)")
         bucket_prices = p
@@ -557,12 +518,11 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
 
     plan = segment_epochs(part, bucket_prices, config.tau)
     m = len(p)
-    sa, sb = _sqrt_edges(part)
-    sqrt_p = np.sqrt(p)
+    tables = _bucket_tables(part)
 
     trajectory = np.empty(m)
-    step_a = np.zeros(m - 1)
-    step_b = np.zeros(m - 1)
+    # per-step inflows only feed the monthly rows
+    steps = np.zeros((2, m - 1)) if timestamps is not None else None
     allocations = []
     inflow_a, inflow_b, end_prices = [], [], []
     epoch_capital = np.empty(len(plan))
@@ -574,11 +534,10 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
         alloc = allocate_epoch(weights, capital, float(p[ep.start]), part)
         allocations.append(alloc)
         epoch_capital[e] = capital
-        epoch_active[e] = int((alloc.liquidity > 0.0).sum())
         # later epochs overwrite the shared boundary index, so the
         # trajectory shows the post-rebalance value there
-        ia, ib, v_end = _stream_epoch(alloc.liquidity, sa, sb, p, sqrt_p, ep,
-                                      trajectory, step_a, step_b)
+        epoch_active[e], ia, ib, v_end = _stream_epoch(
+            alloc.liquidity, tables, p, ep, trajectory, steps)
         end_price = float(p[ep.end])
         inflow_a.append(ia)
         inflow_b.append(ib)
@@ -604,16 +563,17 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
     gas = gas_cost(plan, allocations, config.gas, p)
 
     # benchmark bag: aggregate reserves of the first deployment
-    c0 = np.clip(sqrt_p[0], sa, sb)
+    sb, sa, inv_b, _ = tables[0]
+    c0 = np.clip(np.sqrt(p[0]), sa, sb)
     liq0 = allocations[0].liquidity
-    split0 = ReservePair(float((liq0 * (1.0 / c0 - 1.0 / sb)).sum()),
+    split0 = ReservePair(float((liq0 * (1.0 / c0 - inv_b)).sum()),
                          float((liq0 * (c0 - sa)).sum()))
     bh = buy_and_hold(p, split0)
 
     monthly = None
-    if timestamps is not None and len(timestamps) == m:
-        monthly = _monthly_attribution(timestamps, p, step_a * scale,
-                                       step_b * scale, config.fee_rate)
+    if timestamps is not None:
+        monthly = _monthly_attribution(timestamps, p, steps[1] * scale,
+                                       steps[0] * scale, config.fee_rate)
 
     return BacktestReport(
         config=config,

@@ -47,9 +47,7 @@ class PriceSeries:
             raise DataError(f"row {i + 1}: price {p[i]} is not a positive finite number")
         object.__setattr__(self, "prices", p)
         if self.timestamps is not None:
-            ts = np.ascontiguousarray(self.timestamps, dtype=np.int64)
-            if ts.shape != p.shape:
-                raise DataError(f"{len(ts)} timestamps for {len(p)} prices")
+            ts = check_timestamp_count(self.timestamps, p)
             steps = np.diff(ts)
             if (steps <= 0).any():
                 i = int(np.argmax(steps <= 0))
@@ -59,6 +57,14 @@ class PriceSeries:
 
     def __len__(self) -> int:
         return len(self.prices)
+
+
+def check_timestamp_count(timestamps, prices: np.ndarray) -> np.ndarray:
+    """Timestamps as int64, after checking there is one per price."""
+    ts = np.ascontiguousarray(timestamps, dtype=np.int64)
+    if ts.shape != prices.shape:
+        raise DataError(f"{len(ts)} timestamps for {len(prices)} prices")
+    return ts
 
 
 def _parse_price(text: str, row: int) -> float:

@@ -22,10 +22,10 @@ from clmm_backtest.cli import main
 from clmm_backtest.core_math import (PriceRange, ReservePair, liquidity_from_x,
                                      liquidity_from_y, liquidity_state,
                                      position_value, split_capital)
-from clmm_backtest.engine import (BacktestConfig, StrategyConfig,
-                                  build_state_tensor, buy_and_hold,
-                                  compute_fees, gas_cost, run_backtest)
+from clmm_backtest.engine import (BacktestConfig, StrategyConfig, buy_and_hold,
+                                  gas_cost, run_backtest)
 from clmm_backtest.engine import GasParams
+from oracle import build_state_tensor, compute_fees
 
 
 def report(criterion, detail):

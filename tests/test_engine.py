@@ -11,9 +11,9 @@ from clmm_backtest.bucketing import BucketPartition, segment_epochs
 from clmm_backtest.core_math import (PriceRange, ReservePair, liquidity_state,
                                      split_capital)
 from clmm_backtest.engine import (BacktestConfig, GasParams, StrategyConfig,
-                                  build_state_tensor, buy_and_hold,
-                                  compute_fees, gas_cost, run_backtest)
+                                  buy_and_hold, gas_cost, run_backtest)
 from clmm_backtest.errors import ConfigError, DataError
+from oracle import build_state_tensor, compute_fees
 
 B14 = BucketPartition(1.0, 4.0, 1)
 
@@ -395,6 +395,13 @@ class TestRunBacktest:
         fee_b_total = sum(row["fee_b"] for row in report.monthly_fees)
         assert fee_a_total == pytest.approx(report.ledger.fee_a.sum(), rel=1e-9)
         assert fee_b_total == pytest.approx(report.ledger.fee_b.sum(), rel=1e-9)
+
+    def test_timestamp_count_must_match_prices(self):
+        cfg, prices = self.config_and_walk()
+        ts = 1610668800 + 3600 * np.arange(len(prices) - 1)
+        with pytest.raises(DataError, match=f"^{len(ts)} timestamps for "
+                                            f"{len(prices)} prices$"):
+            run_backtest(cfg, prices, timestamps=ts)
 
     def test_no_timestamps_no_monthly_rows(self):
         cfg, prices = self.config_and_walk()
