@@ -25,7 +25,7 @@ from .config import load_config
 from .engine import BacktestReport, run_backtest
 from .errors import (BacktestError, CalibrationUnreachableError, ConfigError,
                      DataError)
-from .prices import PriceSeries, load_prices
+from .prices import PriceSeries, load_prices, write_csv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,23 +81,17 @@ def _write_report_files(report: BacktestReport, series: PriceSeries,
 
     t_axis = series.timestamps if series.timestamps is not None \
         else np.arange(len(series))
-    with open(out_dir / "trajectory.csv", "w") as fh:
-        fh.write("t,price,lp_value,bh_value\n")
-        for t, p, lp, bh in zip(t_axis, series.prices, report.lp_trajectory,
-                                report.bh_trajectory):
-            fh.write(f"{int(t)},{float(p)!r},{float(lp)!r},{float(bh)!r}\n")
+    write_csv(out_dir / "trajectory.csv", "t,price,lp_value,bh_value",
+              (t_axis, series.prices, report.lp_trajectory, report.bh_trajectory))
 
     led = report.ledger
-    with open(out_dir / "fees_by_epoch.csv", "w") as fh:
-        fh.write("epoch,start,end,benchmark_bucket,inflow_a,inflow_b,"
-                 "fee_a,fee_b,end_price,fee_converted_b,volume_converted_b\n")
-        for e, ep in enumerate(report.plan):
-            fh.write(f"{e + 1},{ep.start},{ep.end},{ep.benchmark},"
-                     f"{float(led.inflow_a[e])!r},{float(led.inflow_b[e])!r},"
-                     f"{float(led.fee_a[e])!r},{float(led.fee_b[e])!r},"
-                     f"{float(led.end_price[e])!r},"
-                     f"{float(led.fee_converted[e])!r},"
-                     f"{float(led.volume_converted[e])!r}\n")
+    epochs = np.array(report.plan.epochs, dtype=np.int64)
+    write_csv(out_dir / "fees_by_epoch.csv",
+              "epoch,start,end,benchmark_bucket,inflow_a,inflow_b,"
+              "fee_a,fee_b,end_price,fee_converted_b,volume_converted_b",
+              (np.arange(1, len(epochs) + 1), *epochs.T, led.inflow_a, led.inflow_b,
+               led.fee_a, led.fee_b, led.end_price, led.fee_converted,
+               led.volume_converted))
 
     summary = {
         "series_length": len(series),
@@ -172,10 +166,8 @@ def cmd_calibrate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     curve = fee_curve(config, series, mu, bound, grid)
-    with open(out_dir / "fee_curve.csv", "w") as fh:
-        fh.write("variance,model_fee\n")
-        for v, f in zip(curve.variance_grid, curve.fees):
-            fh.write(f"{float(v)!r},{float(f)!r}\n")
+    write_csv(out_dir / "fee_curve.csv", "variance,model_fee",
+              (curve.variance_grid, curve.fees))
 
     result = calibrate_variance(config, series, mu, bound, args.target_fee,
                                 grid, curve=curve)

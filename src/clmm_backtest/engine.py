@@ -254,31 +254,37 @@ def gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
         return float(params.gas_token_price)
 
     eth_per_gas = params.gas_price_gwei * 1e-9
-    mints = burns = 0
-    initial_b = transition_b = final_b = 0.0
+    # per allocation: positive-bucket count and the span from the first to
+    # the last of them; a bucket can be left untouched only where the two
+    # spans of a transition overlap, so only that overlap is compared
+    active = [np.flatnonzero(a.liquidity > 0.0) for a in allocations]
+    counts = [int(a.size) for a in active]
+    spans = [(int(a[0]), int(a[-1]) + 1) if a.size else (0, 0) for a in active]
 
-    first = allocations[0].liquidity > 0.0
-    n0 = int(first.sum())
-    mints += n0
-    initial_b = n0 * params.mint_gas * eth_per_gas * token_price(plan.epochs[0].start)
-
+    mints, burns = counts[0], counts[-1]
+    initial_b = counts[0] * params.mint_gas * eth_per_gas \
+        * token_price(plan.epochs[0].start)
+    transition_b = 0.0
     for e in range(1, len(plan)):
-        old = allocations[e - 1].liquidity
-        new = allocations[e].liquidity
-        unchanged = (old > 0.0) & (new > 0.0) \
-            & (np.abs(old - new) <= _LIQ_EQUAL_RTOL * np.maximum(old, new))
-        burn_here = int(((old > 0.0) & ~unchanged).sum())
-        mint_here = int(((new > 0.0) & ~unchanged).sum())
+        lo = max(spans[e - 1][0], spans[e][0])
+        hi = min(spans[e - 1][1], spans[e][1])
+        unchanged = 0
+        if lo < hi:
+            old = allocations[e - 1].liquidity[lo:hi]
+            new = allocations[e].liquidity[lo:hi]
+            unchanged = int(np.count_nonzero(
+                (np.abs(old - new) <= _LIQ_EQUAL_RTOL * np.maximum(old, new))
+                & (old > 0.0)))
+        burn_here = counts[e - 1] - unchanged
+        mint_here = counts[e] - unchanged
         burns += burn_here
         mints += mint_here
         price = token_price(plan.epochs[e].start)
         transition_b += (burn_here * params.burn_gas
                          + mint_here * params.mint_gas) * eth_per_gas * price
 
-    last = allocations[-1].liquidity > 0.0
-    nl = int(last.sum())
-    burns += nl
-    final_b = nl * params.burn_gas * eth_per_gas * token_price(plan.epochs[-1].end)
+    final_b = counts[-1] * params.burn_gas * eth_per_gas \
+        * token_price(plan.epochs[-1].end)
 
     return GasBreakdown(initial_b, transition_b, final_b, mints, burns)
 

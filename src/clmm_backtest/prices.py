@@ -9,14 +9,24 @@ CSV is the only ingest format.  Accepted layouts:
 
 Timestamps are integer unix seconds and must be strictly ascending;
 prices must be positive and finite.  Error messages name the offending
-data row (1-based, header excluded).  ``write_prices`` emits shortest
-round-trip float text, so a load/write/load cycle reproduces the series
-bit for bit.
+data row (1-based, header excluded, blank rows not counted).
+
+Loading decides the layout from the first non-blank row, then parses the
+rest of the file in one ``np.loadtxt`` call.  Anything that call or the
+series checks reject (a bad or missing cell, quoted cells, ``1_000``,
+whitespace-only rows) sends the file through the row-by-row ``csv``
+parser instead, which accepts those quirks and names the first bad row.
+A clean file therefore never pays for the row parser, and a bad one gets
+the same message either way.
+
+``write_csv`` emits ints as digits and floats as shortest round-trip text,
+so a load/write/load cycle reproduces the series bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,6 +35,9 @@ import numpy as np
 from .errors import DataError
 
 _TS_NAMES = ("ts", "timestamp", "time")
+_INT64 = np.iinfo(np.int64)
+# rows formatted per write; bounds the text held in memory at once
+_WRITE_CHUNK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,75 +92,127 @@ def _parse_price(text: str, row: int) -> float:
 
 def _parse_ts(text: str, row: int) -> int:
     try:
-        return int(text)
+        v = int(text)
     except ValueError:
         raise DataError(f"row {row}: cannot parse timestamp {text!r} as an "
                         f"integer") from None
+    if not _INT64.min <= v <= _INT64.max:
+        raise DataError(f"row {row}: timestamp {text} out of range for int64 "
+                        f"unix seconds")
+    return v
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Column layout of a price file, decided from its first non-blank row."""
+
+    width: int              # cells per row
+    price_col: int
+    ts_col: Optional[int]
+    start: int              # file position of the first data row
+
+
+def _csv_rows(fh):
+    """Non-blank CSV rows; reads by ``readline`` so ``fh.tell()`` stays usable."""
+    return (r for r in csv.reader(iter(fh.readline, ""))
+            if r and any(c.strip() for c in r))
+
+
+def _read_layout(fh, path) -> _Layout:
+    """Decide header and column layout; leaves ``fh`` after the header row."""
+    first = next(_csv_rows(fh), None)
+    if first is None:
+        raise DataError(f"price file {path} is empty")
+    first = [c.strip() for c in first]
+    try:
+        [float(c) for c in first]
+    except ValueError:
+        pass
+    else:
+        width = len(first)
+        if width not in (1, 2):
+            raise DataError(f"headerless file must have 1 or 2 columns, got {width}")
+        return _Layout(width, width - 1, 0 if width == 2 else None, 0)
+
+    names = [c.lower() for c in first]
+    if "price" not in names:
+        raise DataError(f"header {first} has no 'price' column")
+    price_col = names.index("price")
+    ts_col = next((names.index(c) for c in _TS_NAMES if c in names), None)
+    unknown = [first[i] for i in range(len(names)) if i not in (price_col, ts_col)]
+    if unknown:
+        raise DataError(f"unrecognised column(s) {unknown} in header {first}")
+    return _Layout(len(names), price_col, ts_col, fh.tell())
+
+
+def _parse_bulk(fh, layout: _Layout):
+    """(prices, timestamps) from one ``loadtxt`` pass; raises on any quirk.
+
+    The structured dtype names every column in file order and no
+    ``usecols`` is given, so a row with a missing or extra cell raises
+    instead of being silently cut to shape.  Warnings are errors: an empty
+    body warns, and older numpy only warns when it reads ``5.0`` as an
+    integer timestamp.
+    """
+    dtype = [("ts", np.int64) if i == layout.ts_col else ("price", np.float64)
+             for i in range(layout.width)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1, dtype=dtype)
+    return table["price"], table["ts"] if layout.ts_col is not None else None
+
+
+def _parse_rows(fh, layout: _Layout):
+    """(prices, timestamps) parsed cell by cell, naming the first bad row."""
+    data = list(_csv_rows(fh))
+    prices = np.empty(len(data))
+    ts = np.empty(len(data), dtype=np.int64) if layout.ts_col is not None else None
+    for i, cells in enumerate(data):
+        row = i + 1  # 1-based, header excluded
+        if len(cells) != layout.width:
+            raise DataError(f"row {row}: expected {layout.width} columns, "
+                            f"got {len(cells)}")
+        prices[i] = _parse_price(cells[layout.price_col].strip(), row)
+        if ts is not None:
+            ts[i] = _parse_ts(cells[layout.ts_col].strip(), row)
+    return prices, ts
 
 
 def load_prices(path) -> PriceSeries:
     """Load a price series from a CSV file (see the module docstring)."""
     try:
         with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
-    except OSError as err:
+            layout = _read_layout(fh, path)
+            fh.seek(layout.start)
+            try:
+                return PriceSeries(*_parse_bulk(fh, layout), source=str(path))
+            except (ValueError, DataError, Warning):
+                pass  # not clean: the row parser names the first bad row
+            fh.seek(layout.start)
+            return PriceSeries(*_parse_rows(fh, layout), source=str(path))
+    except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read price file {path}: {err}") from None
-    if not rows:
-        raise DataError(f"price file {path} is empty")
 
-    first = [c.strip() for c in rows[0]]
-    ts_col: Optional[int] = None
-    price_col: int
-    try:
-        [float(c) for c in first]
-        has_header = False
-    except ValueError:
-        has_header = True
 
-    if has_header:
-        names = [c.strip().lower() for c in first]
-        if "price" not in names:
-            raise DataError(f"header {first} has no 'price' column")
-        price_col = names.index("price")
-        for cand in _TS_NAMES:
-            if cand in names:
-                ts_col = names.index(cand)
-                break
-        known = {price_col, ts_col} - {None}
-        unknown = [first[i] for i in range(len(names)) if i not in known]
-        if unknown:
-            raise DataError(f"unrecognised column(s) {unknown} in header {first}")
-        data = rows[1:]
-    else:
-        width = len(first)
-        if width == 1:
-            price_col = 0
-        elif width == 2:
-            ts_col, price_col = 0, 1
-        else:
-            raise DataError(f"headerless file must have 1 or 2 columns, got {width}")
-        data = rows
+def write_csv(path, header: str, columns) -> None:
+    """Write equal-length columns as CSV rows under a header line.
 
-    prices = np.empty(len(data))
-    ts = np.empty(len(data), dtype=np.int64) if ts_col is not None else None
-    for i, cells in enumerate(data):
-        row = i + 1  # 1-based, header excluded
-        if len(cells) != len(first):
-            raise DataError(f"row {row}: expected {len(first)} columns, got {len(cells)}")
-        prices[i] = _parse_price(cells[price_col].strip(), row)
-        if ts is not None:
-            ts[i] = _parse_ts(cells[ts_col].strip(), row)
-    return PriceSeries(prices, ts, source=str(path))
+    Cells are the ``repr`` of each value as a Python scalar: integers as
+    digits, floats as shortest round-trip text, so reading a written float
+    back reproduces it bit for bit.  Rows are formatted in bounded chunks,
+    never as one string for the whole file.
+    """
+    cols = [np.asarray(c) for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for s in range(0, len(cols[0]), _WRITE_CHUNK_ROWS):
+            cells = (map(repr, c[s:s + _WRITE_CHUNK_ROWS].tolist()) for c in cols)
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_prices(series: PriceSeries, path) -> None:
     """Write a series back to CSV in a bit-exact round-trippable form."""
-    with open(path, "w", newline="") as fh:
-        if series.timestamps is not None:
-            fh.write("ts,price\n")
-            for t, p in zip(series.timestamps, series.prices):
-                fh.write(f"{int(t)},{float(p)!r}\n")
-        else:
-            fh.write("price\n")
-            for p in series.prices:
-                fh.write(f"{float(p)!r}\n")
+    if series.timestamps is not None:
+        write_csv(path, "ts,price", (series.timestamps, series.prices))
+    else:
+        write_csv(path, "price", (series.prices,))

@@ -1,10 +1,12 @@
-"""Brute-force reserve oracle: the full (timestep x bucket) state tensor.
+"""Brute-force references the engine is checked against.
 
 The engine computes fees and the capital trajectory from aggregate
-reserves.  This module keeps the transparent reference it is checked
-against: every bucket's reserves at every timestep, materialised, with
-per-bucket positive reserve differences summed afterwards.  It allocates
-O(series length x buckets) memory, so it is for tests only.
+reserves.  This module keeps the transparent reference for that: every
+bucket's reserves at every timestep, materialised, with per-bucket
+positive reserve differences summed afterwards.  It allocates
+O(series length x buckets) memory, so it is for tests only.  It also keeps
+the gas count that compares whole liquidity vectors at every transition,
+against which the engine's span-restricted count is checked.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from clmm_backtest.bucketing import BucketPartition, EpochPlan
 from clmm_backtest.core_math import ReservePair
-from clmm_backtest.engine import FeeLedger
+from clmm_backtest.engine import _LIQ_EQUAL_RTOL, FeeLedger, GasBreakdown, GasParams
 
 
 @dataclass(frozen=True)
@@ -105,3 +107,49 @@ def compute_fees(tensor: PoolStateTensor, fee_rate: float,
         end_price.append(float(p[ep.end]))
     return FeeLedger(fee_rate, np.array(inflow_a), np.array(inflow_b),
                      np.array(end_price))
+
+
+def gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
+             prices: np.ndarray) -> GasBreakdown:
+    """Gas spend of a deployment schedule from whole-vector comparisons.
+
+    Same events and pricing as ``engine.gas_cost``: every transition
+    compares the two liquidity vectors over all buckets.
+    """
+    if len(allocations) != len(plan):
+        raise ValueError(f"{len(allocations)} allocations for {len(plan)} epochs")
+    p = np.asarray(prices, dtype=np.float64)
+
+    def token_price(t: int) -> float:
+        if params.token_a_is_gas_token:
+            return float(p[t])
+        return float(params.gas_token_price)
+
+    eth_per_gas = params.gas_price_gwei * 1e-9
+    mints = burns = 0
+    initial_b = transition_b = final_b = 0.0
+
+    first = allocations[0].liquidity > 0.0
+    n0 = int(first.sum())
+    mints += n0
+    initial_b = n0 * params.mint_gas * eth_per_gas * token_price(plan.epochs[0].start)
+
+    for e in range(1, len(plan)):
+        old = allocations[e - 1].liquidity
+        new = allocations[e].liquidity
+        unchanged = (old > 0.0) & (new > 0.0) \
+            & (np.abs(old - new) <= _LIQ_EQUAL_RTOL * np.maximum(old, new))
+        burn_here = int(((old > 0.0) & ~unchanged).sum())
+        mint_here = int(((new > 0.0) & ~unchanged).sum())
+        burns += burn_here
+        mints += mint_here
+        price = token_price(plan.epochs[e].start)
+        transition_b += (burn_here * params.burn_gas
+                         + mint_here * params.mint_gas) * eth_per_gas * price
+
+    last = allocations[-1].liquidity > 0.0
+    nl = int(last.sum())
+    burns += nl
+    final_b = nl * params.burn_gas * eth_per_gas * token_price(plan.epochs[-1].end)
+
+    return GasBreakdown(initial_b, transition_b, final_b, mints, burns)

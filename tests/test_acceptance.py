@@ -305,29 +305,39 @@ def test_criterion_09_bitwise_determinism(tmp_path):
 
 
 def test_criterion_10_performance_sanity():
+    repeats = 5
     rng = np.random.default_rng(110)
     n_big = 525_600
     walk = np.clip(2000.0 * np.exp(np.cumsum(rng.normal(0.0, 0.002, n_big))),
                    1050.0, 3950.0)
     part = BucketPartition(1000.0, 4000.0, 100)
 
-    def run(prices):
+    def run(prices, reps=1):
         # single deployment over all buckets: pure fee-computation load
         cfg = BacktestConfig(part, part.n, StrategyConfig("uniform"), 1e6, 0.003)
         t0 = time.perf_counter()
-        rep = run_backtest(cfg, prices)
+        for _ in range(reps):
+            rep = run_backtest(cfg, prices)
         return time.perf_counter() - t0, rep
 
-    t_big, rep = run(walk)
-    assert t_big < 60.0
+    t_first, rep = run(walk)
+    assert t_first < 60.0
     assert rep.ledger.total_fee_b > 0.0
 
+    # each timed region repeats its run so that it lasts tens of
+    # milliseconds (a one-off quarter-size run takes a few, the size of this
+    # host's jitter), and each ratio compares a small and a big region timed
+    # back to back, so a slow spell of the host slows both sides of it; the
+    # median of the pairs' ratios ignores one pair split by such a spell
     small = walk[: n_big // 4]
-    t_small = min(run(small)[0] for _ in range(3))
-    t_big = min(t_big, *(run(walk)[0] for _ in range(2)))
-    ratio = t_big / t_small
+    t_big, ratios = [], []
+    for _ in range(5):
+        t_small = run(small, repeats)[0]
+        t_big.append(run(walk, repeats)[0])
+        ratios.append(t_big[-1] / t_small)
+    ratio = float(np.median(ratios))
     assert ratio < 4.8, f"4x size took {ratio:.2f}x the time"
     assert ratio > 1.0
 
-    report(10, f"525600x100 run in {t_big:.2f}s; 4x size sweep ratio "
+    report(10, f"525600x100 run in {min(t_big) / repeats:.3f}s; 4x size sweep ratio "
                f"{ratio:.2f} (linear within 20% allows up to 4.8)")

@@ -12,7 +12,7 @@ import pytest
 from clmm_backtest.cli import main
 from clmm_backtest.config import load_config, parse_config
 from clmm_backtest.errors import ConfigError, DataError
-from clmm_backtest.prices import PriceSeries, load_prices, write_prices
+from clmm_backtest.prices import PriceSeries, load_prices, write_csv, write_prices
 
 BASE_CONFIG = """
 # sample pool
@@ -99,6 +99,12 @@ class TestLoadPrices:
         with pytest.raises(DataError, match="cannot read"):
             load_prices(tmp_path / "absent.csv")
 
+    def test_undecodable_bytes_are_a_data_error(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_bytes(b"price\n2000\n20\xff\xfe0\n")
+        with pytest.raises(DataError, match="row 2|cannot read"):
+            load_prices(f)
+
     def test_unknown_header_column_rejected(self, tmp_path):
         f = write(tmp_path / "p.csv", "ts,price,volume\n1,2000,5\n2,2500,6\n")
         with pytest.raises(DataError, match="volume"):
@@ -112,6 +118,19 @@ class TestLoadPrices:
         f = write(tmp_path / "p.csv", "ts,price\n1,2000\n2\n")
         with pytest.raises(DataError, match="row 2"):
             load_prices(f)
+
+    def test_csv_writer_matches_per_row_repr(self, tmp_path):
+        # exponent-form reprs, subnormals and ints, across a chunk seam
+        floats = np.array([1e-05, 1e+16, 5e-324, 0.1, -0.0, 2000.5, 1.7976931348623157e308,
+                           123456789.123, 1e-310] * 14_565)
+        ints = np.arange(len(floats), dtype=np.int64) * 7919 - 10**15
+        out = tmp_path / "w.csv"
+        write_csv(out, "t,a,b", (ints, floats, floats[::-1]))
+        expect = "t,a,b\n" + "".join(
+            f"{int(t)},{float(a)!r},{float(b)!r}\n"
+            for t, a, b in zip(ints, floats, floats[::-1]))
+        assert len(floats) > 2**16
+        assert out.read_bytes() == expect.encode()
 
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(51)
@@ -287,6 +306,16 @@ class TestCliBacktest:
         prices = write(tmp_path / "p.csv", "price\n2000\n-3\n")
         assert self.run_main("backtest", "--config", cfg, "--prices", prices) == 3
         assert capsys.readouterr().err.startswith("error: data:")
+
+    def test_timestamp_outside_int64_exits_3(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.cfg", BASE_CONFIG)
+        prices = write(tmp_path / "p.csv",
+                       "ts,price\n1,2000\n99999999999999999999,2001\n")
+        assert self.run_main("backtest", "--config", cfg, "--prices", prices) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: row 2: timestamp 99999999999999999999 "
+                              "out of range")
+        assert err.count("\n") == 1
 
     def test_out_of_partition_price_is_a_data_error_by_default(self, tmp_path,
                                                                capsys):

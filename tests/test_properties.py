@@ -1,19 +1,27 @@
-"""Property tests: the aggregate reserve kernel and the galloping reset scan.
+"""Property tests: the aggregate reserve kernel, the galloping reset scan
+and the span-restricted gas count.
 
 The kernel is checked against the brute-force oracle (every bucket's
-reserves at every timestep, ``oracle.py``), and the galloping epoch scan
-against a per-row re-scan.  Bulk data comes from numpy generators seeded
+reserves at every timestep, ``oracle.py``), the galloping epoch scan
+against a per-row re-scan, and ``gas_cost`` against the oracle's
+whole-vector count.  Bulk data comes from numpy generators seeded
 by hypothesis, so that series can be long while cases stay shrinkable in
 their shape parameters.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clmm_backtest.allocation import allocate_epoch, custom_weights
-from clmm_backtest.bucketing import BucketPartition, segment_epochs
-from clmm_backtest.engine import BacktestConfig, StrategyConfig, run_backtest
+import oracle
+from clmm_backtest.allocation import EpochAllocation, allocate_epoch, custom_weights
+from clmm_backtest.bucketing import BucketPartition, Epoch, EpochPlan, segment_epochs
+from clmm_backtest import prices as prices_module
+from clmm_backtest.engine import (BacktestConfig, GasParams, StrategyConfig, gas_cost,
+                                  run_backtest)
+from clmm_backtest.errors import DataError
+from clmm_backtest.prices import PriceSeries, load_prices
 from oracle import build_state_tensor, compute_fees
 
 REL = 1e-12
@@ -159,3 +167,125 @@ def test_galloping_scan_matches_rescan(part, seed, m, move, tau):
                   flat_p=0.5, clamp=False)
     plan = segment_epochs(part, prices, tau)
     assert [(e.start, e.end, e.benchmark) for e in plan] == rescan(part, prices, tau)
+
+
+@st.composite
+def schedules(draw):
+    """A plan with random liquidity per epoch: bands with zero gaps, 1e-59
+    tails, empty epochs, and buckets kept equal, within or just past the
+    1e-12 tolerance across a transition."""
+    n = draw(st.integers(1, 60))
+    epochs = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    liquidity = []
+    for e in range(epochs):
+        liq = np.zeros(n)
+        kind = rng.choice(["band", "empty", "keep"]) if e else "band"
+        if kind != "empty":
+            lo = int(rng.integers(0, n))
+            hi = int(rng.integers(lo + 1, n + 1))
+            liq[lo:hi] = rng.uniform(0.1, 1e3, hi - lo)
+            liq[lo:hi][rng.random(hi - lo) < 0.3] = 0.0
+            liq[lo:hi][rng.random(hi - lo) < 0.1] *= 1e-59
+        if kind == "keep":
+            prev = liquidity[-1]
+            keep = (prev > 0.0) & (rng.random(n) < 0.7)
+            nudge = rng.choice([0.0, 5e-13, 2e-12, -5e-13], n)
+            liq[keep] = prev[keep] * (1.0 + nudge[keep])
+        liquidity.append(liq)
+    m = epochs + 1 + int(rng.integers(0, 200))
+    bounds = np.sort(rng.choice(np.arange(1, m - 1), epochs - 1, replace=False)) \
+        if epochs > 1 else np.array([], dtype=np.int64)
+    starts = [0, *bounds.tolist()]
+    ends = [*bounds.tolist(), m - 1]
+    # benchmarks alternate 1, 2, 1, ... so tau = 0 separates every pair
+    plan = EpochPlan(tuple(Epoch(s, t, 1 + e % 2)
+                           for e, (s, t) in enumerate(zip(starts, ends))), m, 0)
+    prices = rng.uniform(500.0, 5000.0, m)
+    allocs = [EpochAllocation(liq, 1e6, float(prices[ep.start]))
+              for liq, ep in zip(liquidity, plan)]
+    return plan, allocs, prices
+
+
+@settings(max_examples=100)
+@given(schedules(), st.booleans())
+def test_gas_cost_matches_whole_vector_count(schedule, token_a_is_gas):
+    plan, allocs, prices = schedule
+    params = GasParams(token_a_is_gas_token=token_a_is_gas,
+                       gas_token_price=None if token_a_is_gas else 1234.5)
+    # counts identical and totals bitwise equal: same sums in the same order
+    assert gas_cost(plan, allocs, params, prices) \
+        == oracle.gas_cost(plan, allocs, params, prices)
+
+
+TS_CELLS = ["+5", "5.0", "1_000", "-1", '"12"', "1e3", "#x", "", " ",
+            "99999999999999999999", "-9223372036854775808", "9223372036854775807"]
+PRICE_CELLS = ["+5", "5.0", "1_000", "nan", "inf", "-inf", "1e400", "-1", "0",
+               '"2000.5"', "#x", "", " ", "5e-324", "1e-05", "1e+16", " 7 "]
+BLANK_ROWS = ["", "  ", "\t", ",", " , "]
+
+
+@st.composite
+def price_files(draw):
+    """CSV text in every accepted layout, mostly clean, with a drawn share
+    of quirk cells, blank rows and ragged rows."""
+    ts_name = draw(st.sampled_from(["ts", "timestamp", "time", "TS", " Time "]))
+    layout = draw(st.sampled_from(["ts,price", "price,ts", "price", "1col", "2col"]))
+    has_ts = layout in ("ts,price", "price,ts", "2col")
+    price_first = layout == "price,ts"
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    quirk = draw(st.sampled_from([0.0, 0.005, 0.02, 0.1, 0.3]))
+    lines = []
+    if layout in ("ts,price", "price,ts", "price"):
+        lines.append(",".join([ts_name, "Price"][::-1 if price_first else 1])
+                     if has_ts else " price ")
+    t = int(rng.integers(-10**6, 10**6))
+    for _ in range(int(rng.integers(0, 60))):
+        t += int(rng.integers(-1, 4)) if rng.random() < quirk else int(rng.integers(1, 90))
+        price = repr(float(rng.lognormal(7.0, 3.0)))
+        if rng.random() < quirk:
+            price = PRICE_CELLS[rng.integers(len(PRICE_CELLS))]
+        cells = [price]
+        if has_ts:
+            ts = str(t) if rng.random() >= quirk else TS_CELLS[rng.integers(len(TS_CELLS))]
+            cells = [price, ts] if price_first else [ts, price]
+        if rng.random() < quirk:
+            cells = cells + [cells[-1]] if rng.random() < 0.5 else cells[:-1]
+        lines.append(",".join(cells))
+        if rng.random() < quirk:
+            lines.append(BLANK_ROWS[rng.integers(len(BLANK_ROWS))])
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def load_by_rows(path):
+    """The row-by-row parser alone, as ``load_prices`` falls back to it."""
+    with open(path, newline="") as fh:
+        layout = prices_module._read_layout(fh, path)
+        fh.seek(layout.start)
+        return PriceSeries(*prices_module._parse_rows(fh, layout), source=str(path))
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("ingest") / "prices.csv"
+
+
+@settings(max_examples=400)
+@given(text=price_files())
+def test_bulk_ingest_agrees_with_row_parser(csv_path, text):
+    csv_path.write_bytes(text.encode())
+    try:
+        expect = load_by_rows(csv_path)
+    except DataError as err:
+        with pytest.raises(DataError) as got:
+            load_prices(csv_path)
+        assert str(got.value) == str(err)
+        return
+    got = load_prices(csv_path)
+    assert got.prices.tobytes() == expect.prices.tobytes()
+    if expect.timestamps is None:
+        assert got.timestamps is None
+    else:
+        assert got.timestamps.dtype == np.int64
+        assert got.timestamps.tobytes() == expect.timestamps.tobytes()
