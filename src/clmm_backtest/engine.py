@@ -233,6 +233,14 @@ def _bucket_tables(partition: BucketPartition):
     return np.stack([sb, sa, inv_b, inv_a]), np.stack([wy, -wx, -wy, wx])
 
 
+def _active_census(liquidity: np.ndarray) -> tuple:
+    """(buckets with positive liquidity, [first, last + 1) span of them)."""
+    active = np.flatnonzero(liquidity > 0.0)
+    if active.size == 0:
+        return 0, (0, 0)
+    return active.size, (int(active[0]), int(active[-1]) + 1)
+
+
 def gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
              prices: np.ndarray) -> GasBreakdown:
     """Gas spend of a deployment schedule, in token B.
@@ -254,20 +262,16 @@ def gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
         return float(params.gas_token_price)
 
     eth_per_gas = params.gas_price_gwei * 1e-9
-    # per allocation: positive-bucket count and the span from the first to
-    # the last of them; a bucket can be left untouched only where the two
-    # spans of a transition overlap, so only that overlap is compared
-    active = [np.flatnonzero(a.liquidity > 0.0) for a in allocations]
-    counts = [int(a.size) for a in active]
-    spans = [(int(a[0]), int(a[-1]) + 1) if a.size else (0, 0) for a in active]
-
-    mints, burns = counts[0], counts[-1]
-    initial_b = counts[0] * params.mint_gas * eth_per_gas \
-        * token_price(plan.epochs[0].start)
+    # a bucket can be left untouched only where the spans of positive
+    # liquidity on both sides of a transition overlap, so only that overlap
+    # is compared; one allocation's census is held at a time
+    count, span = _active_census(allocations[0].liquidity)
+    mints, burns = count, 0
+    initial_b = count * params.mint_gas * eth_per_gas * token_price(plan.epochs[0].start)
     transition_b = 0.0
     for e in range(1, len(plan)):
-        lo = max(spans[e - 1][0], spans[e][0])
-        hi = min(spans[e - 1][1], spans[e][1])
+        new_count, new_span = _active_census(allocations[e].liquidity)
+        lo, hi = max(span[0], new_span[0]), min(span[1], new_span[1])
         unchanged = 0
         if lo < hi:
             old = allocations[e - 1].liquidity[lo:hi]
@@ -275,16 +279,17 @@ def gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
             unchanged = int(np.count_nonzero(
                 (np.abs(old - new) <= _LIQ_EQUAL_RTOL * np.maximum(old, new))
                 & (old > 0.0)))
-        burn_here = counts[e - 1] - unchanged
-        mint_here = counts[e] - unchanged
+        burn_here = count - unchanged
+        mint_here = new_count - unchanged
         burns += burn_here
         mints += mint_here
         price = token_price(plan.epochs[e].start)
         transition_b += (burn_here * params.burn_gas
                          + mint_here * params.mint_gas) * eth_per_gas * price
+        count, span = new_count, new_span
 
-    final_b = counts[-1] * params.burn_gas * eth_per_gas \
-        * token_price(plan.epochs[-1].end)
+    burns += count
+    final_b = count * params.burn_gas * eth_per_gas * token_price(plan.epochs[-1].end)
 
     return GasBreakdown(initial_b, transition_b, final_b, mints, burns)
 

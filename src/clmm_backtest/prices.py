@@ -119,7 +119,7 @@ def _csv_rows(fh):
 
 
 def _read_layout(fh, path) -> _Layout:
-    """Decide header and column layout; leaves ``fh`` after the header row."""
+    """Decide header and column layout; leaves ``fh`` at the first data row."""
     first = next(_csv_rows(fh), None)
     if first is None:
         raise DataError(f"price file {path} is empty")
@@ -132,6 +132,7 @@ def _read_layout(fh, path) -> _Layout:
         width = len(first)
         if width not in (1, 2):
             raise DataError(f"headerless file must have 1 or 2 columns, got {width}")
+        fh.seek(0)
         return _Layout(width, width - 1, 0 if width == 2 else None, 0)
 
     names = [c.lower() for c in first]
@@ -183,7 +184,6 @@ def load_prices(path) -> PriceSeries:
     try:
         with open(path, newline="") as fh:
             layout = _read_layout(fh, path)
-            fh.seek(layout.start)
             try:
                 return PriceSeries(*_parse_bulk(fh, layout), source=str(path))
             except (ValueError, DataError, Warning):

@@ -262,7 +262,6 @@ def load_by_rows(path):
     """The row-by-row parser alone, as ``load_prices`` falls back to it."""
     with open(path, newline="") as fh:
         layout = prices_module._read_layout(fh, path)
-        fh.seek(layout.start)
         return PriceSeries(*prices_module._parse_rows(fh, layout), source=str(path))
 
 
