@@ -121,8 +121,8 @@ class TestLoadPrices:
 
     def test_csv_writer_matches_per_row_repr(self, tmp_path):
         # exponent-form reprs, subnormals and ints, across a chunk seam
-        floats = np.array([1e-05, 1e+16, 5e-324, 0.1, -0.0, 2000.5, 1.7976931348623157e308,
-                           123456789.123, 1e-310] * 14_565)
+        floats = np.array([1e-05, 1e+16, 5e-324, 0.1, -0.0, 2000.5,
+                           1.7976931348623157e308, 123456789.123, 1e-310] * 14_565)
         ints = np.arange(len(floats), dtype=np.int64) * 7919 - 10**15
         out = tmp_path / "w.csv"
         write_csv(out, "t,a,b", (ints, floats, floats[::-1]))
