@@ -12,12 +12,11 @@ same edge-ownership rule as bucket lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import isfinite, sqrt
 
 import numpy as np
 
-from .bucketing import BucketPartition
-from .core_math import split_capital
+from .bucketing import BucketPartition, check_tau
 
 # weights are renormalised on construction; this only guards against
 # callers handing in something that was never a distribution
@@ -74,8 +73,7 @@ class AllocationWeights:
 def _band(partition: BucketPartition, s: int, tau: int) -> tuple[int, int]:
     if not 1 <= s <= partition.n:
         raise ValueError(f"benchmark bucket must be in 1..{partition.n}, got {s}")
-    if not isinstance(tau, (int, np.integer)) or tau < 0:
-        raise ValueError(f"tau must be a non-negative integer, got {tau}")
+    check_tau(tau)
     return max(1, s - tau), min(partition.n, s + tau)
 
 
@@ -172,9 +170,21 @@ def allocate_epoch(weights: AllocationWeights, capital: float, anchor_price: flo
     if not (isfinite(anchor_price) and anchor_price > 0.0):
         raise ValueError(f"anchor price must be positive and finite, got {anchor_price}")
 
+    # core_math.split_capital over the weights' span, in its operation order
+    # and sides read from roots: buckets from k up hold token A, those below
+    # token B, except bucket k - 1 when the anchor lies strictly inside it
+    active = weights.active_buckets()
+    lo, hi = int(active[0]) - 1, int(active[-1])
+    share = weights.weights[lo:hi] * capital
+    sa, sb = partition.roots[lo:hi], partition.roots[lo + 1:hi + 1]
+    sp = sqrt(anchor_price)
+    k = int(sa.searchsorted(sp))
+    liq = share / (sb - sa)
+    liq[k:] = share[k:] / anchor_price * sa[k:] * sb[k:] / (sb[k:] - sa[k:])
+    if k and sp < sb[k - 1]:
+        x_l = sp * sb[k - 1] / (sb[k - 1] - sp)
+        y_l = 1.0 / (sp - sa[k - 1])
+        liq[k - 1] = share[k - 1] * x_l * y_l / (x_l + anchor_price * y_l)
     liquidity = np.zeros(partition.n)
-    for i in weights.active_buckets():
-        share = weights.weights[i - 1] * capital
-        liquidity[i - 1] = split_capital(share, anchor_price,
-                                         partition.bucket_range(int(i))).liquidity
+    liquidity[lo:hi] = liq
     return EpochAllocation(liquidity, capital, anchor_price)

@@ -1,9 +1,10 @@
 """Price-axis partitioning and reset-driven epoch segmentation.
 
-A partition slices [lower, upper] into n equal-width buckets numbered 1..n.
-Buckets are half-open [left, right): a price sitting exactly on an interior
-edge belongs to the higher bucket; the partition's upper bound belongs to
-bucket n.
+A partition slices [lower, upper] into n equal-width buckets numbered 1..n
+and owns the edge table (``edges`` and their square ``roots``) that lookup,
+allocation and the reserve kernel read.  Buckets are half-open [left, right):
+lookup is a right-sided ``searchsorted`` over the interior edges, so a price
+on an interior edge belongs to the higher bucket, the upper bound to bucket n.
 
 An epoch plan splits a price series into maximal runs during which the
 price stays within ``tau`` buckets of the run's benchmark bucket.  The
@@ -13,13 +14,19 @@ so consecutive epochs share exactly that boundary index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isfinite
 from typing import NamedTuple
 
 import numpy as np
 
 from .core_math import PriceRange
+
+
+def check_tau(tau) -> None:
+    """Raise ValueError unless tau, the reset half-width, is a non-negative integer."""
+    if not isinstance(tau, (int, np.integer)) or tau < 0:
+        raise ValueError(f"tau must be a non-negative integer, got {tau}")
 
 
 @dataclass(frozen=True)
@@ -29,6 +36,8 @@ class BucketPartition:
     lower: float
     upper: float
     n: int
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
+    roots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (isfinite(self.lower) and isfinite(self.upper)):
@@ -37,6 +46,17 @@ class BucketPartition:
             raise ValueError(f"need 0 < lower < upper, got [{self.lower}, {self.upper}]")
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError(f"bucket count must be a positive integer, got {self.n}")
+        # edge k is lower + k * (upper - lower) / n, in that operation order
+        edges = self.lower + np.arange(self.n + 1) * (self.upper - self.lower) / self.n
+        edges[0], edges[-1] = self.lower, self.upper
+        roots = np.sqrt(edges)
+        # sqrt is monotone, so ascending roots imply ascending edges
+        if not (roots[1:] > roots[:-1]).all():
+            raise ValueError(f"buckets too narrow, edges or their square roots collide: "
+                             f"[{self.lower}, {self.upper}] in {self.n} buckets")
+        edges.flags.writeable = roots.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "roots", roots)
 
     @property
     def width(self) -> float:
@@ -46,18 +66,10 @@ class BucketPartition:
         """k-th bucket edge, k in 0..n; edge(0) and edge(n) are exact bounds."""
         if not 0 <= k <= self.n:
             raise ValueError(f"edge index must be in 0..{self.n}, got {k}")
-        if k == 0:
-            return self.lower
-        if k == self.n:
-            return self.upper
-        return self.lower + k * (self.upper - self.lower) / self.n
-
-    def edges(self) -> np.ndarray:
-        return np.array([self.edge(k) for k in range(self.n + 1)])
+        return float(self.edges[k])
 
     def midpoints(self) -> np.ndarray:
-        e = self.edges()
-        return 0.5 * (e[:-1] + e[1:])
+        return 0.5 * (self.edges[:-1] + self.edges[1:])
 
     def bucket_range(self, i: int) -> PriceRange:
         """Price range of bucket i (1-based)."""
@@ -72,8 +84,7 @@ class BucketPartition:
         """
         if not (isfinite(p) and self.lower <= p <= self.upper):
             raise ValueError(f"price {p} outside partition [{self.lower}, {self.upper}]")
-        idx = int((p - self.lower) * self.n / (self.upper - self.lower)) + 1
-        return min(idx, self.n)
+        return int(self.edges[1:-1].searchsorted(p, side="right")) + 1
 
     def _check_inside(self, p: np.ndarray) -> None:
         """Raise ValueError naming the first price outside [lower, upper]."""
@@ -87,14 +98,7 @@ class BucketPartition:
         """Vectorised bucket_of over a price array."""
         p = np.asarray(prices, dtype=np.float64)
         self._check_inside(p)
-        # same operation order as bucket_of, in one scratch array
-        scaled = np.subtract(p, self.lower)
-        scaled *= self.n
-        scaled /= self.upper - self.lower
-        np.floor(scaled, out=scaled)
-        idx = scaled.astype(np.int64)
-        idx += 1
-        return np.minimum(idx, self.n, out=idx)
+        return self.edges[1:-1].searchsorted(p, side="right") + 1
 
 
 class Epoch(NamedTuple):
@@ -156,8 +160,7 @@ def segment_epochs(partition: BucketPartition, prices: np.ndarray, tau: int) -> 
     Returns:
         EpochPlan covering the whole series.
     """
-    if not isinstance(tau, (int, np.integer)) or tau < 0:
-        raise ValueError(f"tau must be a non-negative integer, got {tau}")
+    check_tau(tau)
     p = np.asarray(prices, dtype=np.float64)
     m = len(p)
     if m == 0:

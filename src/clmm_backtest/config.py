@@ -135,15 +135,13 @@ def parse_config(text: str) -> BacktestConfig:
         except ValueError as err:
             raise ConfigError(str(err), key="variance") from None
 
-    gas_token_price = _get_float(pairs, "gas_token_price") \
-        if "gas_token_price" in pairs else None
     gas = GasParams(
         mint_gas=_get_int(pairs, "mint_gas") if "mint_gas" in pairs else 430_000,
         burn_gas=_get_int(pairs, "burn_gas") if "burn_gas" in pairs else 215_000,
         gas_price_gwei=_get_float(pairs, "gas_price_gwei")
         if "gas_price_gwei" in pairs else 100.0,
-        token_a_is_gas_token=gas_token_price is None,
-        gas_token_price=gas_token_price,
+        gas_token_price=_get_float(pairs, "gas_token_price")
+        if "gas_token_price" in pairs else None,
     )
 
     config = BacktestConfig(

@@ -110,6 +110,8 @@ def split_capital(w: float, p: float, rng: PriceRange) -> CapitalSplit:
 
     At or beyond a bound the position degenerates to a single token:
     all token A bought at p when p <= p_a, all token B when p >= p_b.
+    Sides are told apart by square roots: a price inside the range whose
+    root equals a bound's counts as sitting on that bound.
 
     Args:
         w: capital budget in token B, must be positive.
@@ -123,13 +125,13 @@ def split_capital(w: float, p: float, rng: PriceRange) -> CapitalSplit:
         raise ValueError(f"capital must be positive and finite, got {w}")
     _check_price(p)
 
-    if p <= rng.p_a:
+    sp = math.sqrt(p)
+    if sp <= rng.sqrt_a:
         x = w / p
         return CapitalSplit(x, 0.0, liquidity_from_x(x, rng))
-    if p >= rng.p_b:
+    if sp >= rng.sqrt_b:
         return CapitalSplit(0.0, w, liquidity_from_y(w, rng))
 
-    sp = math.sqrt(p)
     x_l = sp * rng.sqrt_b / (rng.sqrt_b - sp)
     y_l = 1.0 / (sp - rng.sqrt_a)
     denom = x_l + p * y_l

@@ -50,7 +50,7 @@ import numpy as np
 from .allocation import (AllocationWeights, EpochAllocation, ProfileParams,
                          allocate_epoch, custom_weights, normal_profile_weights,
                          random_band_weights, uniform_band_weights)
-from .bucketing import BucketPartition, EpochPlan, segment_epochs
+from .bucketing import BucketPartition, EpochPlan, check_tau, segment_epochs
 from .core_math import ReservePair
 from .errors import ConfigError, DataError
 from .prices import check_timestamp_count
@@ -72,16 +72,14 @@ class GasParams:
     """Gas cost model for deployment transactions.
 
     Each minted bucket position costs ``mint_gas`` gas units, each burned
-    one ``burn_gas``.  Costs are settled in the gas token and converted to
-    token B: when token A is the gas token the contract price at the event
-    timestep applies, otherwise ``gas_token_price`` must give a constant
-    token-B price for the gas token.
+    one ``burn_gas``, paid in the gas token.  ``gas_token_price`` is its
+    constant token-B price; left as None, token A is the gas token and the
+    contract price at the event timestep converts the cost to token B.
     """
 
     mint_gas: int = 430_000
     burn_gas: int = 215_000
     gas_price_gwei: float = 100.0
-    token_a_is_gas_token: bool = True
     gas_token_price: Optional[float] = None
 
     def __post_init__(self):
@@ -90,11 +88,10 @@ class GasParams:
         if not (isfinite(self.gas_price_gwei) and self.gas_price_gwei > 0.0):
             raise ConfigError(f"gas price must be positive, got {self.gas_price_gwei}",
                               key="gas_price_gwei")
-        if not self.token_a_is_gas_token:
-            gp = self.gas_token_price
-            if gp is None or not (isfinite(gp) and gp > 0.0):
-                raise ConfigError("gas_token_price required when token A is not "
-                                  "the gas token", key="gas_token_price")
+        gp = self.gas_token_price
+        if gp is not None and not (isfinite(gp) and gp > 0.0):
+            raise ConfigError(f"gas token price must be positive, got {gp}",
+                              key="gas_token_price")
 
 
 @dataclass(frozen=True)
@@ -137,9 +134,10 @@ class BacktestConfig:
     price_mode: str = "strict"
 
     def validate(self) -> None:
-        if not isinstance(self.tau, (int, np.integer)) or self.tau < 0:
-            raise ConfigError(f"tau must be a non-negative integer, got {self.tau}",
-                              key="tau")
+        try:
+            check_tau(self.tau)
+        except ValueError as err:
+            raise ConfigError(str(err), key="tau") from None
         if not (isfinite(self.capital) and self.capital > 0.0):
             raise ConfigError(f"capital must be positive, got {self.capital}",
                               key="capital")
@@ -226,8 +224,7 @@ def _bucket_tables(partition: BucketPartition):
     depth and negated full token-A depth per unit liquidity, then both
     with the opposite sign.
     """
-    se = np.sqrt(partition.edges())
-    sa, sb = se[:-1], se[1:]
+    sa, sb = partition.roots[:-1], partition.roots[1:]
     inv_a, inv_b = 1.0 / sa, 1.0 / sb
     wy, wx = sb - sa, inv_a - inv_b
     return np.stack([sb, sa, inv_b, inv_a]), np.stack([wy, -wx, -wy, wx])
@@ -257,7 +254,7 @@ def gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
     p = np.asarray(prices, dtype=np.float64)
 
     def token_price(t: int) -> float:
-        if params.token_a_is_gas_token:
+        if params.gas_token_price is None:
             return float(p[t])
         return float(params.gas_token_price)
 
@@ -439,6 +436,10 @@ class BacktestReport:
 
     def to_dict(self) -> dict:
         """JSON-ready summary; trajectories are exported separately as CSV."""
+        # each derived ledger column rebuilds its array per read: read once
+        fee_a, fee_b = self.ledger.fee_a.tolist(), self.ledger.fee_b.tolist()
+        fee_conv = self.ledger.fee_converted.tolist()
+        volume_conv = self.ledger.volume_converted.tolist()
         epoch_rows = []
         for e, ep in enumerate(self.plan):
             epoch_rows.append({
@@ -448,11 +449,11 @@ class BacktestReport:
                 "benchmark_bucket": ep.benchmark,
                 "inflow_a": float(self.ledger.inflow_a[e]),
                 "inflow_b": float(self.ledger.inflow_b[e]),
-                "fee_a": float(self.ledger.fee_a[e]),
-                "fee_b": float(self.ledger.fee_b[e]),
+                "fee_a": fee_a[e],
+                "fee_b": fee_b[e],
                 "end_price": float(self.ledger.end_price[e]),
-                "fee_converted_b": float(self.ledger.fee_converted[e]),
-                "volume_converted_b": float(self.ledger.volume_converted[e]),
+                "fee_converted_b": fee_conv[e],
+                "volume_converted_b": volume_conv[e],
             })
         out = {
             "initial_capital": float(self.config.capital),

@@ -70,7 +70,7 @@ def build_state_tensor(partition: BucketPartition, plan: EpochPlan,
     if len(allocations) != len(plan):
         raise ValueError(f"{len(allocations)} allocations for {len(plan)} epochs")
     p = np.asarray(prices, dtype=np.float64)
-    se = np.sqrt(partition.edges())
+    se = np.sqrt(partition.edges)
     sa, sb = se[:-1], se[1:]
     out = []
     for ep, alloc in zip(plan, allocations):
@@ -121,7 +121,7 @@ def gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
     p = np.asarray(prices, dtype=np.float64)
 
     def token_price(t: int) -> float:
-        if params.token_a_is_gas_token:
+        if params.gas_token_price is None:
             return float(p[t])
         return float(params.gas_token_price)
 

@@ -138,6 +138,17 @@ class TestSplitCapital:
         above = split_capital(10.0, 8.0, R14)
         assert above.x == 0.0 and above.y == 10.0
 
+    def test_price_whose_root_equals_a_bound_root_sits_on_that_bound(self):
+        r = PriceRange(2.0, 3.0)
+        p_lo, p_hi = math.nextafter(2.0, 3.0), math.nextafter(3.0, 2.0)
+        assert r.contains(p_lo) and math.sqrt(p_lo) == r.sqrt_a
+        assert r.contains(p_hi) and math.sqrt(p_hi) == r.sqrt_b
+        lo, hi = split_capital(10.0, p_lo, r), split_capital(10.0, p_hi, r)
+        assert lo == (10.0 / p_lo, 0.0, liquidity_from_x(10.0 / p_lo, r))
+        assert hi == (0.0, 10.0, liquidity_from_y(10.0, r))
+        assert position_value(lo.liquidity, r, p_lo, p_lo) == pytest.approx(10.0, rel=1e-12)
+        assert position_value(hi.liquidity, r, p_hi, p_hi) == pytest.approx(10.0, rel=1e-12)
+
     def test_reserves_satisfy_curve_identity(self):
         for w, p, r in random_cases(33, 2000):
             s = split_capital(w, p, r)

@@ -185,7 +185,7 @@ class TestGasCost(SevenBuckets):
 
     def test_constant_gas_token_price_matches_contract_price_here(self):
         plan, allocs = self.plan_and_alloc()
-        params = GasParams(token_a_is_gas_token=False, gas_token_price=2300.0)
+        params = GasParams(gas_token_price=2300.0)
         gas = gas_cost(plan, allocs, params, self.prices)
         assert gas.total_b == pytest.approx(1038.45, rel=1e-12)
 
@@ -244,7 +244,7 @@ class TestGasCost(SevenBuckets):
         with pytest.raises(ConfigError):
             GasParams(gas_price_gwei=-1.0)
         with pytest.raises(ConfigError):
-            GasParams(token_a_is_gas_token=False)  # needs gas_token_price
+            GasParams(gas_token_price=0.0)
 
 
 class TestBuyAndHold:
@@ -277,8 +277,8 @@ class TestRunBacktest:
         cfg, prices = self.config_and_walk()
         report = run_backtest(cfg, prices)
         assert len(report.plan) > 3
-        sa = np.sqrt(cfg.partition.edges())[:-1]
-        sb = np.sqrt(cfg.partition.edges())[1:]
+        sa = np.sqrt(cfg.partition.edges)[:-1]
+        sb = np.sqrt(cfg.partition.edges)[1:]
         for e, ep in enumerate(list(report.plan)[:-1]):
             # value of the outgoing epoch's book at the shared boundary
             w = uniform_band_weights(cfg.partition, ep.benchmark, cfg.tau)

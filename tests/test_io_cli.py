@@ -162,7 +162,7 @@ class TestParseConfig:
         assert cfg.gas.mint_gas == 430_000
         assert cfg.gas.burn_gas == 215_000
         assert cfg.gas.gas_price_gwei == 100.0
-        assert cfg.gas.token_a_is_gas_token
+        assert cfg.gas.gas_token_price is None
 
     def test_full_normal_config(self):
         text = """
@@ -187,7 +187,6 @@ class TestParseConfig:
         cfg = parse_config(text)
         assert cfg.strategy.profile.mu == 0.875
         assert cfg.strategy.profile.variance == 0.254
-        assert not cfg.gas.token_a_is_gas_token
         assert cfg.gas.gas_token_price == 2300.0
         assert cfg.reinvest_mode == "reinvest"
         assert cfg.volume_cap == 1e9
@@ -300,6 +299,18 @@ class TestCliBacktest:
         prices = walk_csv(tmp_path / "p.csv")
         assert self.run_main("backtest", "--config", cfg, "--prices", prices) == 2
         assert capsys.readouterr().err.startswith("error: config:")
+
+    def test_degenerate_partition_exits_2(self, tmp_path, capsys):
+        # ten buckets inside a few ulps: edges, and their square roots, collide
+        text = (BASE_CONFIG.replace("lower = 1000", "lower = 1")
+                .replace("upper = 4000", "upper = 1.000000000000001")
+                .replace("buckets = 30", "buckets = 10"))
+        cfg = write(tmp_path / "run.cfg", text)
+        prices = write(tmp_path / "p.csv", "price\n1.0\n1.0\n")
+        assert self.run_main("backtest", "--config", cfg, "--prices", prices) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: [lower] ")
+        assert err.count("\n") == 1
 
     def test_bad_prices_exit_3(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.cfg", BASE_CONFIG)

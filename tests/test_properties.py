@@ -1,13 +1,17 @@
-"""Property tests: the aggregate reserve kernel, the galloping reset scan
-and the span-restricted gas count.
+"""Property tests: the aggregate reserve kernel, the galloping reset scan,
+bucket edge ownership, the vectorised allocation and the span-restricted
+gas count.
 
 The kernel is checked against the brute-force oracle (every bucket's
 reserves at every timestep, ``oracle.py``), the galloping epoch scan
-against a per-row re-scan, and ``gas_cost`` against the oracle's
+against a per-row re-scan, ``allocate_epoch`` against a per-bucket
+``split_capital`` loop, and ``gas_cost`` against the oracle's
 whole-vector count.  Bulk data comes from numpy generators seeded
 by hypothesis, so that series can be long while cases stay shrinkable in
 their shape parameters.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from clmm_backtest.bucketing import BucketPartition, Epoch, EpochPlan, segment_e
 from clmm_backtest import prices as prices_module
 from clmm_backtest.engine import (BacktestConfig, GasParams, StrategyConfig, gas_cost,
                                   run_backtest)
+from clmm_backtest.core_math import position_value, split_capital
 from clmm_backtest.errors import DataError
 from clmm_backtest.prices import PriceSeries, load_prices
 from oracle import build_state_tensor, compute_fees
@@ -70,7 +75,7 @@ def walk(rng, part, m, move, jump_p, flat_p, clamp):
     x = np.log(lo) + span - np.abs(np.mod(x - np.log(lo), 2.0 * span) - span)
     p = np.clip(np.exp(x), lo, hi)
     on_edge = rng.random(m) < 0.01
-    p[on_edge] = part.edges()[rng.integers(0, part.n + 1, int(on_edge.sum()))]
+    p[on_edge] = part.edges[rng.integers(0, part.n + 1, int(on_edge.sum()))]
     return p
 
 
@@ -169,6 +174,81 @@ def test_galloping_scan_matches_rescan(part, seed, m, move, tau):
     assert [(e.start, e.end, e.benchmark) for e in plan] == rescan(part, prices, tau)
 
 
+def float_partitions():
+    # arbitrary float bounds and up to a few hundred buckets, so edges land
+    # on every rounding of lower + k * (upper - lower) / n
+    return st.builds(lambda lower, ratio, n: BucketPartition(lower, lower * ratio, n),
+                     st.floats(1e-3, 1e6), st.floats(1.001, 100.0), st.integers(1, 400))
+
+
+@settings(max_examples=300)
+@given(part=float_partitions(), seed=st.integers(0, 2**32 - 1))
+def test_interior_edges_belong_to_the_higher_bucket(part, seed):
+    lo, hi, n = part.lower, part.upper, part.n
+    # the edge table is the documented formula, bitwise, with exact bounds
+    assert part.edges.tolist() == [lo, *(lo + k * (hi - lo) / n for k in range(1, n)), hi]
+    k = np.arange(1, n)
+    interior = part.edges[1:-1]
+    below = np.nextafter(interior, -np.inf)
+    assert part.bucket_indices(interior).tolist() == (k + 1).tolist()
+    assert part.bucket_indices(below).tolist() == k.tolist()
+    prices = np.concatenate([interior, below, [lo, hi],
+                             np.random.default_rng(seed).uniform(lo, hi, 50)])
+    assert part.bucket_indices(prices).tolist() \
+        == [part.bucket_of(p) for p in prices.tolist()]
+
+
+@st.composite
+def epoch_allocations(draw):
+    """Band weights with zero gaps and 1e-59 tails, and an anchor on an
+    edge, inside a bucket, an ulp off an edge, or beyond the partition."""
+    part = draw(float_partitions())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    first = draw(st.integers(0, part.n - 1))
+    last = draw(st.integers(first, part.n - 1))
+    kinds = draw(st.lists(st.sampled_from(["zero", "tail", "body"]),
+                          max_size=last - first + 1))
+    w = np.zeros(part.n)
+    w[first:last + 1] = liquidity_weights(rng, last - first + 1, kinds)
+    j = draw(st.integers(0, part.n))
+    where = draw(st.sampled_from(["edge", "inside", "ulp", "outside"]))
+    e = part.edges
+    if where == "edge":
+        anchor = float(e[j])
+    elif where == "inside":
+        j = min(j, part.n - 1)
+        anchor = float(e[j] + draw(st.floats(0.0, 1.0)) * (e[j + 1] - e[j]))
+    elif where == "ulp":
+        anchor = float(np.nextafter(e[j], draw(st.sampled_from([-np.inf, np.inf]))))
+    else:
+        anchor = draw(st.sampled_from([part.lower, part.upper])) \
+            * draw(st.floats(0.1, 10.0))
+    capital = draw(st.floats(1e-3, 1e12))
+    return part, custom_weights(part, w), capital, anchor
+
+
+@settings(max_examples=300)
+@given(epoch_allocations())
+def test_allocation_matches_per_bucket_split(case):
+    part, weights, capital, anchor = case
+    alloc = allocate_epoch(weights, capital, anchor, part)
+    loop = np.zeros(part.n)
+    for i in weights.active_buckets():
+        share = weights.weights[i - 1] * capital
+        loop[i - 1] = split_capital(share, anchor, part.bucket_range(int(i))).liquidity
+    assert alloc.liquidity.tobytes() == loop.tobytes()
+
+    # valued at the anchor, the positions hold the deployed capital; a
+    # bucket's token-A depth 1/sa - 1/sb cancels to within eps * sb/(sb - sa)
+    # of itself, so narrow buckets widen the bound past 1e-12
+    active = weights.active_buckets()
+    value = math.fsum(position_value(float(alloc.liquidity[i - 1]), part.bucket_range(int(i)),
+                                     anchor, anchor) for i in active)
+    sa, sb = part.roots[:-1][active - 1], part.roots[1:][active - 1]
+    cancel = float((sb / (sb - sa)).max())
+    assert abs(value - capital) <= (REL + 4 * np.finfo(float).eps * cancel) * capital
+
+
 @st.composite
 def schedules(draw):
     """A plan with random liquidity per epoch: bands with zero gaps, 1e-59
@@ -211,8 +291,7 @@ def schedules(draw):
 @given(schedules(), st.booleans())
 def test_gas_cost_matches_whole_vector_count(schedule, token_a_is_gas):
     plan, allocs, prices = schedule
-    params = GasParams(token_a_is_gas_token=token_a_is_gas,
-                       gas_token_price=None if token_a_is_gas else 1234.5)
+    params = GasParams(gas_token_price=None if token_a_is_gas else 1234.5)
     # counts identical and totals bitwise equal: same sums in the same order
     assert gas_cost(plan, allocs, params, prices) \
         == oracle.gas_cost(plan, allocs, params, prices)
