@@ -1,4 +1,4 @@
-"""Capital allocation across buckets for one deployment epoch.
+"""Capital allocation across buckets for deployment epochs.
 
 Weights describe how the deployable capital is divided between buckets;
 they are non-negative and sum to one.  Deployment turns each bucket's
@@ -7,12 +7,18 @@ buckets entirely above the anchor are funded with token A, buckets
 entirely below with token B, and the bucket containing the anchor gets a
 two-sided split.  An anchor sitting exactly on a bucket edge follows the
 same edge-ownership rule as bucket lookup.
+
+The batched forms work on many epochs at once: ``band_weights`` gives the
+band strategies' weights over fixed-width windows of buckets, one row per
+epoch, and ``deploy`` turns a table of shares into liquidity row by row.
+``uniform_band_weights``, ``random_band_weights`` and ``allocate_epoch``
+are their one-row views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from math import isfinite
 
 import numpy as np
 
@@ -70,42 +76,76 @@ class AllocationWeights:
         return np.flatnonzero(self.weights > 0.0) + 1
 
 
-def _band(partition: BucketPartition, s: int, tau: int) -> tuple[int, int]:
-    if not 1 <= s <= partition.n:
-        raise ValueError(f"benchmark bucket must be in 1..{partition.n}, got {s}")
+def band_width(partition: BucketPartition, tau: int) -> int:
+    """Buckets in a band strategy's window: the widest band, 2 tau + 1,
+    or the whole partition."""
+    return min(partition.n, 2 * int(tau) + 1)
+
+
+def band_weights(partition: BucketPartition, benchmarks, tau: int,
+                 seeds=None) -> tuple[np.ndarray, np.ndarray]:
+    """Band weights for many benchmark buckets at once.
+
+    Row r puts weight on the buckets within tau of benchmarks[r], the band
+    clipped at the partition edges, so a benchmark near an edge spreads
+    the same capital over fewer buckets.  Rows are windows of
+    W = min(n, 2 tau + 1) buckets: row r covers the 0-based buckets
+    offsets[r] .. offsets[r] + W - 1, and cells outside the band are zero.
+
+    With ``seeds`` None every band bucket gets 1 / (band width).  Otherwise
+    seeds holds one seed per row, and row r is one uniform variate per band
+    bucket from ``default_rng(seeds[r])``, normalised to sum to one; the
+    same seed always reproduces the same row.
+
+    Returns:
+        (offsets, weights): int64 offsets, shape (rows,), and the weight
+        table, shape (rows, W).
+    """
+    s = np.asarray(benchmarks, dtype=np.int64)
+    n = partition.n
+    if s.size and not (1 <= s.min() and s.max() <= n):
+        bad = s[(s < 1) | (s > n)][0]
+        raise ValueError(f"benchmark bucket must be in 1..{n}, got {bad}")
     check_tau(tau)
-    return max(1, s - tau), min(partition.n, s + tau)
+    width = band_width(partition, tau)
+    offsets = np.clip(s - 1 - tau, 0, n - width)
+    # band columns [a, b) inside each window
+    a = np.maximum(s - 1 - tau, 0) - offsets
+    b = np.minimum(s + tau, n) - offsets
+    cols = np.arange(width)
+    band = (cols >= a[:, None]) & (cols < b[:, None])
+    if seeds is None:
+        return offsets, band / (b - a)[:, None]
+    w = np.zeros(band.shape)
+    for r, seed in enumerate(seeds):  # a distinct, documented stream per row
+        w[r, a[r]:b[r]] = np.random.default_rng(seed).random(b[r] - a[r])
+    total = w.sum(axis=1, keepdims=True)
+    empty = total[:, 0] <= 0.0  # astronomically unlikely all-zero draw
+    w[empty], total[empty] = band[empty], (b - a)[empty, None]
+    w /= total
+    # AllocationWeights renormalises every weight vector; so do these rows
+    w /= w.sum(axis=1, keepdims=True)
+    return offsets, w
+
+
+def _band_row(partition: BucketPartition, s: int, tau: int, seeds) -> AllocationWeights:
+    offsets, w = band_weights(partition, [s], tau, seeds)
+    full = np.zeros(partition.n)
+    full[offsets[0]:offsets[0] + w.shape[1]] = w[0]
+    return AllocationWeights(full)
 
 
 def uniform_band_weights(partition: BucketPartition, s: int, tau: int) -> AllocationWeights:
-    """Equal weights on the buckets within tau of the benchmark bucket s.
-
-    The band [s - tau, s + tau] is clipped at the partition edges, so a
-    benchmark near an edge spreads the same capital over fewer buckets.
-    """
-    lo, hi = _band(partition, s, tau)
-    w = np.zeros(partition.n)
-    w[lo - 1:hi] = 1.0 / (hi - lo + 1)
-    return AllocationWeights(w)
+    """Equal weights on the buckets within tau of the benchmark bucket s
+    (``band_weights`` for one benchmark, over the whole partition)."""
+    return _band_row(partition, s, tau, None)
 
 
 def random_band_weights(partition: BucketPartition, s: int, tau: int,
                         seed) -> AllocationWeights:
-    """Seeded random weights on the band around the benchmark bucket.
-
-    Draws one uniform variate per band bucket and normalises.  The same
-    seed always reproduces the same weights.
-    """
-    lo, hi = _band(partition, s, tau)
-    rng = np.random.default_rng(seed)
-    draw = rng.random(hi - lo + 1)
-    total = draw.sum()
-    if total <= 0.0:  # astronomically unlikely all-zero draw
-        draw = np.ones_like(draw)
-        total = draw.sum()
-    w = np.zeros(partition.n)
-    w[lo - 1:hi] = draw / total
-    return AllocationWeights(w)
+    """Seeded random weights on the band around the benchmark bucket
+    (``band_weights`` for one benchmark and seed, over the whole partition)."""
+    return _band_row(partition, s, tau, [seed])
 
 
 def normal_profile_weights(partition: BucketPartition,
@@ -146,13 +186,38 @@ class EpochAllocation:
         return np.flatnonzero(self.liquidity > 0.0) + 1
 
 
+def deploy(share: np.ndarray, anchor_price: np.ndarray, sa: np.ndarray,
+           sb: np.ndarray) -> np.ndarray:
+    """Liquidity for capital shares, one row per deployment.
+
+    ``share`` (rows, W) is the token-B capital per bucket, ``anchor_price``
+    (rows,) each row's anchor, and ``sa``, ``sb`` (rows, W) the buckets'
+    lower and upper roots, ascending along each row.  This is
+    ``core_math.split_capital`` per cell, in its operation order, with
+    sides read from roots: buckets whose lower root is at least the
+    anchor's hold token A, those below token B, and a bucket with the
+    anchor strictly inside gets the two-sided split.
+    """
+    a = anchor_price[:, None]
+    sp = np.sqrt(a)
+    width = sb - sa
+    liq = np.where(sa >= sp, share / a * sa * sb / width, share / width)
+    r, c = ((sa < sp) & (sp < sb)).nonzero()
+    sp, a, sa, sb = sp[r, 0], a[r, 0], sa[r, c], sb[r, c]
+    x_l = sp * sb / (sb - sp)
+    y_l = 1.0 / (sp - sa)
+    liq[r, c] = share[r, c] * x_l * y_l / (x_l + a * y_l)
+    return liq
+
+
 def allocate_epoch(weights: AllocationWeights, capital: float, anchor_price: float,
                    partition: BucketPartition) -> EpochAllocation:
     """Deploy a capital budget across buckets at the epoch's anchor price.
 
     Each bucket with positive weight receives weight * capital and is
-    converted into liquidity on that bucket's range.  Valuing every
-    deployed position at the anchor price recovers the budget exactly.
+    converted into liquidity on that bucket's range (``deploy`` over the
+    weights' span).  Valuing every deployed position at the anchor price
+    recovers the budget exactly.
 
     Args:
         weights: per-bucket capital weights over the partition.
@@ -170,21 +235,10 @@ def allocate_epoch(weights: AllocationWeights, capital: float, anchor_price: flo
     if not (isfinite(anchor_price) and anchor_price > 0.0):
         raise ValueError(f"anchor price must be positive and finite, got {anchor_price}")
 
-    # core_math.split_capital over the weights' span, in its operation order
-    # and sides read from roots: buckets from k up hold token A, those below
-    # token B, except bucket k - 1 when the anchor lies strictly inside it
     active = weights.active_buckets()
     lo, hi = int(active[0]) - 1, int(active[-1])
-    share = weights.weights[lo:hi] * capital
-    sa, sb = partition.roots[lo:hi], partition.roots[lo + 1:hi + 1]
-    sp = sqrt(anchor_price)
-    k = int(sa.searchsorted(sp))
-    liq = share / (sb - sa)
-    liq[k:] = share[k:] / anchor_price * sa[k:] * sb[k:] / (sb[k:] - sa[k:])
-    if k and sp < sb[k - 1]:
-        x_l = sp * sb[k - 1] / (sb[k - 1] - sp)
-        y_l = 1.0 / (sp - sa[k - 1])
-        liq[k - 1] = share[k - 1] * x_l * y_l / (x_l + anchor_price * y_l)
+    share = weights.weights[None, lo:hi] * capital
     liquidity = np.zeros(partition.n)
-    liquidity[lo:hi] = liq
+    liquidity[lo:hi] = deploy(share, np.array([anchor_price]), partition.roots[None, lo:hi],
+                              partition.roots[None, lo + 1:hi + 1])[0]
     return EpochAllocation(liquidity, capital, anchor_price)

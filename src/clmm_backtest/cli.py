@@ -120,6 +120,7 @@ def cmd_backtest(args) -> int:
             raise ConfigError("--seed only applies to strategy=random", key="seed")
         config = dataclasses.replace(
             config, strategy=dataclasses.replace(config.strategy, seed=args.seed))
+        config.validate()
     if args.price_mode is not None:
         config = dataclasses.replace(config, price_mode=args.price_mode)
 

@@ -11,7 +11,7 @@ lower, upper, buckets   price partition (required)
 tau                     reset half-width in buckets (required)
 strategy                uniform | random | custom | normal (required)
 weights                 comma-separated bucket weights (custom only)
-seed                    integer RNG seed (random only)
+seed                    non-negative integer RNG seed (random only)
 mu, variance, bound     bell-curve profile (normal only; bound default 3)
 capital                 deployable capital in token B (required)
 fee_rate                pool fee rate in (0, 1) (required)

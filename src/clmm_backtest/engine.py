@@ -15,13 +15,31 @@ price, so all buckets' differences share a sign and the bucket sum of
 their positive parts is the positive part of the change in the aggregate
 reserves.
 
-The kernel therefore never forms a (timestep x bucket) array.  Per epoch
-it tabulates the active buckets with cumulative full depths; per row it
-finds the bucket holding the price with ``searchsorted`` (O(log n), not
-O(n)): buckets below it hold their full token-B depth, buckets above their
-full token-A depth.  Epochs are walked in fixed 2**13-row blocks that
-overlap by one row and take their own square roots, so the working set
-stays inside a 2 MB L2 cache at any series length.
+Every epoch is replayed at once, at unit capital.  ``split_capital`` is
+homogeneous of degree 1 in capital, so an epoch's liquidity, inflows,
+trajectory and end value are its capital times their values at capital 1,
+and the capital chain is a cumulative product of per-epoch growth factors:
+the unit end value v under ``exclude``, v plus the unit fee under
+``reinvest``, and 1 under ``fix-at-level``.
+
+Each epoch deploys on a window of W buckets: the band around its
+benchmark, shifted inside the partition, for ``uniform`` and ``random``,
+and the span of positive weights for ``custom`` and ``normal``.  Epochs
+are handled in groups of at most ``_GROUP_CELLS // W``, so no table has
+epochs x buckets cells.  Per group, unit liquidity is one
+(epochs x W) array, and the kernel tabulates it with cumulative full
+depths, one table column per window bucket.  One pass over the group's
+rows, in fixed 2**13-row blocks that overlap by one row, finds for each
+row the bucket holding the price with ``searchsorted`` (O(log n), not
+O(n)) and gathers its column of the owning epoch's table: buckets below
+it hold their full token-B depth, buckets above their full token-A depth.
+A boundary row, shared by two epochs, is owned by the later one; it is
+evaluated once more under the earlier epoch's table for that epoch's last
+step and end value.  Within a block of one epoch the per-epoch lookups
+are scalars.  Then the group's capitals follow, and its trajectory and
+steps are scaled in place: the trajectory and the per-step inflows are
+the only series-length arrays the replay allocates.  Gas compares each
+epoch's window liquidity with the next epoch's over their overlap.
 
 Two precision rules keep the aggregates as exact as the per-bucket sums.
 Steps are differenced from reserves anchored at the epoch's first price: a
@@ -30,7 +48,7 @@ only the part crossed, and the bucket holding the price counts from the
 edge it was entered by, so no term exceeds the change it measures and a
 deep book the walk never reaches cancels nowhere.  The trajectory is
 valued from sums of positive terms only.  Sums run in fixed order (numpy
-pairwise within a block, blocks in time order), so results are
+pairwise per epoch within a block, blocks in time order), so results are
 reproducible run to run.
 
 Trading is assumed frictionless inside the replay: the series is taken as
@@ -47,9 +65,8 @@ from typing import Optional
 
 import numpy as np
 
-from .allocation import (AllocationWeights, EpochAllocation, ProfileParams,
-                         allocate_epoch, custom_weights, normal_profile_weights,
-                         random_band_weights, uniform_band_weights)
+from .allocation import (ProfileParams, band_weights, band_width, custom_weights,
+                         deploy, normal_profile_weights)
 from .bucketing import BucketPartition, EpochPlan, check_tau, segment_epochs
 from .core_math import ReservePair
 from .errors import ConfigError, DataError
@@ -57,6 +74,9 @@ from .prices import check_timestamp_count
 
 # rows per kernel block; 2**13 rows keep a block's temporaries inside L2
 _BLOCK_ROWS = 1 << 13
+
+# window cells (epochs x window buckets) per epoch group
+_GROUP_CELLS = 1 << 15
 
 # relative tolerance under which a bucket's liquidity counts as unchanged
 # across an epoch transition (no burn + re-mint for a no-op)
@@ -110,18 +130,30 @@ class StrategyConfig:
         if self.mode == "custom":
             if self.weights is None:
                 raise ConfigError("custom strategy needs a weights vector", key="weights")
-            if len(np.asarray(self.weights)) != partition.n:
-                raise ConfigError(f"weights length {len(np.asarray(self.weights))} "
-                                  f"does not match {partition.n} buckets", key="weights")
-        if self.mode == "random" and self.seed is None:
-            raise ConfigError("random strategy needs a seed", key="seed")
+            try:  # the length check and AllocationWeights' rule
+                custom_weights(partition, self.weights)
+            except ValueError as err:
+                raise ConfigError(str(err), key="weights") from None
+        if self.mode == "random":
+            if self.seed is None:
+                raise ConfigError("random strategy needs a seed", key="seed")
+            if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+                raise ConfigError(f"seed must be a non-negative integer, got {self.seed}",
+                                  key="seed")
         if self.mode == "normal" and self.profile is None:
             raise ConfigError("normal strategy needs profile parameters", key="mu")
 
 
 @dataclass(frozen=True)
 class BacktestConfig:
-    """Everything run_backtest needs besides the price series."""
+    """Everything run_backtest needs besides the price series.
+
+    ``volume_cap`` caps the reported token-B volume: when the replayed
+    total exceeds it, the ledger's inflows and fees are scaled down to
+    meet it.  It scales the reported ledger only; the capital chain,
+    including the fees ``reinvest`` compounds, and the trajectory use the
+    uncapped fees.
+    """
 
     partition: BucketPartition
     tau: int
@@ -217,7 +249,7 @@ class GasBreakdown:
 
 
 def _bucket_tables(partition: BucketPartition):
-    """Per-run bucket constants the kernel slices from.
+    """Per-run bucket constants the kernel gathers from.
 
     Returns ``roots`` (4, n): each bucket's upper root, lower root, and
     their inverses in the same order; and ``depth`` (4, n): full token-B
@@ -230,12 +262,45 @@ def _bucket_tables(partition: BucketPartition):
     return np.stack([sb, sa, inv_b, inv_a]), np.stack([wy, -wx, -wy, wx])
 
 
-def _active_census(liquidity: np.ndarray) -> tuple:
-    """(buckets with positive liquidity, [first, last + 1) span of them)."""
-    active = np.flatnonzero(liquidity > 0.0)
-    if active.size == 0:
-        return 0, (0, 0)
-    return active.size, (int(active[0]), int(active[-1]) + 1)
+def _unchanged(liquidity: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Buckets left untouched at each transition between consecutive rows.
+
+    Row e of ``liquidity`` covers buckets offsets[e] onwards.  A bucket
+    counts when it is positive on both sides and unchanged to relative
+    tolerance 1e-12, so only the windows' overlap is compared.
+    """
+    width = liquidity.shape[1]
+    # column in the next row of the same bucket
+    cols = np.arange(width) - np.diff(offsets)[:, None]
+    inside = (cols >= 0) & (cols < width)
+    old = liquidity[:-1]
+    new = np.take_along_axis(liquidity[1:], np.clip(cols, 0, width - 1), axis=1)
+    same = inside & (np.abs(old - new) <= _LIQ_EQUAL_RTOL * np.maximum(old, new)) \
+        & (old > 0.0)
+    return np.count_nonzero(same, axis=1)
+
+
+def _gas_breakdown(active, unchanged, starts, last, params: GasParams,
+                   prices: np.ndarray) -> GasBreakdown:
+    """Gas events and spend from per-epoch active counts and per-transition
+    unchanged counts; ``starts`` are the epochs' first rows, ``last`` the
+    final row."""
+    if params.gas_token_price is None:
+        token_price = prices[np.append(starts, last)]
+    else:
+        token_price = np.full(len(starts) + 1, float(params.gas_token_price))
+    eth_per_gas = params.gas_price_gwei * 1e-9
+    burn = active[:-1] - unchanged
+    mint = active[1:] - unchanged
+    spend = (burn * params.burn_gas + mint * params.mint_gas) * eth_per_gas \
+        * token_price[1:-1]
+    # summed in time order, one transition after the other
+    transition_b = float(np.cumsum(spend)[-1]) if len(spend) else 0.0
+    first, final = int(active[0]), int(active[-1])
+    return GasBreakdown(first * params.mint_gas * eth_per_gas * float(token_price[0]),
+                        transition_b,
+                        final * params.burn_gas * eth_per_gas * float(token_price[-1]),
+                        first + int(mint.sum()), int(burn.sum()) + final)
 
 
 def gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
@@ -247,48 +312,17 @@ def gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
     bucket entering) the active set, valued at the boundary timestep's
     gas-token price.  A bucket whose liquidity is unchanged across the
     transition (to relative tolerance 1e-12) is left untouched.  The final
-    epoch's positions are burned at the last timestep.
+    epoch's positions are burned at the last timestep.  ``run_backtest``
+    counts the same events over its epochs' windows.
     """
     if len(allocations) != len(plan):
         raise ValueError(f"{len(allocations)} allocations for {len(plan)} epochs")
-    p = np.asarray(prices, dtype=np.float64)
-
-    def token_price(t: int) -> float:
-        if params.gas_token_price is None:
-            return float(p[t])
-        return float(params.gas_token_price)
-
-    eth_per_gas = params.gas_price_gwei * 1e-9
-    # a bucket can be left untouched only where the spans of positive
-    # liquidity on both sides of a transition overlap, so only that overlap
-    # is compared; one allocation's census is held at a time
-    count, span = _active_census(allocations[0].liquidity)
-    mints, burns = count, 0
-    initial_b = count * params.mint_gas * eth_per_gas * token_price(plan.epochs[0].start)
-    transition_b = 0.0
-    for e in range(1, len(plan)):
-        new_count, new_span = _active_census(allocations[e].liquidity)
-        lo, hi = max(span[0], new_span[0]), min(span[1], new_span[1])
-        unchanged = 0
-        if lo < hi:
-            old = allocations[e - 1].liquidity[lo:hi]
-            new = allocations[e].liquidity[lo:hi]
-            unchanged = int(np.count_nonzero(
-                (np.abs(old - new) <= _LIQ_EQUAL_RTOL * np.maximum(old, new))
-                & (old > 0.0)))
-        burn_here = count - unchanged
-        mint_here = new_count - unchanged
-        burns += burn_here
-        mints += mint_here
-        price = token_price(plan.epochs[e].start)
-        transition_b += (burn_here * params.burn_gas
-                         + mint_here * params.mint_gas) * eth_per_gas * price
-        count, span = new_count, new_span
-
-    burns += count
-    final_b = count * params.burn_gas * eth_per_gas * token_price(plan.epochs[-1].end)
-
-    return GasBreakdown(initial_b, transition_b, final_b, mints, burns)
+    liquidity = np.stack([a.liquidity for a in allocations])
+    epochs = np.array(plan.epochs, dtype=np.int64)
+    return _gas_breakdown(np.count_nonzero(liquidity > 0.0, axis=1),
+                          _unchanged(liquidity, np.zeros(len(plan), dtype=np.int64)),
+                          epochs[:, 0], epochs[-1, 1], params,
+                          np.asarray(prices, dtype=np.float64))
 
 
 def buy_and_hold(prices: np.ndarray, initial_split: ReservePair) -> np.ndarray:
@@ -298,99 +332,220 @@ def buy_and_hold(prices: np.ndarray, initial_split: ReservePair) -> np.ndarray:
     return value
 
 
-def _epoch_weights(config: BacktestConfig, s: int, epoch_index: int) -> AllocationWeights:
-    strat = config.strategy
-    if strat.mode == "uniform":
-        return uniform_band_weights(config.partition, s, config.tau)
-    if strat.mode == "random":
-        # distinct, reproducible stream per epoch
-        return random_band_weights(config.partition, s, config.tau,
-                                   seed=[strat.seed, epoch_index])
-    if strat.mode == "custom":
-        return custom_weights(config.partition, strat.weights)
-    return normal_profile_weights(config.partition, strat.profile)
+def _strategy_windows(config: BacktestConfig, benchmarks: np.ndarray):
+    """Window width W, and a function giving epochs [g0, g1)'s window
+    offsets and capital weights, shape (g1 - g0, W)."""
+    strat, part = config.strategy, config.partition
+    if strat.mode in ("uniform", "random"):
+        def weights(g0, g1):
+            seeds = None if strat.mode == "uniform" else \
+                ([strat.seed, e] for e in range(g0, g1))  # a stream per epoch
+            return band_weights(part, benchmarks[g0:g1], config.tau, seeds)
+        return band_width(part, config.tau), weights
+
+    fixed = custom_weights(part, strat.weights) if strat.mode == "custom" \
+        else normal_profile_weights(part, strat.profile)
+    active = fixed.active_buckets()
+    lo, hi = int(active[0]) - 1, int(active[-1])
+
+    def weights(g0, g1):
+        return (np.full(g1 - g0, lo, dtype=np.int64),
+                np.repeat(fixed.weights[None, lo:hi], g1 - g0, axis=0))
+    return hi - lo, weights
 
 
-def _stream_epoch(liquidity, tables, prices, ep, trajectory, steps):
-    """Accumulate one epoch's inflows and trajectory from aggregate reserves.
+def _window_columns(table, offsets, width):
+    """Columns offsets[e] .. offsets[e] + width - 1 of a per-bucket table
+    for each epoch e, shape (rows, epochs, width); a read-only view when
+    every window is the same."""
+    if offsets[0] == offsets[-1] and (offsets == offsets[0]).all():
+        rows, n_epochs, first = len(table), len(offsets), int(offsets[0])
+        return np.broadcast_to(table[:, None, first:first + width],
+                               (rows, n_epochs, width))
+    return table[:, offsets[:, None] + np.arange(width)]
 
-    Writes the position value into trajectory[start..end] and, unless
-    steps is None, the per-step inflows into steps (token B in row 0,
-    token A in row 1; step t -> t+1 at column t).  ``tables`` come from
-    ``_bucket_tables``.  Returns (active bucket count, inflow_a, inflow_b,
-    end value).
+
+def _kernel_table(liquidity, roots, depth, first_root, first_col):
+    """Kernel table of a group of epochs, shape (9, epochs * (W + 1)).
+
+    ``liquidity`` (epochs, W) is each epoch's window, ``roots`` and
+    ``depth`` (4, epochs, W) the ``_bucket_tables`` rows gathered for it,
+    and ``first_root``/``first_col`` the root of each epoch's first price
+    and the window column holding it.  Rows per column:
+      0-2  liquidity, lower root, inverse upper root
+      3-4  root and inverse root the bucket's anchored reserves count from
+      5-6  token B held by the buckets below, token A by those above
+      7-8  anchored token B and token A of the buckets in between
+    Empty buckets hold nothing, and since neighbours share edges a price
+    clipped to the window lies inside the bucket holding it.  Each epoch
+    has one more, empty column above its window: a price clipped to the
+    window's upper edge may look it up, and reads there what the top
+    bucket holds at that edge.
     """
-    start, end = ep.start, ep.end
-    active = (liquidity > 0.0).nonzero()[0]
-    if active.size == 0:
-        trajectory[start:end + 1] = 0.0
-        return 0, 0.0, 0.0, 0.0
+    n_epochs, width = liquidity.shape
+    depth = depth * liquidity
+    tab = np.zeros((9, n_epochs, width + 1))
+    win = tab[:, :, :width]
+    win[0] = liquidity
+    win[1:3] = roots[1:3]
+    np.cumsum(depth[0], axis=1, out=tab[5, :, 1:])
+    np.cumsum(depth[3, :, :0:-1], axis=1, out=win[6, :, :-1][:, ::-1])
 
-    # one column per bucket from the first to the last active one; empty
-    # ones between hold nothing, and since neighbours share edges a price
-    # clipped to the whole span lies inside the bucket holding it.  Rows:
-    #   0-2  liquidity, lower root, inverse upper root
-    #   3-4  root and inverse root the bucket's anchored reserves count from
-    #   5-6  token B held by the buckets below, token A by those above
-    #   7-8  anchored token B and token A of the buckets in between
-    roots, depth = tables
-    span = slice(active[0], active[-1] + 1)
-    upper = roots[0, span]
-    tab = np.zeros((9, len(upper)))
-    tab[0] = liquidity[span]
-    tab[1:3] = roots[1:3, span]
-    depths = depth[:, span] * tab[0]
-    depths[0, :-1].cumsum(out=tab[5, 1:])
-    depths[3, :0:-1].cumsum(out=tab[6, -2::-1])
-    lower = tab[1, 1:]
-    low, high = float(tab[1, 0]), float(upper[-1])
+    # anchor at the first price, clipped root c0 in column k0: a bucket
+    # below counts from its upper edge, one above from its lower edge, so
+    # no anchored term exceeds the distance the price travelled from c0
+    e, k0 = np.arange(n_epochs), first_col
+    cols = np.arange(width)
+    below = cols < k0[:, None]
+    win[3:5] = roots[1::2]
+    np.copyto(win[3:5], roots[0::2], where=below)
+    c0 = np.minimum(np.maximum(first_root, roots[1, :, 0]), roots[0, :, -1])
+    inv_c0 = 1.0 / c0
+    win[3, e, k0], win[4, e, k0] = c0, inv_c0
+    depth[:, e, k0] = liquidity[e, k0] * (roots[0, e, k0] - c0, roots[2, e, k0] - inv_c0,
+                                          roots[1, e, k0] - c0, roots[3, e, k0] - inv_c0)
+    # columns above k0 sum the anchored depths from k0 up, those below
+    # from k0 down; the zeros masked in ahead of k0 leave each sum exact
+    np.copyto(depth[:2], 0.0, where=below)
+    np.cumsum(depth[:2], axis=2, out=tab[7:, :, 1:])
+    below[e, k0] = True
+    np.copyto(depth[2:], 0.0, where=~below)
+    win[7:, :, :-1][..., ::-1] += np.cumsum(depth[2:, :, :0:-1], axis=2)
+    return tab.reshape(9, -1)
 
-    inflow_b = inflow_a = 0.0
-    t0 = start
-    while True:
-        t1 = min(end, t0 + _BLOCK_ROWS - 1)
+
+def _blocks(starts, first, last, overlap):
+    """Row blocks of at most ``_BLOCK_ROWS`` over [first, last], in time order.
+
+    Yields (t0, t1, ea, eb, spread): the block's rows t0..t1, the epochs ea
+    and eb owning t0 and t1 (epoch e starts at row starts[e]), and a
+    function that takes per-epoch values to per-row ones, a scalar when
+    one epoch owns the whole block.  Consecutive blocks share a row when
+    ``overlap`` is set.
+    """
+    if overlap:
+        t0 = np.arange(first, max(first + 1, last), _BLOCK_ROWS - 1)
+    else:
+        t0 = np.arange(first, last + 1, _BLOCK_ROWS)
+    t1 = np.minimum(t0 + _BLOCK_ROWS - 1, last)
+    ea = starts.searchsorted(t0, side="right") - 1
+    eb = starts.searchsorted(t1, side="right") - 1
+    for t0, t1, ea, eb in zip(t0.tolist(), t1.tolist(), ea.tolist(), eb.tolist()):
+        counts = None
+        if eb > ea:
+            counts = np.diff(starts[ea + 1:eb + 1], prepend=t0, append=t1 + 1)
+
+        def spread(values, ea=ea, eb=eb, counts=counts):
+            return values[ea] if counts is None else np.repeat(values[ea:eb + 1], counts)
+
+        yield t0, t1, ea, eb, spread
+
+
+def _reserves(tab, lower, price, shift, low, high, value):
+    """Positions' token-B value and anchored reserves at given prices.
+
+    Per row, of the epoch valued there: ``low``/``high`` its window's outer
+    roots and ``shift`` what turns a count of ``lower``, the ascending
+    inner edge roots searched, into that epoch's table column (scalars
+    when one epoch owns every row).  Writes the value into ``value``;
+    returns the anchored (token B, token A), shape (2, rows).
+    """
+    c = np.empty((2, len(price)))
+    np.sqrt(price, out=c[0])
+    np.minimum(np.maximum(c[0], low, out=c[0]), high, out=c[0])
+    k = lower.searchsorted(c[0], side="right")
+    k += shift
+    np.divide(1.0, c[0], out=c[1])
+    rows = tab.take(k, axis=1)
+    # (y, x) of the bucket holding the price, then the same anchored
+    own = c - rows[1:5].reshape(2, 2, -1)
+    own *= rows[0]
+    held = rows[5:].reshape(2, 2, -1)
+    held += own
+    np.multiply(price, rows[6], out=value)
+    value += rows[5]
+    return rows[7:]
+
+
+def _replay(tab, width, offsets, starts, last, prices, roots, trajectory, steps):
+    """Unit inflows and end values of a group of epochs.
+
+    The epochs start at rows ``starts`` and the last ends at row ``last``;
+    their windows begin at buckets ``offsets`` and ``tab`` is their
+    ``_kernel_table``.  Writes the unit trajectory into
+    trajectory[starts[0]..last] and, unless steps is None, the unit
+    per-step inflows into its columns (token B in row 0, token A in row 1;
+    step t -> t+1 at column t).  Returns ((token B, token A) inflows,
+    shape (2, epochs), and end values).
+    """
+    # a row's table column: its bucket's place in the window, past the
+    # columns of the group's earlier epochs
+    column = np.arange(len(starts)) * (width + 1) - offsets
+    low, high = roots[offsets], roots[offsets + width]
+    window = offsets.tolist()
+    inflow = np.zeros((2, len(starts)))
+    end_value = np.empty(len(starts))
+    for t0, t1, ea, eb, spread in _blocks(starts, starts[0], last, overlap=True):
+        # search the inner edges of the windows the block's epochs span
+        first = min(window[ea:eb + 1])
+        lower = roots[first + 1:max(window[ea:eb + 1]) + width]
         p = prices[t0:t1 + 1]
-        root = np.empty((2, len(p)))
-        np.sqrt(p, out=root[0])
-        k = lower.searchsorted(root[0], side="right")
-        np.minimum(np.maximum(root[0], low, out=root[0]), high, out=root[0])
-        np.divide(1.0, root[0], out=root[1])
-        if t0 == start:
-            # anchor at the first price, clipped root c0 in bucket k0: a
-            # bucket below counts from its upper edge, one above from its
-            # lower edge, so no anchored term exceeds the distance the
-            # price travelled from c0
-            k0 = int(k[0])
-            l0, a0 = tab[:2, k0].tolist()
-            b0, c0 = float(upper[k0]), float(root[0, 0])
-            tab[3:5, :k0] = roots[::2, span][:, :k0]
-            tab[3:5, k0 + 1:] = roots[1::2, span][:, k0 + 1:]
-            tab[3:5, k0] = c0, 1.0 / c0
-            depths[:, k0] = (l0 * (b0 - c0), l0 * (1.0 / b0 - 1.0 / c0),
-                             l0 * (a0 - c0), l0 * (1.0 / a0 - 1.0 / c0))
-            depths[:2, k0:-1].cumsum(axis=1, out=tab[7:, k0 + 1:])
-            depths[2:, 1:k0 + 1][:, ::-1].cumsum(axis=1, out=tab[7:, :k0][:, ::-1])
-
-        rows = tab.take(k, axis=1)
-        # (y, x) of the bucket holding the price, then the same anchored
-        own = root - rows[1:5].reshape(2, 2, -1)
-        own *= rows[0]
-        held = rows[5:].reshape(2, 2, -1)
-        held += own
-        value = trajectory[t0:t1 + 1]
-        np.multiply(p, rows[6], out=value)
-        value += rows[5]
-
-        step = np.subtract(rows[7:, 1:], rows[7:, :-1])
+        anchored = _reserves(tab, lower, p, spread(column) + first, spread(low),
+                             spread(high), trajectory[t0:t1 + 1])
+        step = np.subtract(anchored[:, 1:], anchored[:, :-1])
+        # each epoch's steps start at its first row; one that starts on the
+        # block's last row has none here
+        seg = [0]
+        if eb > ea:
+            # a boundary row ends the earlier epoch: its last step and end
+            # value come from that epoch's positions
+            ended = slice(ea, eb)
+            bounds = starts[ea + 1:eb + 1] - t0
+            patch = _reserves(tab, lower, p[bounds], column[ended] + first, low[ended],
+                              high[ended], end_value[ended])
+            step[:, bounds - 1] = patch - anchored[:, bounds - 1]
+            seg += bounds[bounds < t1 - t0].tolist()
         np.maximum(step, 0.0, out=step)
         if steps is not None:
             steps[:, t0:t1] = step
-        block_b, block_a = step.sum(axis=1).tolist()
-        inflow_b += block_b
-        inflow_a += block_a
-        if t1 == end:
-            return active.size, inflow_a, inflow_b, float(value[-1])
-        t0 = t1
+        if t1 > t0:
+            inflow[:, ea:ea + len(seg)] += np.add.reduceat(step, seg, axis=1)
+    end_value[-1] = trajectory[last]
+    return inflow, end_value
+
+
+def _deploy_group(weights, offsets, width, anchors, tables, partition):
+    """Unit-capital liquidity of a group of epochs, shape (epochs, W), and
+    its ``_kernel_table``; ``anchors`` are the epochs' first prices."""
+    roots, depth = tables
+    window_roots = _window_columns(roots, offsets, width)
+    unit = deploy(weights, anchors, window_roots[1], window_roots[0])
+    first_root = np.sqrt(anchors)
+    first_col = partition.roots[1:-1].searchsorted(first_root, side="right") - offsets
+    first_col = np.clip(first_col, 0, width - 1)
+    return unit, _kernel_table(unit, window_roots, _window_columns(depth, offsets, width),
+                               first_root, first_col)
+
+
+def _growth(config: BacktestConfig, unit_end, unit_inflow, end_price) -> np.ndarray:
+    """Each epoch's next capital per unit of its own: its end value, plus
+    its converted fees under reinvest, or 1 under fix-at-level."""
+    if config.reinvest_mode == "reinvest":
+        return unit_end + config.fee_rate * (unit_inflow[0] + unit_inflow[1] * end_price)
+    if config.reinvest_mode == "exclude":
+        return unit_end
+    return np.ones(len(unit_end))
+
+
+def _scale_rows(trajectory, steps, starts, last, capital):
+    """Scale a group's unit trajectory rows starts[0]..last and step
+    columns in place by the capital of the epoch owning each."""
+    for t0, t1, _, _, spread in _blocks(starts, starts[0], last - 1, overlap=False):
+        c = spread(capital)
+        trajectory[t0:t1 + 1] *= c
+        if steps is not None:
+            steps[:, t0:t1 + 1] *= c
+    trajectory[last] *= capital[-1]
 
 
 def _monthly_attribution(timestamps, prices, step_a, step_b, fee_rate):
@@ -529,41 +684,49 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
         bucket_prices = np.clip(p, part.lower, part.upper)
 
     plan = segment_epochs(part, bucket_prices, config.tau)
-    m = len(p)
+    epochs = np.array(plan.epochs, dtype=np.int64)
+    starts, ends = epochs[:, 0], epochs[:, 1]
+    n_epochs, m = len(plan), len(p)
     tables = _bucket_tables(part)
+    width, weights = _strategy_windows(config, epochs[:, 2])
+    group = max(1, _GROUP_CELLS // width)
 
     trajectory = np.empty(m)
     # per-step inflows only feed the monthly rows
     steps = np.zeros((2, m - 1)) if timestamps is not None else None
-    allocations = []
-    inflow_a, inflow_b, end_prices = [], [], []
-    epoch_capital = np.empty(len(plan))
-    epoch_active = np.empty(len(plan), dtype=np.int64)
-
+    inflow = np.empty((2, n_epochs))  # token B, token A
+    epoch_capital = np.empty(n_epochs)
+    epoch_active = np.empty(n_epochs, dtype=np.int64)
+    unchanged = np.empty(n_epochs - 1, dtype=np.int64)
     capital = config.capital
-    for e, ep in enumerate(plan):
-        weights = _epoch_weights(config, ep.benchmark, e)
-        alloc = allocate_epoch(weights, capital, float(p[ep.start]), part)
-        allocations.append(alloc)
-        epoch_capital[e] = capital
-        # later epochs overwrite the shared boundary index, so the
-        # trajectory shows the post-rebalance value there
-        epoch_active[e], ia, ib, v_end = _stream_epoch(
-            alloc.liquidity, tables, p, ep, trajectory, steps)
-        end_price = float(p[ep.end])
-        inflow_a.append(ia)
-        inflow_b.append(ib)
-        end_prices.append(end_price)
+    prev_liq, prev_off = np.empty((0, width)), np.empty(0, dtype=np.int64)
 
-        if config.reinvest_mode == "reinvest":
-            capital = v_end + config.fee_rate * (ib + ia * end_price)
-        elif config.reinvest_mode == "exclude":
-            capital = v_end
-        else:
-            capital = config.capital
+    for g0 in range(0, n_epochs, group):
+        g = slice(g0, min(n_epochs, g0 + group))
+        last = ends[g.stop - 1]
+        offsets, w = weights(g.start, g.stop)
+        unit, tab = _deploy_group(w, offsets, width, p[starts[g]], tables, part)
+        unit_inflow, unit_end = _replay(tab, width, offsets, starts[g], last, p, part.roots,
+                                        trajectory, steps)
 
-    ledger = FeeLedger(config.fee_rate, np.array(inflow_a), np.array(inflow_b),
-                       np.array(end_prices))
+        # an epoch's capital is the one before times that one's growth
+        chain = np.multiply.accumulate(np.append(
+            capital, _growth(config, unit_end, unit_inflow, p[ends[g]])))
+        cap, capital = chain[:-1], chain[-1]
+        epoch_capital[g] = cap
+        inflow[:, g] = unit_inflow * cap
+        _scale_rows(trajectory, steps, starts[g], last, cap)
+
+        # gas compares consecutive windows, across the group seam too
+        liq = unit * cap[:, None]
+        epoch_active[g] = np.count_nonzero(liq > 0.0, axis=1)
+        unchanged[g0 - len(prev_off):g.stop - 1] = _unchanged(
+            np.concatenate([prev_liq, liq]), np.concatenate([prev_off, offsets]))
+        prev_liq, prev_off = liq[-1:], offsets[-1:]
+        if g0 == 0:
+            first_liq, first_off = liq[0], int(offsets[0])
+
+    ledger = FeeLedger(config.fee_rate, inflow[1], inflow[0], p[ends])
 
     scale = 1.0
     if config.volume_cap is not None:
@@ -572,20 +735,19 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
             scale = config.volume_cap / total
             ledger = ledger.scaled(scale)
 
-    gas = gas_cost(plan, allocations, config.gas, p)
+    gas = _gas_breakdown(epoch_active, unchanged, starts, ends[-1], config.gas, p)
 
     # benchmark bag: aggregate reserves of the first deployment
-    sb, sa, inv_b, _ = tables[0]
+    sb, sa, inv_b, _ = tables[0][:, first_off:first_off + width]
     c0 = np.clip(np.sqrt(p[0]), sa, sb)
-    liq0 = allocations[0].liquidity
-    split0 = ReservePair(float((liq0 * (1.0 / c0 - inv_b)).sum()),
-                         float((liq0 * (c0 - sa)).sum()))
+    split0 = ReservePair(float((first_liq * (1.0 / c0 - inv_b)).sum()),
+                         float((first_liq * (c0 - sa)).sum()))
     bh = buy_and_hold(p, split0)
 
     monthly = None
     if timestamps is not None:
-        monthly = _monthly_attribution(timestamps, p, steps[1] * scale,
-                                       steps[0] * scale, config.fee_rate)
+        steps *= scale
+        monthly = _monthly_attribution(timestamps, p, steps[1], steps[0], config.fee_rate)
 
     return BacktestReport(
         config=config,

@@ -341,6 +341,21 @@ class TestRunBacktest:
         assert capped.ledger.fee_b == pytest.approx(
             cfg.fee_rate * capped.ledger.inflow_b, rel=1e-15)
 
+    def test_volume_cap_leaves_reinvested_fees_uncapped(self):
+        cfg, prices = self.config_and_walk(reinvest_mode="reinvest")
+        base = run_backtest(cfg, prices)
+        assert len(base.plan) > 3
+        capped_cfg, _ = self.config_and_walk(reinvest_mode="reinvest",
+                                             volume_cap=base.ledger.total_volume_b / 2)
+        capped = run_backtest(capped_cfg, prices)
+        assert capped.volume_cap_scale == pytest.approx(0.5, rel=1e-12)
+        # the cap scales the reported ledger only; reinvest compounds the
+        # uncapped fees
+        assert capped.epoch_capital.tobytes() == base.epoch_capital.tobytes()
+        assert capped.lp_trajectory.tobytes() == base.lp_trajectory.tobytes()
+        assert capped.ledger.total_fee_b == pytest.approx(
+            base.ledger.total_fee_b / 2, rel=1e-12)
+
     def test_volume_cap_above_total_changes_nothing(self):
         cfg, prices = self.config_and_walk()
         base = run_backtest(cfg, prices)

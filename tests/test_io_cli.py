@@ -363,6 +363,27 @@ class TestCliBacktest:
         assert outs[0]["fees_total_b"] == outs[1]["fees_total_b"]
         assert outs[0]["fees_total_b"] != outs[2]["fees_total_b"]
 
+    @pytest.mark.parametrize("strategy,flags,key", [
+        ("strategy = random\nseed = -1", (), "seed"),
+        ("strategy = random\nseed = 1", ("--seed", "-5"), "seed"),
+        ("strategy = custom\nweights = -0.5,1.5,0", (), "weights"),
+        ("strategy = custom\nweights = nan,0.5,0.5", (), "weights"),
+        ("strategy = custom\nweights = 0.2,0.2,0.2", (), "weights"),
+        ("strategy = custom\nweights = 0,0,0", (), "weights"),
+    ])
+    def test_bad_strategy_parameters_exit_2(self, tmp_path, capsys, strategy, flags, key):
+        text = (BASE_CONFIG.replace("buckets = 30", "buckets = 3")
+                .replace("strategy = uniform", strategy))
+        cfg = write(tmp_path / "run.cfg", text)
+        prices = walk_csv(tmp_path / "p.csv")
+        out = tmp_path / "out"
+        assert self.run_main("backtest", "--config", cfg, "--prices", prices,
+                             "--out-dir", str(out), *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: [{key}] ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             self.run_main()

@@ -1,9 +1,10 @@
-"""Property tests: the aggregate reserve kernel, the galloping reset scan,
-bucket edge ownership, the vectorised allocation and the span-restricted
-gas count.
+"""Property tests: the batched replay, the galloping reset scan, bucket
+edge ownership, the vectorised allocation and the span-restricted gas
+count.
 
-The kernel is checked against the brute-force oracle (every bucket's
-reserves at every timestep, ``oracle.py``), the galloping epoch scan
+The replay is checked against the brute-force oracle (every bucket's
+reserves at every timestep, ``oracle.py``), epoch by epoch and along the
+capital chain, and against itself run to run; the galloping epoch scan
 against a per-row re-scan, ``allocate_epoch`` against a per-bucket
 ``split_capital`` loop, and ``gas_cost`` against the oracle's
 whole-vector count.  Bulk data comes from numpy generators seeded
@@ -11,6 +12,7 @@ by hypothesis, so that series can be long while cases stay shrinkable in
 their shape parameters.
 """
 
+import json
 import math
 
 import numpy as np
@@ -19,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from clmm_backtest.allocation import EpochAllocation, allocate_epoch, custom_weights
+from clmm_backtest.allocation import (EpochAllocation, allocate_epoch, custom_weights,
+                                      random_band_weights, uniform_band_weights)
 from clmm_backtest.bucketing import BucketPartition, Epoch, EpochPlan, segment_epochs
 from clmm_backtest import prices as prices_module
 from clmm_backtest.engine import (BacktestConfig, GasParams, StrategyConfig, gas_cost,
@@ -30,6 +33,7 @@ from clmm_backtest.prices import PriceSeries, load_prices
 from oracle import build_state_tensor, compute_fees
 
 REL = 1e-12
+EPS = np.finfo(float).eps
 BLOCK = 1 << 13  # the kernel's block length
 # lengths around the kernel's one-row block overlaps, and past two blocks
 LENGTHS = st.one_of(st.integers(2, 400),
@@ -88,28 +92,49 @@ def scenarios(draw):
     m = draw(LENGTHS)
     clamp = draw(st.booleans())
     rng = np.random.default_rng(seed)
-    weights = liquidity_weights(rng, part.n, kinds)
+    # custom weights carry zero gaps and 1e-59 tails; the band strategies'
+    # windows move with every epoch and are clipped at the partition edges
+    mode = draw(st.sampled_from(["custom", "uniform", "random"]))
+    strategy = StrategyConfig(mode, weights=liquidity_weights(rng, part.n, kinds)) \
+        if mode == "custom" else StrategyConfig(mode, seed=seed if mode == "random" else None)
     prices = walk(rng, part, m, move=draw(st.sampled_from([1e-3, 0.05, 1.0])),
                   jump_p=draw(st.sampled_from([0.0, 1e-3, 0.05])),
                   flat_p=draw(st.sampled_from([0.0, 0.5, 0.95])), clamp=clamp)
     # tau = n runs the whole series as one epoch, crossing block seams
     config = BacktestConfig(
-        part, draw(st.one_of(st.integers(0, 3), st.just(part.n))),
-        StrategyConfig("custom", weights=weights), 1e6, 0.003,
+        part, draw(st.one_of(st.integers(0, 3), st.just(part.n))), strategy, 1e6, 0.003,
         reinvest_mode=draw(st.sampled_from(["reinvest", "exclude", "fix-at-level"])),
         price_mode="clamp" if clamp else "strict")
     timestamps = 1_600_000_000 + np.cumsum(rng.integers(1, 4 * 86_400, m))
     return config, prices, timestamps
 
 
+def epoch_weights(config, e, benchmark):
+    """The allocation weights of epoch e, one strategy at a time."""
+    strat, part = config.strategy, config.partition
+    if strat.mode == "uniform":
+        return uniform_band_weights(part, benchmark, config.tau)
+    if strat.mode == "random":
+        return random_band_weights(part, benchmark, config.tau, seed=[strat.seed, e])
+    return custom_weights(part, strat.weights)
+
+
 def oracle_run(config, report, prices):
     """Oracle states for the epochs and budgets the engine ran."""
     part = config.partition
-    allocs = [allocate_epoch(custom_weights(part, config.strategy.weights),
-                             float(report.epoch_capital[e]), float(prices[ep.start]),
-                             part)
+    allocs = [allocate_epoch(epoch_weights(config, e, ep.benchmark),
+                             float(report.epoch_capital[e]), float(prices[ep.start]), part)
               for e, ep in enumerate(report.plan)]
     return allocs, build_state_tensor(part, report.plan, allocs, prices)
+
+
+def next_capital(config, end_value, fee):
+    """The sequential per-epoch rule for the next epoch's capital."""
+    if config.reinvest_mode == "reinvest":
+        return end_value + fee
+    if config.reinvest_mode == "exclude":
+        return end_value
+    return config.capital
 
 
 @settings(max_examples=60)
@@ -120,11 +145,20 @@ def test_kernel_matches_brute_force_oracle(case):
     allocs, tensor = oracle_run(config, report, prices)
     ledger = compute_fees(tensor, config.fee_rate, prices)
 
-    # per-epoch inflows, relative to the epoch's converted volume
+    # per-epoch inflows, relative to the epoch's converted volume, plus a
+    # few ulps of the reserves each price step differences: a step inside
+    # one bucket differences reciprocal roots, so an epoch whose volume is
+    # tiny against its reserves (a band epoch anchored next to an edge)
+    # has no better-conditioned answer, in either implementation
     volume = ledger.volume_converted
-    assert np.all(np.abs(report.ledger.inflow_b - ledger.inflow_b) <= REL * volume)
+    noise = np.array([[4 * EPS * np.maximum(r[:-1], r[1:])[moved].sum()
+                       for r in states.sum(axis=1).T]
+                      for ep, states in zip(report.plan, tensor.states)
+                      for moved in [np.diff(prices[ep.start:ep.end + 1]) != 0.0]])
+    assert np.all(np.abs(report.ledger.inflow_b - ledger.inflow_b)
+                  <= REL * volume + noise[:, 1])
     assert np.all(np.abs(report.ledger.inflow_a - ledger.inflow_a) * ledger.end_price
-                  <= REL * volume)
+                  <= REL * volume + noise[:, 0] * ledger.end_price)
     assert report.epoch_active.tolist() == [len(a.active_buckets()) for a in allocs]
 
     # trajectory: later epochs own the shared boundary row
@@ -147,6 +181,60 @@ def test_kernel_matches_brute_force_oracle(case):
         fee_a, fee_b = config.fee_rate * steps[in_month].sum(axis=0)
         assert abs(row["fee_a"] - fee_a) * prices[1:][in_month][-1] <= REL * total
         assert abs(row["fee_b"] - fee_b) <= REL * total
+
+
+@settings(max_examples=60)
+@given(scenarios())
+def test_capital_chain_follows_the_sequential_rule(case):
+    # each epoch's capital is the rule applied to the oracle's end value
+    # and fees of the epoch before, run with the capital the engine gave it
+    config, prices, _ = case
+    report = run_backtest(config, prices)
+    _, tensor = oracle_run(config, report, prices)
+    ledger = compute_fees(tensor, config.fee_rate, prices)
+    capital = report.epoch_capital
+    assert capital[0] == config.capital
+    for e, ep in enumerate(list(report.plan)[:-1]):
+        x, y = tensor.states[e][-1].sum(axis=0)
+        expect = next_capital(config, y + prices[ep.end] * x, ledger.fee_converted[e])
+        assert abs(capital[e + 1] - expect) <= REL * expect
+
+
+@settings(max_examples=30)
+@given(scenarios())
+def test_repeat_runs_are_byte_identical(case):
+    config, prices, timestamps = case
+    a, b = (run_backtest(config, prices, timestamps) for _ in range(2))
+    assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+    assert a.lp_trajectory.tobytes() == b.lp_trajectory.tobytes()
+    assert a.bh_trajectory.tobytes() == b.bh_trajectory.tobytes()
+    assert a.monthly_fees == b.monthly_fees
+
+
+@pytest.mark.parametrize("mode", ["reinvest", "exclude", "fix-at-level"])
+def test_long_capital_chain_matches_the_sequential_oracle(mode):
+    # thousands of epochs, each budget built from the oracle's own last one:
+    # the batched chain drifts from the per-epoch replay by under 1e-12
+    part = BucketPartition(1000.0, 4000.0, 300)
+    prices = walk(np.random.default_rng(7), part, 40_000, move=0.7, jump_p=0.0,
+                  flat_p=0.0, clamp=False)
+    config = BacktestConfig(part, 1, StrategyConfig("random", seed=11), 1e6, 0.003,
+                            reinvest_mode=mode)
+    report = run_backtest(config, prices)
+    assert len(report.plan) > 2000
+    capital, chain = config.capital, []
+    for e, ep in enumerate(report.plan):
+        chain.append(capital)
+        alloc = allocate_epoch(epoch_weights(config, e, ep.benchmark), capital,
+                               float(prices[ep.start]), part)
+        span = prices[ep.start:ep.end + 1]
+        plan = EpochPlan((Epoch(0, len(span) - 1, ep.benchmark),), len(span), 0)
+        tensor = build_state_tensor(part, plan, [alloc], span)
+        x, y = tensor.states[0][-1].sum(axis=0)
+        fee = compute_fees(tensor, config.fee_rate, span).fee_converted[0]
+        capital = next_capital(config, y + span[-1] * x, fee)
+    drift = np.abs(report.epoch_capital - chain) / np.array(chain)
+    assert drift.max() <= REL
 
 
 def rescan(part, prices, tau):
