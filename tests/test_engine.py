@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from clmm_backtest.allocation import (EpochAllocation, allocate_epoch,
+from clmm_backtest import engine
+from clmm_backtest.allocation import (EpochAllocation, ProfileParams, allocate_epoch,
                                       custom_weights, uniform_band_weights)
 from clmm_backtest.bucketing import BucketPartition, segment_epochs
 from clmm_backtest.core_math import (PriceRange, ReservePair, liquidity_state,
@@ -363,6 +364,34 @@ class TestRunBacktest:
         capped = run_backtest(roomy, prices)
         assert capped.volume_cap_scale == 1.0
         assert capped.ledger.total_fee_b == base.ledger.total_fee_b
+
+    @pytest.mark.parametrize("mode", ["reinvest", "exclude", "fix-at-level"])
+    @pytest.mark.parametrize("strategy", [
+        StrategyConfig("random", seed=4),
+        StrategyConfig("normal", profile=ProfileParams(0.1, 0.4)),
+    ])
+    @pytest.mark.parametrize("cells", [2, 601])
+    def test_epoch_groups_leave_results_unchanged(self, monkeypatch, strategy, mode, cells):
+        # a run split into many epoch groups (one epoch each, or 2 of 300
+        # buckets and 200 of 3) matches the same run in one group:
+        # capitals, gas and the rows across group seams
+        part = BucketPartition(1000.0, 4000.0, 300)
+        cfg = BacktestConfig(part, 1, strategy, 1e6, 0.003, reinvest_mode=mode)
+        prices = walk_prices(seed=8, n=6000, vol=0.003)
+        stamps = 1_600_000_000 + 3600 * np.arange(len(prices))
+        whole = run_backtest(cfg, prices, stamps)
+        assert len(whole.plan) > 100
+        monkeypatch.setattr(engine, "_GROUP_CELLS", cells)
+        split = run_backtest(cfg, prices, stamps)
+        assert split.gas == whole.gas
+        assert split.epoch_active.tolist() == whole.epoch_active.tolist()
+        for got, want in [(split.epoch_capital, whole.epoch_capital),
+                          (split.lp_trajectory, whole.lp_trajectory),
+                          (split.ledger.inflow_a, whole.ledger.inflow_a),
+                          (split.ledger.inflow_b, whole.ledger.inflow_b),
+                          ([r["fee_converted_b"] for r in split.monthly_fees],
+                           [r["fee_converted_b"] for r in whole.monthly_fees])]:
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_whole_range_round_trip(self):
         part = BucketPartition(1e-14, 1e15, 1)
