@@ -64,6 +64,7 @@ from math import isfinite
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .allocation import (ProfileParams, band_weights, band_width, custom_weights,
                          deploy, normal_profile_weights)
@@ -282,9 +283,17 @@ def _unchanged(liquidity: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 def _gas_breakdown(active, unchanged, starts, last, params: GasParams,
                    prices: np.ndarray) -> GasBreakdown:
-    """Gas events and spend from per-epoch active counts and per-transition
-    unchanged counts; ``starts`` are the epochs' first rows, ``last`` the
-    final row."""
+    """Gas spend of a deployment schedule, in token B.
+
+    Events: one mint per active bucket at the first deployment, and at
+    each epoch transition one burn per bucket leaving (and one mint per
+    bucket entering) the active set, valued at the boundary timestep's
+    gas-token price; ``unchanged`` buckets (``_unchanged``) are left
+    untouched.  The final epoch's positions are burned at the last
+    timestep.  Takes per-epoch ``active`` counts and per-transition
+    ``unchanged`` counts; ``starts`` are the epochs' first rows, ``last``
+    the final row.
+    """
     if params.gas_token_price is None:
         token_price = prices[np.append(starts, last)]
     else:
@@ -301,28 +310,6 @@ def _gas_breakdown(active, unchanged, starts, last, params: GasParams,
                         transition_b,
                         final * params.burn_gas * eth_per_gas * float(token_price[-1]),
                         first + int(mint.sum()), int(burn.sum()) + final)
-
-
-def gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
-             prices: np.ndarray) -> GasBreakdown:
-    """Gas spend of a deployment schedule, in token B.
-
-    Events: one mint per active bucket at the first deployment, and at
-    each epoch transition one burn per bucket leaving (and one mint per
-    bucket entering) the active set, valued at the boundary timestep's
-    gas-token price.  A bucket whose liquidity is unchanged across the
-    transition (to relative tolerance 1e-12) is left untouched.  The final
-    epoch's positions are burned at the last timestep.  ``run_backtest``
-    counts the same events over its epochs' windows.
-    """
-    if len(allocations) != len(plan):
-        raise ValueError(f"{len(allocations)} allocations for {len(plan)} epochs")
-    liquidity = np.stack([a.liquidity for a in allocations])
-    epochs = np.array(plan.epochs, dtype=np.int64)
-    return _gas_breakdown(np.count_nonzero(liquidity > 0.0, axis=1),
-                          _unchanged(liquidity, np.zeros(len(plan), dtype=np.int64)),
-                          epochs[:, 0], epochs[-1, 1], params,
-                          np.asarray(prices, dtype=np.float64))
 
 
 def buy_and_hold(prices: np.ndarray, initial_split: ReservePair) -> np.ndarray:
@@ -356,21 +343,17 @@ def _strategy_windows(config: BacktestConfig, benchmarks: np.ndarray):
 
 def _window_columns(table, offsets, width):
     """Columns offsets[e] .. offsets[e] + width - 1 of a per-bucket table
-    for each epoch e, shape (rows, epochs, width); a read-only view when
-    every window is the same."""
-    if offsets[0] == offsets[-1] and (offsets == offsets[0]).all():
-        rows, n_epochs, first = len(table), len(offsets), int(offsets[0])
-        return np.broadcast_to(table[:, None, first:first + width],
-                               (rows, n_epochs, width))
-    return table[:, offsets[:, None] + np.arange(width)]
+    for each epoch e, shape (rows, epochs, width): whole windows copied
+    from a sliding view, not cells gathered one by one."""
+    return sliding_window_view(table, width, axis=1)[:, offsets]
 
 
 def _kernel_table(liquidity, roots, depth, first_root, first_col):
     """Kernel table of a group of epochs, shape (9, epochs * (W + 1)).
 
     ``liquidity`` (epochs, W) is each epoch's window, ``roots`` and
-    ``depth`` (4, epochs, W) the ``_bucket_tables`` rows gathered for it,
-    and ``first_root``/``first_col`` the root of each epoch's first price
+    ``depth`` (4, epochs, W) the ``_bucket_tables`` rows gathered for it
+    (``depth`` is scaled in place), and ``first_root``/``first_col`` the root of each epoch's first price
     and the window column holding it.  Rows per column:
       0-2  liquidity, lower root, inverse upper root
       3-4  root and inverse root the bucket's anchored reserves count from
@@ -383,7 +366,7 @@ def _kernel_table(liquidity, roots, depth, first_root, first_col):
     bucket holds at that edge.
     """
     n_epochs, width = liquidity.shape
-    depth = depth * liquidity
+    depth *= liquidity
     tab = np.zeros((9, n_epochs, width + 1))
     win = tab[:, :, :width]
     win[0] = liquidity

@@ -6,7 +6,8 @@ bucket's reserves at every timestep, materialised, with per-bucket
 positive reserve differences summed afterwards.  It allocates
 O(series length x buckets) memory, so it is for tests only.  It also keeps
 the gas count that compares whole liquidity vectors at every transition,
-against which the engine's span-restricted count is checked.
+and drives the engine's window-restricted count on hand-made schedules,
+so that the two can be checked against each other.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from clmm_backtest.bucketing import BucketPartition, EpochPlan
 from clmm_backtest.core_math import ReservePair
+from clmm_backtest import engine
 from clmm_backtest.engine import _LIQ_EQUAL_RTOL, FeeLedger, GasBreakdown, GasParams
 
 
@@ -111,9 +113,15 @@ def compute_fees(tensor: PoolStateTensor, fee_rate: float,
 
 def gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
              prices: np.ndarray) -> GasBreakdown:
-    """Gas spend of a deployment schedule from whole-vector comparisons.
+    """Gas spend of a deployment schedule, in token B, from whole-vector
+    comparisons.
 
-    Same events and pricing as ``engine.gas_cost``: every transition
+    Events: one mint per active bucket at the first deployment, and at
+    each epoch transition one burn per bucket leaving (and one mint per
+    bucket entering) the active set, valued at the boundary timestep's
+    gas-token price.  A bucket whose liquidity is unchanged across the
+    transition (to relative tolerance 1e-12) is left untouched.  The final
+    epoch's positions are burned at the last timestep.  Every transition
     compares the two liquidity vectors over all buckets.
     """
     if len(allocations) != len(plan):
@@ -153,3 +161,31 @@ def gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
     final_b = nl * params.burn_gas * eth_per_gas * token_price(plan.epochs[-1].end)
 
     return GasBreakdown(initial_b, transition_b, final_b, mints, burns)
+
+
+def engine_gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
+                    prices: np.ndarray, width: int = None,
+                    offsets=None) -> GasBreakdown:
+    """The engine's gas count on a schedule of whole liquidity vectors.
+
+    ``run_backtest`` counts gas over each epoch's window of buckets; this
+    cuts each allocation to the window of ``width`` buckets starting at
+    ``offsets[e]`` (by default the whole partition for every epoch) and
+    hands the windows to the same ``engine._unchanged`` and
+    ``engine._gas_breakdown``.  Each window must hold its allocation's
+    positive buckets.
+    """
+    if len(allocations) != len(plan):
+        raise ValueError(f"{len(allocations)} allocations for {len(plan)} epochs")
+    n = len(allocations[0].liquidity)
+    width = n if width is None else width
+    offsets = np.zeros(len(plan), dtype=np.int64) if offsets is None \
+        else np.asarray(offsets, dtype=np.int64)
+    windows = np.stack([a.liquidity[o:o + width] for a, o in zip(allocations, offsets)])
+    for a, w in zip(allocations, windows):
+        assert np.count_nonzero(w > 0.0) == np.count_nonzero(a.liquidity > 0.0)
+    epochs = np.array(plan.epochs, dtype=np.int64)
+    return engine._gas_breakdown(np.count_nonzero(windows > 0.0, axis=1),
+                                 engine._unchanged(windows, offsets),
+                                 epochs[:, 0], epochs[-1, 1], params,
+                                 np.asarray(prices, dtype=np.float64))

@@ -23,8 +23,7 @@ from clmm_backtest.core_math import (PriceRange, ReservePair, liquidity_from_x,
                                      liquidity_from_y, liquidity_state,
                                      position_value, split_capital)
 from clmm_backtest.engine import (BacktestConfig, StrategyConfig, buy_and_hold,
-                                  gas_cost, run_backtest)
-from clmm_backtest.engine import GasParams
+                                  run_backtest)
 from oracle import build_state_tensor, compute_fees
 
 
@@ -168,9 +167,10 @@ def test_criterion_05_gas_arithmetic():
     t0 = time.perf_counter()
     part = BucketPartition(1000.0, 3000.0, 7)
     prices = np.full(3, 2300.0)
-    plan = segment_epochs(part, prices, tau=6)
-    liq = np.ones(7)
-    gas = gas_cost(plan, [EpochAllocation(liq, 0.0, 2300.0)], GasParams(), prices)
+    # one epoch whose band covers all 7 buckets: 7 mints, then 7 burns
+    config = BacktestConfig(part, 6, StrategyConfig("uniform"), 1e6, 0.003)
+    gas = run_backtest(config, prices).gas
+    assert gas.mint_events == gas.burn_events == 7
 
     oracle = 7 * 430_000 * 100e-9 * 2300.0 + 7 * 215_000 * 100e-9 * 2300.0
     assert oracle == pytest.approx(1038.45, rel=1e-12)

@@ -12,9 +12,9 @@ from clmm_backtest.bucketing import BucketPartition, segment_epochs
 from clmm_backtest.core_math import (PriceRange, ReservePair, liquidity_state,
                                      split_capital)
 from clmm_backtest.engine import (BacktestConfig, GasParams, StrategyConfig,
-                                  buy_and_hold, gas_cost, run_backtest)
+                                  buy_and_hold, run_backtest)
 from clmm_backtest.errors import ConfigError, DataError
-from oracle import build_state_tensor, compute_fees
+from oracle import build_state_tensor, compute_fees, engine_gas_cost
 
 B14 = BucketPartition(1.0, 4.0, 1)
 
@@ -176,7 +176,7 @@ class TestGasCost(SevenBuckets):
 
     def test_seven_range_deploy_and_burn(self):
         plan, allocs = self.plan_and_alloc()
-        gas = gas_cost(plan, allocs, GasParams(), self.prices)
+        gas = engine_gas_cost(plan, allocs, GasParams(), self.prices)
         # 7 * 430000 * 100e-9 * 2300 + 7 * 215000 * 100e-9 * 2300
         assert gas.total_b == pytest.approx(1038.45, rel=1e-12)
         assert abs(gas.total_b - 1040.0) / 1040.0 < 0.01
@@ -187,7 +187,7 @@ class TestGasCost(SevenBuckets):
     def test_constant_gas_token_price_matches_contract_price_here(self):
         plan, allocs = self.plan_and_alloc()
         params = GasParams(gas_token_price=2300.0)
-        gas = gas_cost(plan, allocs, params, self.prices)
+        gas = engine_gas_cost(plan, allocs, params, self.prices)
         assert gas.total_b == pytest.approx(1038.45, rel=1e-12)
 
     def test_disjoint_transition_counts_burns_and_mints(self):
@@ -199,7 +199,7 @@ class TestGasCost(SevenBuckets):
         w2 = np.array([0, 0, 0, 0, 0, 0, 0, 1, 1, 0]) / 2
         allocs = [allocate_epoch(custom_weights(part, w1), 1e4, 2.5, part),
                   allocate_epoch(custom_weights(part, w2), 1e4, 8.5, part)]
-        gas = gas_cost(plan, allocs, GasParams(), prices)
+        gas = engine_gas_cost(plan, allocs, GasParams(), prices)
         expect = (3 * 215_000 + 2 * 430_000) * 100e-9 * 8.5
         assert gas.transition_b == pytest.approx(expect, rel=1e-12)
         assert gas.mint_events == 3 + 2
@@ -213,7 +213,7 @@ class TestGasCost(SevenBuckets):
         liq[4] = 5.0
         allocs = [EpochAllocation(liq, 0.0, 2.5),
                   EpochAllocation(liq.copy(), 0.0, 8.5)]
-        gas = gas_cost(plan, allocs, GasParams(), prices)
+        gas = engine_gas_cost(plan, allocs, GasParams(), prices)
         assert gas.transition_b == 0.0
         assert gas.mint_events == 1
         assert gas.burn_events == 1
@@ -226,14 +226,14 @@ class TestGasCost(SevenBuckets):
         liq1[4] = 5.0
         liq2[4] = 6.0
         allocs = [EpochAllocation(liq1, 0.0, 2.5), EpochAllocation(liq2, 0.0, 8.5)]
-        gas = gas_cost(plan, allocs, GasParams(), prices)
+        gas = engine_gas_cost(plan, allocs, GasParams(), prices)
         expect = (215_000 + 430_000) * 100e-9 * 8.5
         assert gas.transition_b == pytest.approx(expect, rel=1e-12)
 
     def test_no_liquidity_costs_nothing(self):
         prices = np.array([2.5, 2.6])
         plan = segment_epochs(B14, prices, tau=1)
-        gas = gas_cost(plan, [EpochAllocation(np.zeros(1), 0.0, 2.5)],
+        gas = engine_gas_cost(plan, [EpochAllocation(np.zeros(1), 0.0, 2.5)],
                        GasParams(), prices)
         assert gas.total_b == 0.0
         assert gas.mint_events == 0

@@ -1,15 +1,15 @@
 """Property tests: the batched replay, the galloping reset scan, bucket
-edge ownership, the vectorised allocation and the span-restricted gas
+edge ownership, the vectorised allocation and the window-restricted gas
 count.
 
 The replay is checked against the brute-force oracle (every bucket's
 reserves at every timestep, ``oracle.py``), epoch by epoch and along the
 capital chain, and against itself run to run; the galloping epoch scan
 against a per-row re-scan, ``allocate_epoch`` against a per-bucket
-``split_capital`` loop, and ``gas_cost`` against the oracle's
-whole-vector count.  Bulk data comes from numpy generators seeded
-by hypothesis, so that series can be long while cases stay shrinkable in
-their shape parameters.
+``split_capital`` loop, and the engine's gas count over moving windows
+against the oracle's whole-vector count.  Bulk data comes from numpy
+generators seeded by hypothesis, so that series can be long while cases
+stay shrinkable in their shape parameters.
 """
 
 import json
@@ -25,8 +25,7 @@ from clmm_backtest.allocation import (EpochAllocation, allocate_epoch, custom_we
                                       random_band_weights, uniform_band_weights)
 from clmm_backtest.bucketing import BucketPartition, Epoch, EpochPlan, segment_epochs
 from clmm_backtest import prices as prices_module
-from clmm_backtest.engine import (BacktestConfig, GasParams, StrategyConfig, gas_cost,
-                                  run_backtest)
+from clmm_backtest.engine import BacktestConfig, GasParams, StrategyConfig, run_backtest
 from clmm_backtest.core_math import position_value, split_capital
 from clmm_backtest.errors import DataError
 from clmm_backtest.prices import PriceSeries, load_prices
@@ -84,7 +83,7 @@ def walk(rng, part, m, move, jump_p, flat_p, clamp):
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, modes=("custom", "uniform", "random")):
     part = draw(partitions())
     kinds = draw(st.lists(st.sampled_from(["zero", "tail", "body"]),
                           max_size=part.n))
@@ -94,7 +93,7 @@ def scenarios(draw):
     rng = np.random.default_rng(seed)
     # custom weights carry zero gaps and 1e-59 tails; the band strategies'
     # windows move with every epoch and are clipped at the partition edges
-    mode = draw(st.sampled_from(["custom", "uniform", "random"]))
+    mode = draw(st.sampled_from(modes))
     strategy = StrategyConfig(mode, weights=liquidity_weights(rng, part.n, kinds)) \
         if mode == "custom" else StrategyConfig(mode, seed=seed if mode == "random" else None)
     prices = walk(rng, part, m, move=draw(st.sampled_from([1e-3, 0.05, 1.0])),
@@ -137,29 +136,50 @@ def next_capital(config, end_value, fee):
     return config.capital
 
 
-@settings(max_examples=60)
-@given(scenarios())
-def test_kernel_matches_brute_force_oracle(case):
-    config, prices, timestamps = case
+def step_slack(part, plan, allocs, prices):
+    """Per epoch, 4 ulps of the full (token A, token B) depths of the
+    buckets holding the price at either end of each moving step.
+
+    A step inside one bucket differences that bucket's roots or inverse
+    roots, counted from an edge or the first price, so both the kernel and
+    the oracle round it to a few ulps of the bucket's full depth, however
+    small the step.  A short band epoch whose whole volume is such a step
+    (anchored next to an edge, say) has no better-conditioned answer.
+    Buckets the price is not in add nothing.
+    """
+    sa, sb = part.roots[:-1], part.roots[1:]
+    slack = np.zeros((len(plan), 2))
+    for e, (ep, alloc) in enumerate(zip(plan, allocs)):
+        span = prices[ep.start:ep.end + 1]
+        c = np.clip(np.sqrt(span), part.roots[0], part.roots[-1])
+        k = part.roots[1:-1].searchsorted(c, side="right")
+        depth = alloc.liquidity[k] * np.stack([1.0 / sa[k] - 1.0 / sb[k], sb[k] - sa[k]])
+        moved = np.diff(span) != 0.0
+        slack[e] = 4 * EPS * (depth[:, :-1] + depth[:, 1:])[:, moved].sum(axis=1)
+    return slack
+
+
+def check_against_oracle(config, prices, timestamps, slack):
+    """Ledger, gas, trajectory and monthly rows of a run against the oracle.
+
+    Per-epoch inflows must match to 1e-12 of the epoch's converted volume,
+    plus, with ``slack``, the ``step_slack`` of the buckets holding the price.
+    """
     report = run_backtest(config, prices, timestamps)
     allocs, tensor = oracle_run(config, report, prices)
     ledger = compute_fees(tensor, config.fee_rate, prices)
 
-    # per-epoch inflows, relative to the epoch's converted volume, plus a
-    # few ulps of the reserves each price step differences: a step inside
-    # one bucket differences reciprocal roots, so an epoch whose volume is
-    # tiny against its reserves (a band epoch anchored next to an edge)
-    # has no better-conditioned answer, in either implementation
+    # per-epoch inflows, relative to the epoch's converted volume
     volume = ledger.volume_converted
-    noise = np.array([[4 * EPS * np.maximum(r[:-1], r[1:])[moved].sum()
-                       for r in states.sum(axis=1).T]
-                      for ep, states in zip(report.plan, tensor.states)
-                      for moved in [np.diff(prices[ep.start:ep.end + 1]) != 0.0]])
+    noise = step_slack(config.partition, report.plan, allocs, prices) if slack \
+        else np.zeros((len(report.plan), 2))
     assert np.all(np.abs(report.ledger.inflow_b - ledger.inflow_b)
                   <= REL * volume + noise[:, 1])
     assert np.all(np.abs(report.ledger.inflow_a - ledger.inflow_a) * ledger.end_price
                   <= REL * volume + noise[:, 0] * ledger.end_price)
     assert report.epoch_active.tolist() == [len(a.active_buckets()) for a in allocs]
+    # counts identical and totals bitwise equal: same sums in the same order
+    assert report.gas == oracle.gas_cost(report.plan, allocs, config.gas, prices)
 
     # trajectory: later epochs own the shared boundary row
     expect = np.empty(len(prices))
@@ -181,6 +201,21 @@ def test_kernel_matches_brute_force_oracle(case):
         fee_a, fee_b = config.fee_rate * steps[in_month].sum(axis=0)
         assert abs(row["fee_a"] - fee_a) * prices[1:][in_month][-1] <= REL * total
         assert abs(row["fee_b"] - fee_b) <= REL * total
+
+
+@settings(max_examples=60)
+@given(scenarios(modes=["custom"]))
+def test_kernel_matches_brute_force_oracle(case):
+    # custom weights carry zero gaps and 1e-59 tails on a fixed span
+    check_against_oracle(*case, slack=False)
+
+
+@settings(max_examples=60)
+@given(scenarios(modes=["uniform", "random"]))
+def test_band_replay_matches_brute_force_oracle(case):
+    # band windows move with every epoch and are clipped at the partition
+    # edges; gas compares consecutive windows over their overlap
+    check_against_oracle(*case, slack=True)
 
 
 @settings(max_examples=60)
@@ -341,7 +376,8 @@ def test_allocation_matches_per_bucket_split(case):
 def schedules(draw):
     """A plan with random liquidity per epoch: bands with zero gaps, 1e-59
     tails, empty epochs, and buckets kept equal, within or just past the
-    1e-12 tolerance across a transition."""
+    1e-12 tolerance across a transition; and a window width with one
+    window offset per epoch."""
     n = draw(st.integers(1, 60))
     epochs = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -372,17 +408,24 @@ def schedules(draw):
     prices = rng.uniform(500.0, 5000.0, m)
     allocs = [EpochAllocation(liq, 1e6, float(prices[ep.start]))
               for liq, ep in zip(liquidity, plan)]
-    return plan, allocs, prices
+    # windows of one width, each holding its epoch's positive buckets and
+    # placed anywhere that allows, as run_backtest's move from epoch to epoch
+    spans = [np.flatnonzero(liq > 0.0) for liq in liquidity]
+    width = draw(st.integers(max([s[-1] - s[0] + 1 for s in spans if len(s)] or [1]), n))
+    offsets = [int(rng.integers(max(0, s[-1] + 1 - width), min(s[0], n - width) + 1))
+               if len(s) else int(rng.integers(0, n - width + 1)) for s in spans]
+    return plan, allocs, prices, width, offsets
 
 
 @settings(max_examples=100)
 @given(schedules(), st.booleans())
 def test_gas_cost_matches_whole_vector_count(schedule, token_a_is_gas):
-    plan, allocs, prices = schedule
+    plan, allocs, prices, width, offsets = schedule
     params = GasParams(gas_token_price=None if token_a_is_gas else 1234.5)
     # counts identical and totals bitwise equal: same sums in the same order
-    assert gas_cost(plan, allocs, params, prices) \
-        == oracle.gas_cost(plan, allocs, params, prices)
+    expect = oracle.gas_cost(plan, allocs, params, prices)
+    assert oracle.engine_gas_cost(plan, allocs, params, prices) == expect
+    assert oracle.engine_gas_cost(plan, allocs, params, prices, width, offsets) == expect
 
 
 TS_CELLS = ["+5", "5.0", "1_000", "-1", '"12"', "1e3", "#x", "", " ",
