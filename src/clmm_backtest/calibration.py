@@ -1,23 +1,35 @@
 """Fit a bell-curve liquidity profile to an observed fee total.
 
-The whole pool is modelled as one bell-curve allocation deployed once over
-the full series (no resets), with deployable capital equal to the pool's
-locked value.  Fixing the profile centre mu, the modelled fee total is
-evaluated on an ascending variance grid and the smallest variance whose
-fee crosses the target is refined by bisection.  Gas never enters the
-objective.
+The whole pool is modelled as one bell-curve allocation deployed once, at
+the first price p0, over the full series (tau = n >= n - 1: no resets),
+with capital C equal to the pool's locked value.  The fee is linear in
+each bucket's capital share: weight w_i buys liquidity C w_i l_i, l_i
+being ``deploy`` at unit share.  Liquidity l takes in l times each rise
+of its clipped root c = clip(sqrt(p), sa, sb) in token B and of 1/c in
+token A, so with U_b,i the upward travel of c through bucket i and U_a,i
+the travel of 1/c through it on down-moves, the volume (token A at the
+last price p_end) is C (w . v), v_i = l_i (U_b,i + p_end U_a,i), capped
+like ``run_backtest``'s ledger, and the fee is the fee rate times that.
+One O(m + n) pass gives v: ``np.bincount`` adds each step's overlaps
+[a, b] with its end buckets (b - a, or (b - a) / (a b) for 1/c, exact to
+a few ulps of the step), and a difference array counts the buckets
+crossed whole.
+
+Fixing the profile centre mu, the fee is evaluated on an ascending
+variance grid and the smallest variance whose fee crosses the target is
+refined by bisection.  Gas never enters the objective.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from math import isfinite
 from typing import Optional
 
 import numpy as np
 
-from .allocation import ProfileParams
-from .engine import BacktestConfig, StrategyConfig, run_backtest
+from .allocation import ProfileParams, deploy, normal_profile_weights
+from .engine import _BLOCK_ROWS, BacktestConfig, StrategyConfig, checked_prices
 from .errors import CalibrationUnreachableError
 
 _REL_TOL = 1e-3
@@ -58,31 +70,66 @@ class CalibrationResult:
     converged: bool
 
     def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "variance": self.variance,
-            "bound": self.bound,
-            "model_fee": self.model_fee,
-            "target_fee": self.target_fee,
-            "relative_error": self.relative_error,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
+        return asdict(self)
 
 
-def _whole_pool_config(pool_config: BacktestConfig, mu: float, variance: float,
-                       bound: float) -> BacktestConfig:
-    strategy = StrategyConfig("normal", profile=ProfileParams(mu, variance, bound))
-    # tau >= buckets - 1 means no price can ever leave the reset band,
-    # so the whole series runs as a single deployment
-    return replace(pool_config, strategy=strategy, tau=pool_config.partition.n)
+def _bucket_volume(pool_config: BacktestConfig, prices) -> np.ndarray:
+    """v: per bucket, the volume unit capital on it alone trades."""
+    part = pool_config.partition
+    # the model's own tau and strategy replace the pool's; check the rest
+    replace(pool_config, tau=part.n, strategy=StrategyConfig("uniform")).validate()
+    p, _, clamped = checked_prices(pool_config, prices)
+    n, r = part.n, part.roots
+    travel = np.zeros(2 * n)                            # U_b, then U_a
+    crossed = np.zeros(2 * (n + 1), dtype=np.int64)     # up, then down
+    for t0 in range(0, len(p) - 1, _BLOCK_ROWS):  # bounds the temporaries
+        s = np.sqrt(clamped[t0:t0 + _BLOCK_ROWS + 1])
+        k = r[1:-1].searchsorted(s, side="right")
+        down = s[1:] < s[:-1]
+        lo, hi = np.minimum(s[:-1], s[1:]), np.maximum(s[:-1], s[1:])
+        k_lo, k_hi = np.minimum(k[:-1], k[1:]), np.maximum(k[:-1], k[1:])
+        # overlaps [lo, mid] in k_lo and [top, hi] in k_hi, empty if k_hi == k_lo
+        mid = np.minimum(hi, r[k_lo + 1])
+        top = np.maximum(r[k_hi], mid)
+        for k_end, a, b in ((k_lo, lo, mid), (k_hi, top, hi)):
+            d = b - a
+            d = np.where(down, d / (a * b), d)          # 1/a - 1/b on down-moves
+            travel += np.bincount(k_end + n * down, d, minlength=2 * n)
+        # buckets k_lo + 1 .. k_hi - 1 are crossed whole
+        side = (n + 1) * down
+        crossed += np.bincount(k_lo + 1 + side, minlength=2 * (n + 1))
+        crossed -= np.bincount(np.maximum(k_hi, k_lo + 1) + side, minlength=2 * (n + 1))
+    sa, sb = r[:-1], r[1:]
+    u = travel.reshape(2, n) + np.cumsum(crossed.reshape(2, n + 1)[:, :n], axis=1) \
+        * [sb - sa, (sb - sa) / (sa * sb)]
+    return deploy(np.ones((1, n)), p[:1], sa[None], sb[None])[0] * (u[0] + p[-1] * u[1])
+
+
+class _WholePool:
+    """Whole-pool fee totals; one travel pass, on first use, serves them all."""
+
+    def __init__(self, pool_config: BacktestConfig, prices):
+        self.config, self.prices, self.bucket_volume = pool_config, prices, None
+
+    def fees(self, mu: float, bound: float, variances) -> np.ndarray:
+        """Fee totals at one mu, one per variance."""
+        cfg, part = self.config, self.config.partition
+        grid = np.asarray(variances, dtype=np.float64).tolist()
+        w = np.reshape([normal_profile_weights(part, ProfileParams(mu, v, bound)).weights
+                        for v in grid], (-1, part.n))  # the (grid x n) weight table
+        if self.bucket_volume is None:
+            self.bucket_volume = _bucket_volume(cfg, self.prices)
+        # one pairwise sum per row, the same for any number of rows
+        volume = cfg.capital * (w * self.bucket_volume).sum(axis=1)
+        if cfg.volume_cap is not None:
+            np.minimum(volume, cfg.volume_cap, out=volume)
+        return cfg.fee_rate * volume
 
 
 def whole_pool_fee(pool_config: BacktestConfig, prices, mu: float, variance: float,
                    bound: float = 3.0) -> float:
     """Converted fee total of one single-deployment bell-curve backtest."""
-    report = run_backtest(_whole_pool_config(pool_config, mu, variance, bound), prices)
-    return report.ledger.total_fee_b
+    return float(_WholePool(pool_config, prices).fees(mu, bound, [variance])[0])
 
 
 def fee_curve(pool_config: BacktestConfig, prices, mu: float, bound: float,
@@ -102,9 +149,7 @@ def fee_curve(pool_config: BacktestConfig, prices, mu: float, bound: float,
         inputs always reproduce the identical curve.
     """
     grid = np.asarray(variance_grid, dtype=np.float64)
-    fees = np.array([whole_pool_fee(pool_config, prices, mu, float(v), bound)
-                     for v in grid])
-    return FeeCurve(mu, bound, grid, fees)
+    return FeeCurve(mu, bound, grid, _WholePool(pool_config, prices).fees(mu, bound, grid))
 
 
 def calibrate_variance(pool_config: BacktestConfig, prices, mu: float, bound: float,
@@ -133,50 +178,52 @@ def calibrate_variance(pool_config: BacktestConfig, prices, mu: float, bound: fl
         CalibrationUnreachableError: the target lies outside everything
             the curve reaches on the grid.
     """
+    return _calibrate(_WholePool(pool_config, prices), mu, bound, target_fee,
+                      variance_grid, curve)
+
+
+def _calibrate(pool: _WholePool, mu, bound, target_fee, variance_grid,
+               curve) -> CalibrationResult:
     if not (isfinite(target_fee) and target_fee > 0.0):
         raise ValueError(f"target fee must be positive, got {target_fee}")
     if curve is None:
-        curve = fee_curve(pool_config, prices, mu, bound, variance_grid)
-    grid = curve.variance_grid
-    fees = curve.fees
+        grid = np.asarray(variance_grid, dtype=np.float64)
+        curve = FeeCurve(mu, bound, grid, pool.fees(mu, bound, grid))
+    grid, fees = curve.variance_grid, curve.fees
     if len(grid) < 2:
         raise ValueError("variance grid needs at least two points")
 
-    def result(variance, fee, iterations):
-        rel = abs(fee - target_fee) / target_fee
-        return CalibrationResult(mu, float(variance), bound, float(fee), target_fee,
-                                 rel, iterations, rel < _REL_TOL)
-
     def rel(fee):
         return abs(fee - target_fee) / target_fee
+
+    def result(variance, fee, iterations):
+        # Python floats and bools, so that to_dict() stays JSON-ready
+        err = rel(float(fee))
+        return CalibrationResult(mu, float(variance), bound, float(fee), target_fee,
+                                 err, iterations, err < _REL_TOL)
 
     if rel(fees[0]) < _REL_TOL:
         return result(grid[0], fees[0], 0)
     for k in range(1, len(grid)):
         if (fees[k - 1] - target_fee) * (fees[k] - target_fee) < 0.0:
-            return _bisect(pool_config, prices, mu, bound, target_fee,
-                           grid[k - 1], fees[k - 1], grid[k], fees[k], result)
+            break  # the first crossing: bisect it
         if rel(fees[k]) < _REL_TOL:
             return result(grid[k], fees[k], 0)
+    else:
+        raise CalibrationUnreachableError(
+            f"target fee {target_fee} unreachable on variance grid "
+            f"[{grid[0]}, {grid[-1]}]: curve spans [{fees.min()}, {fees.max()}]",
+            fee_min=float(fees.min()), fee_max=float(fees.max()))
 
-    raise CalibrationUnreachableError(
-        f"target fee {target_fee} unreachable on variance grid "
-        f"[{grid[0]}, {grid[-1]}]: curve spans [{fees.min()}, {fees.max()}]",
-        fee_min=float(fees.min()), fee_max=float(fees.max()))
-
-
-def _bisect(pool_config, prices, mu, bound, target_fee, lo, fee_lo, hi, fee_hi,
-            result):
-    sign_lo = fee_lo - target_fee
-    best_v, best_fee = (lo, fee_lo) if abs(fee_lo - target_fee) <= abs(fee_hi - target_fee) \
-        else (hi, fee_hi)
-    iterations = 0
+    lo, hi, sign_lo = grid[k - 1], grid[k], fees[k - 1] - target_fee
+    best_v, best_fee = (lo, fees[k - 1]) if abs(sign_lo) <= abs(fees[k] - target_fee) \
+        else (hi, fees[k])
     for iterations in range(1, _MAX_BISECTIONS + 1):
         mid = 0.5 * (lo + hi)
-        fee_mid = whole_pool_fee(pool_config, prices, mu, mid, bound)
+        fee_mid = pool.fees(mu, bound, [mid])[0]
         if abs(fee_mid - target_fee) < abs(best_fee - target_fee):
             best_v, best_fee = mid, fee_mid
-        if abs(fee_mid - target_fee) / target_fee < _REL_TOL:
+        if rel(fee_mid) < _REL_TOL:
             break
         if (fee_mid - target_fee) * sign_lo > 0.0:
             lo = mid
@@ -190,14 +237,15 @@ def calibrate_over_mu(pool_config: BacktestConfig, prices, mu_values, bound: flo
     """Coarse outer search: calibrate the variance at each mu, keep the best.
 
     mu values where the target is unreachable are skipped; if every mu is
-    unreachable the last such error is re-raised.
+    unreachable the last such error is re-raised.  One travel pass over the
+    series serves every mu.
     """
+    pool = _WholePool(pool_config, prices)
     best = None
     last_err = None
     for mu in mu_values:
         try:
-            res = calibrate_variance(pool_config, prices, float(mu), bound,
-                                     target_fee, variance_grid)
+            res = _calibrate(pool, float(mu), bound, target_fee, variance_grid, None)
         except CalibrationUnreachableError as err:
             last_err = err
             continue

@@ -71,7 +71,7 @@ from .allocation import (ProfileParams, band_weights, band_width, custom_weights
 from .bucketing import BucketPartition, EpochPlan, check_tau, segment_epochs
 from .core_math import ReservePair
 from .errors import ConfigError, DataError
-from .prices import check_timestamp_count
+from .prices import check_timestamps
 
 # rows per kernel block; 2**13 rows keep a block's temporaries inside L2
 _BLOCK_ROWS = 1 << 13
@@ -538,19 +538,18 @@ def _monthly_attribution(timestamps, prices, step_a, step_b, fee_rate):
     sum over months can differ slightly from the ledger total because the
     ledger converts at epoch-final prices instead.
     """
-    months = np.asarray(timestamps, dtype=np.int64).astype("datetime64[s]") \
-        .astype("datetime64[M]")
-    step_month = months[1:]
-    labels, starts = np.unique(step_month, return_index=True)
-    rows = []
-    for j, label in enumerate(labels):
-        i0 = int(starts[j])
-        i1 = int(starts[j + 1]) if j + 1 < len(labels) else len(step_month)
+    step_ts = timestamps[1:]
+    rows, i0 = [], 0
+    while i0 < len(step_ts):  # ascending: a month's steps end where the next begins
+        month = np.datetime64(int(step_ts[i0]), "s").astype("datetime64[M]")
+        # the last month of int64 time has no next month: its start wraps
+        end = (month + 1).astype("datetime64[s]").astype(np.int64)
+        i1 = int(step_ts.searchsorted(end)) if end > step_ts[i0] else len(step_ts)
         fa = fee_rate * float(step_a[i0:i1].sum())
         fb = fee_rate * float(step_b[i0:i1].sum())
-        p_end = float(prices[i1])
-        rows.append({"month": str(label), "fee_a": fa, "fee_b": fb,
-                     "fee_converted_b": fb + fa * p_end})
+        rows.append({"month": str(month), "fee_a": fa, "fee_b": fb,
+                     "fee_converted_b": fb + fa * float(prices[i1])})
+        i0 = i1
     return rows
 
 
@@ -619,6 +618,32 @@ class BacktestReport:
         return out
 
 
+def checked_prices(config: BacktestConfig, prices, timestamps=None):
+    """(prices, timestamps or None, prices clamped to the partition) of a
+    series, or of an object with ``prices`` and ``timestamps``, after the
+    checks; DataError names the first bad value."""
+    if hasattr(prices, "prices"):
+        timestamps = getattr(prices, "timestamps", None)
+        prices = prices.prices
+    p = np.ascontiguousarray(prices, dtype=np.float64)
+    if p.ndim != 1 or len(p) < 2:
+        raise DataError("price series must be one-dimensional with at least 2 points")
+    if timestamps is not None:
+        timestamps = check_timestamps(timestamps, p)
+    # reductions scan the series without a full-length mask; NaN fails both
+    lo, hi = p.min(), p.max()
+    if not (lo > 0.0 and hi < np.inf):
+        i = int(np.argmax(~np.isfinite(p) | (p <= 0.0)))
+        raise DataError(f"price {p[i]} at index {i} is not a positive finite number")
+    part = config.partition
+    if config.price_mode == "strict" and (lo < part.lower or hi > part.upper):
+        i = int(np.argmax((p < part.lower) | (p > part.upper)))
+        raise DataError(f"price {p[i]} at index {i} outside partition "
+                        f"[{part.lower}, {part.upper}] (clamp mode would proceed)")
+    clamped = p if config.price_mode == "strict" else np.clip(p, part.lower, part.upper)
+    return p, timestamps, clamped
+
+
 def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestReport:
     """Replay a price series against the configured liquidity strategy.
 
@@ -634,38 +659,16 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
         config: validated run configuration.
         prices: 1-d positive price series, or any object with ``prices``
             and ``timestamps`` attributes.
-        timestamps: optional unix-second timestamps, one per price
-            (enables monthly fee attribution; DataError otherwise);
+        timestamps: optional ascending unix-second timestamps, one per
+            price (enables monthly fee attribution; DataError otherwise);
             ignored when ``prices`` carries its own.
 
     Returns:
         BacktestReport with ledger, gas, trajectories and summary rates.
     """
     config.validate()
-    if hasattr(prices, "prices"):
-        timestamps = getattr(prices, "timestamps", None)
-        prices = prices.prices
-    p = np.ascontiguousarray(prices, dtype=np.float64)
-    if p.ndim != 1 or len(p) < 2:
-        raise DataError("price series must be one-dimensional with at least 2 points")
-    if timestamps is not None:
-        check_timestamp_count(timestamps, p)
-    # reductions scan the series without a full-length mask; NaN fails both
-    lo, hi = p.min(), p.max()
-    if not (lo > 0.0 and hi < np.inf):
-        i = int(np.argmax(~np.isfinite(p) | (p <= 0.0)))
-        raise DataError(f"price {p[i]} at index {i} is not a positive finite number")
-
+    p, timestamps, bucket_prices = checked_prices(config, prices, timestamps)
     part = config.partition
-    if config.price_mode == "strict":
-        if lo < part.lower or hi > part.upper:
-            i = int(np.argmax((p < part.lower) | (p > part.upper)))
-            raise DataError(f"price {p[i]} at index {i} outside partition "
-                            f"[{part.lower}, {part.upper}] (clamp mode would proceed)")
-        bucket_prices = p
-    else:
-        bucket_prices = np.clip(p, part.lower, part.upper)
-
     plan = segment_epochs(part, bucket_prices, config.tau)
     epochs = np.array(plan.epochs, dtype=np.int64)
     starts, ends = epochs[:, 0], epochs[:, 1]

@@ -60,23 +60,23 @@ class PriceSeries:
             raise DataError(f"row {i + 1}: price {p[i]} is not a positive finite number")
         object.__setattr__(self, "prices", p)
         if self.timestamps is not None:
-            ts = check_timestamp_count(self.timestamps, p)
-            steps = np.diff(ts)
-            if (steps <= 0).any():
-                i = int(np.argmax(steps <= 0))
-                raise DataError(f"row {i + 2}: timestamp {ts[i + 1]} does not ascend "
-                                f"past {ts[i]}")
-            object.__setattr__(self, "timestamps", ts)
+            object.__setattr__(self, "timestamps", check_timestamps(self.timestamps, p))
 
     def __len__(self) -> int:
         return len(self.prices)
 
 
-def check_timestamp_count(timestamps, prices: np.ndarray) -> np.ndarray:
-    """Timestamps as int64, after checking there is one per price."""
+def check_timestamps(timestamps, prices: np.ndarray) -> np.ndarray:
+    """Timestamps as int64, after checking there is one per price and that
+    they strictly ascend."""
     ts = np.ascontiguousarray(timestamps, dtype=np.int64)
     if ts.shape != prices.shape:
         raise DataError(f"{len(ts)} timestamps for {len(prices)} prices")
+    stalled = ts[1:] <= ts[:-1]
+    if stalled.any():
+        i = int(np.argmax(stalled))
+        raise DataError(f"row {i + 2}: timestamp {ts[i + 1]} does not ascend "
+                        f"past {ts[i]}")
     return ts
 
 

@@ -4,7 +4,8 @@ The engine computes fees and the capital trajectory from aggregate
 reserves.  This module keeps the transparent reference for that: every
 bucket's reserves at every timestep, materialised, with per-bucket
 positive reserve differences summed afterwards.  It allocates
-O(series length x buckets) memory, so it is for tests only.  It also keeps
+O(series length x buckets) memory, so it is for tests only.  For short
+series the same rule also runs in exact rational arithmetic.  It also keeps
 the gas count that compares whole liquidity vectors at every transition,
 and drives the engine's window-restricted count on hand-made schedules,
 so that the two can be checked against each other.
@@ -13,6 +14,7 @@ so that the two can be checked against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -109,6 +111,29 @@ def compute_fees(tensor: PoolStateTensor, fee_rate: float,
         end_price.append(float(p[ep.end]))
     return FeeLedger(fee_rate, np.array(inflow_a), np.array(inflow_b),
                      np.array(end_price))
+
+
+def exact_volume(partition: BucketPartition, liquidity: np.ndarray,
+                 prices: np.ndarray) -> Fraction:
+    """Converted volume of one deployment over the whole series, exactly.
+
+    The per-bucket rule of ``compute_fees``: token B on each rise of a
+    bucket's clipped root c, token A on each rise of 1/c, token A at the
+    last price.  It is evaluated in rational arithmetic on the float roots
+    of the edges and the prices, so it adds no rounding of its own.
+    """
+    s = [Fraction(x) for x in np.sqrt(np.asarray(prices, dtype=np.float64)).tolist()]
+    p_end = Fraction(float(prices[-1]))
+    total = Fraction(0)
+    for liq, sa, sb in zip(liquidity.tolist(), partition.roots[:-1].tolist(),
+                           partition.roots[1:].tolist()):
+        if liq == 0.0:
+            continue
+        c = [min(max(x, Fraction(sa)), Fraction(sb)) for x in s]
+        for c0, c1 in zip(c, c[1:]):
+            if c1 != c0:
+                total += Fraction(liq) * (c1 - c0 if c1 > c0 else p_end * (1 / c1 - 1 / c0))
+    return total
 
 
 def gas_cost(plan: EpochPlan, allocations: list, params: GasParams,

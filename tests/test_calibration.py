@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from clmm_backtest import calibration
 from clmm_backtest.allocation import ProfileParams
 from clmm_backtest.bucketing import BucketPartition
 from clmm_backtest.calibration import (CalibrationResult, FeeCurve,
@@ -62,7 +63,10 @@ class TestWholePoolFee:
             tau=PART40.n)
         report = run_backtest(manual, prices)
         assert len(report.plan) == 1
-        assert fee == report.ledger.total_fee_b
+        # the dot product reaches the same fee by another route: its drift
+        # against the replay is pinned at 1e-12 relative
+        total = report.ledger.total_fee_b
+        assert abs(fee - total) <= 1e-12 * total
 
     def test_single_epoch_even_when_pool_config_tau_is_tight(self):
         # the pool config's own tau would reset dozens of times here
@@ -169,6 +173,19 @@ class TestCalibrateOverMu:
         res = calibrate_over_mu(cfg, prices, [-0.5, 0.0, 0.6], 3.0, target, grid)
         assert res.converged
         assert res.relative_error < 1e-3
+
+    def test_one_travel_pass_serves_every_mu(self, monkeypatch):
+        prices = oscillating_prices(n=1200)
+        cfg = pool_config(PART40)
+        target = whole_pool_fee(cfg, prices, mu=0.6, variance=0.5)
+        passes = []
+        travel = calibration._bucket_volume
+        monkeypatch.setattr(calibration, "_bucket_volume",
+                            lambda *args: passes.append(args) or travel(*args))
+        res = calibrate_over_mu(cfg, prices, [-0.5, 0.0, 0.6], 3.0, target,
+                                np.linspace(0.05, 2.0, 24))
+        assert res.iterations > 0
+        assert len(passes) == 1
 
     def test_all_unreachable_reraises(self):
         grid = np.array([0.5, 1.0])

@@ -447,6 +447,26 @@ class TestRunBacktest:
                                             f"{len(prices)} prices$"):
             run_backtest(cfg, prices, timestamps=ts)
 
+    def test_monthly_rows_reach_the_ends_of_int64_time(self):
+        cfg, prices = self.config_and_walk()
+        ts = np.arange(len(prices), dtype=np.int64)
+        ts[0], ts[-1] = np.iinfo(np.int64).min + 1, np.iinfo(np.int64).max
+        report = run_backtest(cfg, prices, timestamps=ts)
+        assert [row["month"] for row in report.monthly_fees] == ["1970-01", "292277026596-12"]
+        assert sum(row["fee_b"] for row in report.monthly_fees) \
+            == pytest.approx(report.ledger.fee_b.sum(), rel=1e-9)
+
+    def test_timestamps_must_ascend(self):
+        # reversed, a series' months would be sliced as if contiguous
+        cfg, prices = self.config_and_walk()
+        ts = 1610668800 + 3600 * np.arange(len(prices))
+        with pytest.raises(DataError, match=f"^row 2: timestamp {ts[-2]} does not "
+                                            f"ascend past {ts[-1]}$"):
+            run_backtest(cfg, prices, timestamps=ts[::-1])
+        ts[5] = ts[4]
+        with pytest.raises(DataError, match="^row 6: "):
+            run_backtest(cfg, prices, timestamps=ts)
+
     def test_no_timestamps_no_monthly_rows(self):
         cfg, prices = self.config_and_walk()
         assert run_backtest(cfg, prices).monthly_fees is None

@@ -431,6 +431,22 @@ class TestCliCalibrate:
         assert result["converged"]
         assert result["relative_error"] < 1e-3
 
+    def test_target_on_a_grid_point_writes_the_result(self, tmp_path):
+        # the first grid point's fee is a hit without any bisection step
+        cfg, prices = self.setup_run(tmp_path)
+        args = ["calibrate", "--config", cfg, "--prices", prices, "--mu", "0.0",
+                "--grid", "0.05:2.0:8"]
+        main(args + ["--target-fee", "1e18", "--out-dir", str(tmp_path / "probe")])
+        first = (tmp_path / "probe" / "fee_curve.csv").read_text().splitlines()[1]
+        out = tmp_path / "fit"
+        code = main(args + ["--target-fee", first.split(",")[1], "--out-dir", str(out)])
+        assert code == 0
+        result = json.loads((out / "calibration.json").read_text())
+        assert result["variance"] == 0.05
+        assert result["iterations"] == 0
+        assert result["relative_error"] == 0.0
+        assert result["converged"] is True
+
     def test_unreachable_target_exits_4_but_leaves_curve(self, tmp_path, capsys):
         cfg, prices = self.setup_run(tmp_path)
         out = tmp_path / "cal"

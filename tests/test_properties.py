@@ -1,19 +1,22 @@
 """Property tests: the batched replay, the galloping reset scan, bucket
-edge ownership, the vectorised allocation and the window-restricted gas
-count.
+edge ownership, the vectorised allocation, the window-restricted gas
+count and the calibration's dot product.
 
 The replay is checked against the brute-force oracle (every bucket's
 reserves at every timestep, ``oracle.py``), epoch by epoch and along the
 capital chain, and against itself run to run; the galloping epoch scan
 against a per-row re-scan, ``allocate_epoch`` against a per-bucket
-``split_capital`` loop, and the engine's gas count over moving windows
-against the oracle's whole-vector count.  Bulk data comes from numpy
-generators seeded by hypothesis, so that series can be long while cases
-stay shrinkable in their shape parameters.
+``split_capital`` loop, the engine's gas count over moving windows
+against the oracle's whole-vector count, and the calibration's whole-pool
+fee against the oracle, its exact rational form and the replay.  Bulk
+data comes from numpy generators seeded by hypothesis, so that series can
+be long while cases stay shrinkable in their shape parameters.
 """
 
+import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,9 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from clmm_backtest.allocation import (EpochAllocation, allocate_epoch, custom_weights,
+from clmm_backtest.allocation import (EpochAllocation, ProfileParams, allocate_epoch,
+                                      custom_weights, normal_profile_weights,
                                       random_band_weights, uniform_band_weights)
 from clmm_backtest.bucketing import BucketPartition, Epoch, EpochPlan, segment_epochs
+from clmm_backtest.calibration import fee_curve, whole_pool_fee
 from clmm_backtest import prices as prices_module
 from clmm_backtest.engine import BacktestConfig, GasParams, StrategyConfig, run_backtest
 from clmm_backtest.core_math import position_value, split_capital
@@ -159,11 +164,25 @@ def step_slack(part, plan, allocs, prices):
     return slack
 
 
-def check_against_oracle(config, prices, timestamps, slack):
+def reciprocal_slack(part, liquidity, prices):
+    """4 ulps of l / sa for every bucket whose clipped root c moves in a step.
+
+    The oracle and the replay round each 1/c, and each inverse edge root,
+    to an ulp of itself before differencing them, and rounded alike they
+    cancel between the two.  Against a side that never forms 1/c, such as
+    the calibration's dot product, that rounding is all there is, and in a
+    narrow bucket it is far more than a few ulps of the bucket's depth.
+    """
+    c = np.clip(np.sqrt(prices)[:, None], part.roots[:-1], part.roots[1:])
+    moved = np.diff(c, axis=0) != 0.0
+    return 4 * EPS * (moved * (liquidity / part.roots[:-1])).sum()
+
+
+def check_against_oracle(config, prices, timestamps):
     """Ledger, gas, trajectory and monthly rows of a run against the oracle.
 
     Per-epoch inflows must match to 1e-12 of the epoch's converted volume,
-    plus, with ``slack``, the ``step_slack`` of the buckets holding the price.
+    plus the ``step_slack`` of the buckets holding the price.
     """
     report = run_backtest(config, prices, timestamps)
     allocs, tensor = oracle_run(config, report, prices)
@@ -171,8 +190,7 @@ def check_against_oracle(config, prices, timestamps, slack):
 
     # per-epoch inflows, relative to the epoch's converted volume
     volume = ledger.volume_converted
-    noise = step_slack(config.partition, report.plan, allocs, prices) if slack \
-        else np.zeros((len(report.plan), 2))
+    noise = step_slack(config.partition, report.plan, allocs, prices)
     assert np.all(np.abs(report.ledger.inflow_b - ledger.inflow_b)
                   <= REL * volume + noise[:, 1])
     assert np.all(np.abs(report.ledger.inflow_a - ledger.inflow_a) * ledger.end_price
@@ -206,8 +224,10 @@ def check_against_oracle(config, prices, timestamps, slack):
 @settings(max_examples=60)
 @given(scenarios(modes=["custom"]))
 def test_kernel_matches_brute_force_oracle(case):
-    # custom weights carry zero gaps and 1e-59 tails on a fixed span
-    check_against_oracle(*case, slack=False)
+    # custom weights carry zero gaps and 1e-59 tails on a fixed span; a
+    # short epoch whose only step moves inside one bucket is rounded to a
+    # few ulps of that bucket's depth by both sides, hence the slack
+    check_against_oracle(*case)
 
 
 @settings(max_examples=60)
@@ -215,7 +235,7 @@ def test_kernel_matches_brute_force_oracle(case):
 def test_band_replay_matches_brute_force_oracle(case):
     # band windows move with every epoch and are clipped at the partition
     # edges; gas compares consecutive windows over their overlap
-    check_against_oracle(*case, slack=True)
+    check_against_oracle(*case)
 
 
 @settings(max_examples=60)
@@ -270,6 +290,96 @@ def test_long_capital_chain_matches_the_sequential_oracle(mode):
         capital = next_capital(config, y + span[-1] * x, fee)
     drift = np.abs(report.epoch_capital - chain) / np.array(chain)
     assert drift.max() <= REL
+
+
+@st.composite
+def whole_pools(draw):
+    """A whole-pool calibration case: a float partition, a walk with
+    multi-bucket jumps, flat runs and exact edge prices, left inside the
+    partition or not, strict or clamp, a profile whose tails may underflow
+    to zero weight, and a volume cap factor (None, or below or above 1)."""
+    # the oracle holds every bucket at every row: many buckets, short walks
+    m = draw(LENGTHS)
+    part = draw(float_partitions() if m <= 1500 else partitions())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prices = walk(rng, part, m, move=draw(st.sampled_from([1e-3, 0.05, 1.0])),
+                  jump_p=draw(st.sampled_from([0.0, 1e-3, 0.05])),
+                  flat_p=draw(st.sampled_from([0.0, 0.5, 0.95])),
+                  clamp=draw(st.booleans()))
+    bound = draw(st.floats(0.5, 6.0))
+    profile = ProfileParams(draw(st.floats(-1.5, 1.5)) * bound,
+                            10.0 ** draw(st.floats(-4.0, 1.5)), bound)
+    config = BacktestConfig(part, 0, StrategyConfig("uniform"), draw(st.floats(1.0, 1e9)),
+                            0.003, price_mode=draw(st.sampled_from(["strict", "clamp"])))
+    return config, prices, profile, draw(st.sampled_from([None, 0.5, 2.0]))
+
+
+@settings(max_examples=100)
+@given(whole_pools())
+def test_dot_product_fee_matches_the_oracle_and_the_replay(case):
+    config, prices, profile, cap = case
+    part = config.partition
+    mu, variance, bound = profile.mu, profile.variance, profile.bound
+    replay = dataclasses.replace(config, tau=part.n,
+                                 strategy=StrategyConfig("normal", profile=profile))
+    outside = (prices < part.lower) | (prices > part.upper)
+    if config.price_mode == "strict" and outside.any():
+        with pytest.raises(DataError) as expect:
+            run_backtest(replay, prices)
+        with pytest.raises(DataError) as got:
+            whole_pool_fee(config, prices, mu, variance, bound)
+        assert str(got.value) == str(expect.value)
+        return
+
+    # the oracle: every bucket's reserves at every row of one deployment
+    alloc = allocate_epoch(normal_profile_weights(part, profile), config.capital,
+                           float(prices[0]), part)
+    plan = EpochPlan((Epoch(0, len(prices) - 1, 1),), len(prices), part.n)
+    ledger = compute_fees(build_state_tensor(part, plan, [alloc], prices),
+                          config.fee_rate, prices)
+    volume = ledger.total_volume_b
+    scale = 1.0
+    if cap is not None and volume > 0.0:
+        config = dataclasses.replace(config, volume_cap=cap * volume)
+        replay = dataclasses.replace(replay, volume_cap=cap * volume)
+        scale = min(1.0, cap)
+    fee = whole_pool_fee(config, prices, mu, variance, bound)
+    f = config.fee_rate
+    # the oracle and the replay round a step inside one bucket to a few
+    # ulps of that bucket's depth and of 1/c, the dot product to a few ulps
+    # of the step itself: against them the oracle property's bound, with
+    # 1/c's rounding for token A, and against the exact volume of a short
+    # walk no slack at all
+    slack_b = step_slack(part, plan, [alloc], prices)[0, 1]
+    slack_a = reciprocal_slack(part, alloc.liquidity, prices)
+    tol = f * scale * (REL * volume + slack_b + slack_a * prices[-1])
+    assert abs(fee - ledger.total_fee_b * scale) <= tol
+    if len(prices) <= 64:
+        exact = oracle.exact_volume(part, alloc.liquidity, prices)
+        if config.volume_cap is not None:
+            exact = min(exact, Fraction(config.volume_cap))
+        assert abs(fee - f * float(exact)) <= REL * f * volume * scale
+    # the replay
+    assert abs(fee - run_backtest(replay, prices).ledger.total_fee_b) <= tol
+    if config.price_mode == "clamp":
+        # prices outside count at the partition's edge; only the anchor and
+        # the last price (token A's conversion) are taken as they are
+        inner = prices.copy()
+        inner[1:-1] = np.clip(prices[1:-1], part.lower, part.upper)
+        assert whole_pool_fee(config, inner, mu, variance, bound) == fee
+
+
+@settings(max_examples=60)
+@given(whole_pools(), st.lists(st.floats(1.0001, 4.0), min_size=1, max_size=8))
+def test_fee_curve_points_equal_single_fees(case, steps):
+    # one weight table times v gives each point bitwise as one row would
+    config, prices, profile, _ = case
+    config = dataclasses.replace(config, price_mode="clamp")
+    grid = profile.variance * np.cumprod(steps)
+    curve = fee_curve(config, prices, profile.mu, profile.bound, grid)
+    single = [whole_pool_fee(config, prices, profile.mu, v, profile.bound)
+              for v in grid.tolist()]
+    assert curve.fees.tobytes() == np.array(single).tobytes()
 
 
 def rescan(part, prices, tau):
