@@ -149,7 +149,12 @@ def fee_curve(pool_config: BacktestConfig, prices, mu: float, bound: float,
         inputs always reproduce the identical curve.
     """
     grid = np.asarray(variance_grid, dtype=np.float64)
-    return FeeCurve(mu, bound, grid, _WholePool(pool_config, prices).fees(mu, bound, grid))
+    pool = _WholePool(pool_config, prices)
+    curve = FeeCurve(mu, bound, grid, pool.fees(mu, bound, grid))
+    # calibrate_variance given this curve and the same inputs searches over
+    # the same pool, so the travel pass is not made again
+    object.__setattr__(curve, "_pool", pool)
+    return curve
 
 
 def calibrate_variance(pool_config: BacktestConfig, prices, mu: float, bound: float,
@@ -169,7 +174,9 @@ def calibrate_variance(pool_config: BacktestConfig, prices, mu: float, bound: fl
         bound: standardised axis half-width.
         target_fee: observed fee total to match, positive.
         variance_grid: search grid, at least two ascending positive points.
-        curve: optionally a precomputed FeeCurve for this exact grid.
+        curve: optionally a precomputed FeeCurve for this exact grid; one
+            that ``fee_curve`` made from these same config and price
+            objects also lends its travel pass to the bisection.
 
     Returns:
         CalibrationResult for the best variance found.
@@ -178,8 +185,10 @@ def calibrate_variance(pool_config: BacktestConfig, prices, mu: float, bound: fl
         CalibrationUnreachableError: the target lies outside everything
             the curve reaches on the grid.
     """
-    return _calibrate(_WholePool(pool_config, prices), mu, bound, target_fee,
-                      variance_grid, curve)
+    pool = getattr(curve, "_pool", None)
+    if pool is None or pool.config is not pool_config or pool.prices is not prices:
+        pool = _WholePool(pool_config, prices)
+    return _calibrate(pool, mu, bound, target_fee, variance_grid, curve)
 
 
 def _calibrate(pool: _WholePool, mu, bound, target_fee, variance_grid,

@@ -20,7 +20,11 @@ A clean file therefore never pays for the row parser, and a bad one gets
 the same message either way.
 
 ``write_csv`` emits ints as digits and floats as shortest round-trip text,
-so a load/write/load cycle reproduces the series bit for bit.
+so a load/write/load cycle reproduces the series bit for bit.  Its bytes
+are those of ``repr`` on every cell, but the text of int columns and of
+floats that ``repr`` writes positionally (1e-4 <= |x| < 1e16) is made in
+bulk by ``_floattext``; nan, inf, +-0, subnormals, exponent-form floats
+and columns of any other dtype go through ``repr`` cell by cell.
 """
 
 from __future__ import annotations
@@ -36,8 +40,9 @@ from .errors import DataError
 
 _TS_NAMES = ("ts", "timestamp", "time")
 _INT64 = np.iinfo(np.int64)
-# rows formatted per write; bounds the text held in memory at once
-_WRITE_CHUNK_ROWS = 1 << 16
+# rows formatted per write: bounds the text held in memory at once, and
+# keeps the formatter's working arrays in cache
+_WRITE_CHUNK_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -199,15 +204,21 @@ def write_csv(path, header: str, columns) -> None:
 
     Cells are the ``repr`` of each value as a Python scalar: integers as
     digits, floats as shortest round-trip text, so reading a written float
-    back reproduces it bit for bit.  Rows are formatted in bounded chunks,
-    never as one string for the whole file.
+    back reproduces it bit for bit.  Int columns and floats in ``repr``'s
+    positional range (1e-4 <= |x| < 1e16) are formatted in bulk with numpy
+    integer arithmetic; every other cell (nan, inf, +-0, subnormals,
+    exponent-form floats, columns of other dtypes) through ``repr`` itself.
+    Rows are formatted in chunks of 8,192, never as one string for the
+    whole file.
     """
+    # imported on the first write, so that runs which write no CSV do not
+    # load the formatter and its tables
+    from ._floattext import csv_rows
     cols = [np.asarray(c) for c in columns]
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for s in range(0, len(cols[0]), _WRITE_CHUNK_ROWS):
-            cells = (map(repr, c[s:s + _WRITE_CHUNK_ROWS].tolist()) for c in cols)
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            fh.write(csv_rows([c[s:s + _WRITE_CHUNK_ROWS] for c in cols]))
 
 
 def write_prices(series: PriceSeries, path) -> None:

@@ -8,7 +8,9 @@ O(series length x buckets) memory, so it is for tests only.  For short
 series the same rule also runs in exact rational arithmetic.  It also keeps
 the gas count that compares whole liquidity vectors at every transition,
 and drives the engine's window-restricted count on hand-made schedules,
-so that the two can be checked against each other.
+so that the two can be checked against each other, and the CSV row writer
+that calls ``repr`` on every cell, which the bulk formatter must match byte
+for byte.
 """
 
 from __future__ import annotations
@@ -214,3 +216,14 @@ def engine_gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
                                  engine._unchanged(windows, offsets),
                                  epochs[:, 0], epochs[-1, 1], params,
                                  np.asarray(prices, dtype=np.float64))
+
+
+def write_csv(path, header: str, columns) -> None:
+    """The CSV writer as it was before the bulk formatter: ``repr`` of each
+    cell as a Python scalar, rows joined in chunks of 2**16."""
+    cols = [np.asarray(c) for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for s in range(0, len(cols[0]), 1 << 16):
+            cells = (map(repr, c[s:s + (1 << 16)].tolist()) for c in cols)
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

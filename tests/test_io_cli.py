@@ -9,6 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from clmm_backtest import calibration
 from clmm_backtest.cli import main
 from clmm_backtest.config import load_config, parse_config
 from clmm_backtest.errors import ConfigError, DataError
@@ -446,6 +447,25 @@ class TestCliCalibrate:
         assert result["iterations"] == 0
         assert result["relative_error"] == 0.0
         assert result["converged"] is True
+
+    def test_one_travel_pass_per_command(self, tmp_path, monkeypatch):
+        # the curve and the bisection share one whole-pool model
+        cfg, prices = self.setup_run(tmp_path)
+        args = ["calibrate", "--config", cfg, "--prices", prices, "--mu", "0.0",
+                "--grid", "0.05:2.0:8"]
+        main(args + ["--target-fee", "1e18", "--out-dir", str(tmp_path / "probe")])
+        fees = [float(r.split(",")[1]) for r in
+                (tmp_path / "probe" / "fee_curve.csv").read_text().splitlines()[1:]]
+        passes = []
+        travel = calibration._bucket_volume
+        monkeypatch.setattr(calibration, "_bucket_volume",
+                            lambda *a: passes.append(a) or travel(*a))
+        out = tmp_path / "fit"
+        code = main(args + ["--target-fee", repr(0.5 * (fees[0] + fees[1])),
+                            "--out-dir", str(out)])
+        assert code == 0
+        assert json.loads((out / "calibration.json").read_text())["iterations"] > 0
+        assert len(passes) == 1
 
     def test_unreachable_target_exits_4_but_leaves_curve(self, tmp_path, capsys):
         cfg, prices = self.setup_run(tmp_path)
