@@ -22,7 +22,7 @@ from math import isfinite
 
 import numpy as np
 
-from .bucketing import BucketPartition, check_tau
+from .bucketing import BucketPartition, check_integer, check_tau
 
 # weights are renormalised on construction; this only guards against
 # callers handing in something that was never a distribution
@@ -82,8 +82,8 @@ def band_width(partition: BucketPartition, tau: int) -> int:
     return min(partition.n, 2 * int(tau) + 1)
 
 
-def band_weights(partition: BucketPartition, benchmarks, tau: int,
-                 seeds=None) -> tuple[np.ndarray, np.ndarray]:
+def band_weights(partition: BucketPartition, benchmarks, tau: int, seed=None,
+                 first_epoch: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Band weights for many benchmark buckets at once.
 
     Row r puts weight on the buckets within tau of benchmarks[r], the band
@@ -92,10 +92,11 @@ def band_weights(partition: BucketPartition, benchmarks, tau: int,
     W = min(n, 2 tau + 1) buckets: row r covers the 0-based buckets
     offsets[r] .. offsets[r] + W - 1, and cells outside the band are zero.
 
-    With ``seeds`` None every band bucket gets 1 / (band width).  Otherwise
-    seeds holds one seed per row, and row r is one uniform variate per band
-    bucket from ``default_rng(seeds[r])``, normalised to sum to one; the
-    same seed always reproduces the same row.
+    With ``seed`` None every band bucket gets 1 / (band width).  Otherwise
+    row r is epoch e = first_epoch + r's draw: one uniform variate per band
+    bucket, the first (band width) of
+    ``np.random.default_rng([seed, e]).random(W)``, normalised to sum to
+    one; the same seed and epoch always reproduce the same row.
 
     Returns:
         (offsets, weights): int64 offsets, shape (rows,), and the weight
@@ -114,11 +115,16 @@ def band_weights(partition: BucketPartition, benchmarks, tau: int,
     b = np.minimum(s + tau, n) - offsets
     cols = np.arange(width)
     band = (cols >= a[:, None]) & (cols < b[:, None])
-    if seeds is None:
+    if seed is None:
         return offsets, band / (b - a)[:, None]
-    w = np.zeros(band.shape)
-    for r, seed in enumerate(seeds):  # a distinct, documented stream per row
-        w[r, a[r]:b[r]] = np.random.default_rng(seed).random(b[r] - a[r])
+    check_integer(seed, 0, "seed")
+    # imported on the first random draw, so that other runs do not load
+    # the generator and the formatter tables it shares
+    from ._pcg import epoch_draws
+    # row r's band takes the first b - a draws of its stream
+    draws = epoch_draws(seed, first_epoch + np.arange(len(s)), width)
+    w = np.take_along_axis(draws, np.maximum(cols - a[:, None], 0), axis=1)
+    w[~band] = 0.0
     total = w.sum(axis=1, keepdims=True)
     empty = total[:, 0] <= 0.0  # astronomically unlikely all-zero draw
     w[empty], total[empty] = band[empty], (b - a)[empty, None]
@@ -128,8 +134,9 @@ def band_weights(partition: BucketPartition, benchmarks, tau: int,
     return offsets, w
 
 
-def _band_row(partition: BucketPartition, s: int, tau: int, seeds) -> AllocationWeights:
-    offsets, w = band_weights(partition, [s], tau, seeds)
+def _band_row(partition: BucketPartition, s: int, tau: int, seed=None,
+              epoch: int = 0) -> AllocationWeights:
+    offsets, w = band_weights(partition, [s], tau, seed, epoch)
     full = np.zeros(partition.n)
     full[offsets[0]:offsets[0] + w.shape[1]] = w[0]
     return AllocationWeights(full)
@@ -138,14 +145,15 @@ def _band_row(partition: BucketPartition, s: int, tau: int, seeds) -> Allocation
 def uniform_band_weights(partition: BucketPartition, s: int, tau: int) -> AllocationWeights:
     """Equal weights on the buckets within tau of the benchmark bucket s
     (``band_weights`` for one benchmark, over the whole partition)."""
-    return _band_row(partition, s, tau, None)
+    return _band_row(partition, s, tau)
 
 
 def random_band_weights(partition: BucketPartition, s: int, tau: int,
-                        seed) -> AllocationWeights:
+                        seed: int, epoch: int = 0) -> AllocationWeights:
     """Seeded random weights on the band around the benchmark bucket
-    (``band_weights`` for one benchmark and seed, over the whole partition)."""
-    return _band_row(partition, s, tau, [seed])
+    (``band_weights`` for one benchmark, seed and epoch, over the whole
+    partition)."""
+    return _band_row(partition, s, tau, seed, epoch)
 
 
 def normal_profile_weights(partition: BucketPartition,

@@ -9,7 +9,10 @@ on an interior edge belongs to the higher bucket, the upper bound to bucket n.
 An epoch plan splits a price series into maximal runs during which the
 price stays within ``tau`` buckets of the run's benchmark bucket.  The
 first index that breaks the band closes the old run and opens the new one,
-so consecutive epochs share exactly that boundary index.
+so consecutive epochs share exactly that boundary index.  A band can only
+break where the bucket changes, so segmentation works on the series'
+bucket change points: range min/max tables give each change point's first
+break within a horizon, and the epoch chain follows them.
 """
 
 from __future__ import annotations
@@ -23,10 +26,17 @@ import numpy as np
 from .core_math import PriceRange
 
 
+def check_integer(value, low: int, what: str) -> None:
+    """Raise ValueError unless value is an int or numpy integer of at least
+    low (0 or 1); a bool is not an integer here."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+        kind = "non-negative" if low == 0 else "positive"
+        raise ValueError(f"{what} must be a {kind} integer, got {value}")
+
+
 def check_tau(tau) -> None:
     """Raise ValueError unless tau, the reset half-width, is a non-negative integer."""
-    if not isinstance(tau, (int, np.integer)) or tau < 0:
-        raise ValueError(f"tau must be a non-negative integer, got {tau}")
+    check_integer(tau, 0, "tau")
 
 
 @dataclass(frozen=True)
@@ -44,8 +54,7 @@ class BucketPartition:
             raise ValueError(f"partition bounds must be finite, got [{self.lower}, {self.upper}]")
         if not 0.0 < self.lower < self.upper:
             raise ValueError(f"need 0 < lower < upper, got [{self.lower}, {self.upper}]")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"bucket count must be a positive integer, got {self.n}")
+        check_integer(self.n, 1, "bucket count")
         # edge k is lower + k * (upper - lower) / n, in that operation order
         edges = self.lower + np.arange(self.n + 1) * (self.upper - self.lower) / self.n
         edges[0], edges[-1] = self.lower, self.upper
@@ -109,37 +118,90 @@ class Epoch(NamedTuple):
     benchmark: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpochPlan:
-    """Epoch segmentation of a price series."""
+    """Epoch segmentation of a price series.
 
-    epochs: tuple[Epoch, ...]
+    ``epochs`` is a read-only int64 table with one (start, end, benchmark)
+    row per epoch; it may be given as any sequence of such rows, ``Epoch``s
+    included.  Iterating or indexing a plan gives ``Epoch``s.
+    """
+
+    epochs: np.ndarray
     series_length: int
     tau: int
 
     def __post_init__(self):
-        eps = self.epochs
-        if not eps:
+        t = np.array(self.epochs, dtype=np.int64)
+        if not t.size:
             raise ValueError("epoch plan must contain at least one epoch")
-        if eps[0].start != 0 or eps[-1].end != self.series_length - 1:
+        if t.ndim != 2 or t.shape[1] != 3:
+            raise ValueError(f"epochs must be (start, end, benchmark) rows, "
+                             f"got shape {t.shape}")
+        if t[0, 0] != 0 or t[-1, 1] != self.series_length - 1:
             raise ValueError("epochs must cover the series end to end")
-        for prev, cur in zip(eps, eps[1:]):
-            if cur.start != prev.end:
-                raise ValueError(f"consecutive epochs must share a boundary index, "
-                                 f"got end={prev.end} then start={cur.start}")
-            if abs(cur.benchmark - prev.benchmark) <= self.tau:
-                raise ValueError("consecutive benchmark buckets must differ by more "
-                                 f"than tau={self.tau}")
+        gap = np.flatnonzero(t[1:, 0] != t[:-1, 1])
+        if gap.size:
+            k = gap[0]
+            raise ValueError(f"consecutive epochs must share a boundary index, "
+                             f"got end={t[k, 1]} then start={t[k + 1, 0]}")
+        if (np.abs(np.diff(t[:, 2])) <= self.tau).any():
+            raise ValueError("consecutive benchmark buckets must differ by more "
+                             f"than tau={self.tau}")
+        t.flags.writeable = False
+        object.__setattr__(self, "epochs", t)
 
     def __len__(self) -> int:
         return len(self.epochs)
 
+    def __getitem__(self, k: int) -> Epoch:
+        return Epoch._make(self.epochs[k].tolist())
+
     def __iter__(self):
-        return iter(self.epochs)
+        return map(Epoch._make, self.epochs.tolist())
 
 
-# rows in the first window of the galloping reset scan; each miss doubles it
+# the range tables look for a band break within the next _HORIZON change
+# points, in _LEVELS doubling steps, _CHUNK change points at a time; a break
+# further on goes to the galloping scan
+_LEVELS = 7
+_HORIZON = (1 << _LEVELS) - 1
+_CHUNK = 1 << 14
+# values in the first window of the galloping scan; each miss doubles it
 _FIRST_WINDOW = 64
+
+
+def _band_reach(v: np.ndarray, tau: int, n: int) -> np.ndarray:
+    """For each j, how many of v[j + 1], v[j + 2], ... stay within tau of
+    v[j] before the first that does not, capped at _HORIZON (uint8).
+
+    v holds bucket indices in 1..n; past its end every value counts as out
+    of band.  min and max of v over windows of 2**l values, for l below
+    _LEVELS, are built one chunk of j at a time, and each j's run is found
+    by descending them from the longest window to the shortest.
+    """
+    k = len(v)
+    reach = np.empty(k, dtype=np.uint8)
+    # past the end every value is -tau - 1, out of every band
+    ext = np.concatenate([v, np.full(_HORIZON, -tau - 1, dtype=v.dtype)])
+    for c0 in range(0, k, _CHUNK):
+        c1 = min(k, c0 + _CHUNK)
+        # level l holds the min and max of ext[i : i + 2**l] from i = c0 + 1
+        lows, highs = [ext[c0 + 1:c1 + _HORIZON]], [ext[c0 + 1:c1 + _HORIZON]]
+        for level in range(1, _LEVELS):
+            h = 1 << (level - 1)
+            lows.append(np.minimum(lows[-1][:-h], lows[-1][h:]))
+            highs.append(np.maximum(highs[-1][:-h], highs[-1][h:]))
+        # no value exceeds n, so clipping s + tau to n keeps it in v's type
+        s = v[c0:c1]
+        lo, hi = s - tau, np.minimum(s, n - tau) + tau
+        # at - (its start) is the in-band run so far, grown by 2**l windows
+        at = np.arange(c1 - c0)
+        for level in reversed(range(_LEVELS)):
+            inside = (lows[level][at] >= lo) & (highs[level][at] <= hi)
+            at += inside << level
+        reach[c0:c1] = at - np.arange(c1 - c0)
+    return reach
 
 
 def segment_epochs(partition: BucketPartition, prices: np.ndarray, tau: int) -> EpochPlan:
@@ -168,22 +230,40 @@ def segment_epochs(partition: BucketPartition, prices: np.ndarray, tau: int) -> 
     if tau >= partition.n - 1:
         # every bucket lies within tau of every other, so nothing resets
         partition._check_inside(p)
-        return EpochPlan((Epoch(0, m - 1, partition.bucket_of(float(p[0]))),),
-                         m, int(tau))
+        return EpochPlan([(0, m - 1, partition.bucket_of(float(p[0])))], m, int(tau))
 
-    # galloping scan: test windows that double in length for the first
-    # band break, so an epoch of length L costs O(log L) numpy calls
+    # a band breaks only where the bucket changes: row 0 and the change
+    # points, with their buckets in the narrowest type that holds 1..n
     buckets = partition.bucket_indices(p)
-    epochs, start, s = [], 0, int(buckets[0])
-    i, window = 1, _FIRST_WINDOW
-    while i < m:
-        hits = np.flatnonzero(np.abs(buckets[i:i + window] - s) > tau)
-        if hits.size:
-            i += int(hits[0])
-            epochs.append(Epoch(start, i, s))
-            start, s = i, int(buckets[i])
-            i, window = i + 1, _FIRST_WINDOW
-        else:
-            i, window = i + window, 2 * window
-    epochs.append(Epoch(start, m - 1, s))
-    return EpochPlan(tuple(epochs), m, int(tau))
+    rows = np.concatenate([[0], np.flatnonzero(buckets[1:] != buckets[:-1]) + 1])
+    v = buckets[rows].astype(np.int16 if partition.n <= np.iinfo(np.int16).max
+                           else np.int32)
+    del buckets
+    reach = _band_reach(v, int(tau), partition.n)
+
+    # the epoch chain: the next epoch starts at the first value out of band
+    firsts, j, k = [0], 0, len(v)
+    while True:
+        r = int(reach[j])
+        if r < _HORIZON:
+            nxt = j + r + 1
+        else:  # galloping scan: windows that double in length
+            s, nxt, window = v[j], j + r + 1, _FIRST_WINDOW
+            while nxt < k:
+                hits = np.flatnonzero(np.abs(v[nxt:nxt + window] - s) > tau)
+                if hits.size:
+                    nxt += int(hits[0])
+                    break
+                nxt, window = nxt + window, 2 * window
+        if nxt >= k:
+            break
+        firsts.append(nxt)
+        j = nxt
+
+    firsts = np.array(firsts)
+    table = np.empty((len(firsts), 3), dtype=np.int64)
+    table[:, 0] = rows[firsts]
+    table[:-1, 1] = table[1:, 0]
+    table[-1, 1] = m - 1
+    table[:, 2] = v[firsts]
+    return EpochPlan(table, m, int(tau))

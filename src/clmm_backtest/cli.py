@@ -85,7 +85,7 @@ def _write_report_files(report: BacktestReport, series: PriceSeries,
               (t_axis, series.prices, report.lp_trajectory, report.bh_trajectory))
 
     led = report.ledger
-    epochs = np.array(report.plan.epochs, dtype=np.int64)
+    epochs = report.plan.epochs
     write_csv(out_dir / "fees_by_epoch.csv",
               "epoch,start,end,benchmark_bucket,inflow_a,inflow_b,"
               "fee_a,fee_b,end_price,fee_converted_b,volume_converted_b",

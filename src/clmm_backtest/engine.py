@@ -68,7 +68,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .allocation import (ProfileParams, band_weights, band_width, custom_weights,
                          deploy, normal_profile_weights)
-from .bucketing import BucketPartition, EpochPlan, check_tau, segment_epochs
+from .bucketing import BucketPartition, EpochPlan, check_integer, check_tau, segment_epochs
 from .core_math import ReservePair
 from .errors import ConfigError, DataError
 from .prices import check_timestamps
@@ -138,9 +138,10 @@ class StrategyConfig:
         if self.mode == "random":
             if self.seed is None:
                 raise ConfigError("random strategy needs a seed", key="seed")
-            if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-                raise ConfigError(f"seed must be a non-negative integer, got {self.seed}",
-                                  key="seed")
+            try:
+                check_integer(self.seed, 0, "seed")
+            except ValueError as err:
+                raise ConfigError(str(err), key="seed") from None
         if self.mode == "normal" and self.profile is None:
             raise ConfigError("normal strategy needs profile parameters", key="mu")
 
@@ -324,10 +325,10 @@ def _strategy_windows(config: BacktestConfig, benchmarks: np.ndarray):
     offsets and capital weights, shape (g1 - g0, W)."""
     strat, part = config.strategy, config.partition
     if strat.mode in ("uniform", "random"):
-        def weights(g0, g1):
-            seeds = None if strat.mode == "uniform" else \
-                ([strat.seed, e] for e in range(g0, g1))  # a stream per epoch
-            return band_weights(part, benchmarks[g0:g1], config.tau, seeds)
+        seed = strat.seed if strat.mode == "random" else None
+
+        def weights(g0, g1):  # a random stream per epoch
+            return band_weights(part, benchmarks[g0:g1], config.tau, seed, g0)
         return band_width(part, config.tau), weights
 
     fixed = custom_weights(part, strat.weights) if strat.mode == "custom" \
@@ -670,11 +671,10 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
     p, timestamps, bucket_prices = checked_prices(config, prices, timestamps)
     part = config.partition
     plan = segment_epochs(part, bucket_prices, config.tau)
-    epochs = np.array(plan.epochs, dtype=np.int64)
-    starts, ends = epochs[:, 0], epochs[:, 1]
+    starts, ends = plan.epochs[:, 0], plan.epochs[:, 1]
     n_epochs, m = len(plan), len(p)
     tables = _bucket_tables(part)
-    width, weights = _strategy_windows(config, epochs[:, 2])
+    width, weights = _strategy_windows(config, plan.epochs[:, 2])
     group = max(1, _GROUP_CELLS // width)
 
     trajectory = np.empty(m)

@@ -10,7 +10,9 @@ the gas count that compares whole liquidity vectors at every transition,
 and drives the engine's window-restricted count on hand-made schedules,
 so that the two can be checked against each other, and the CSV row writer
 that calls ``repr`` on every cell, which the bulk formatter must match byte
-for byte.
+for byte.  The random band strategy's weights are drawn here the way numpy
+documents them, one ``default_rng([seed, epoch])`` generator per row, which
+the vectorised stream must match bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class PoolStateTensor:
 
     ``states[e]`` has shape (epoch length, buckets, 2) with token-A
     reserves in channel 0 and token-B in channel 1.  Row t of epoch e is
-    the state at series index ``plan.epochs[e].start + t``.
+    the state at series index ``plan[e].start + t``.
     """
 
     plan: EpochPlan
@@ -167,7 +169,7 @@ def gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
     first = allocations[0].liquidity > 0.0
     n0 = int(first.sum())
     mints += n0
-    initial_b = n0 * params.mint_gas * eth_per_gas * token_price(plan.epochs[0].start)
+    initial_b = n0 * params.mint_gas * eth_per_gas * token_price(plan[0].start)
 
     for e in range(1, len(plan)):
         old = allocations[e - 1].liquidity
@@ -178,14 +180,14 @@ def gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
         mint_here = int(((new > 0.0) & ~unchanged).sum())
         burns += burn_here
         mints += mint_here
-        price = token_price(plan.epochs[e].start)
+        price = token_price(plan[e].start)
         transition_b += (burn_here * params.burn_gas
                          + mint_here * params.mint_gas) * eth_per_gas * price
 
     last = allocations[-1].liquidity > 0.0
     nl = int(last.sum())
     burns += nl
-    final_b = nl * params.burn_gas * eth_per_gas * token_price(plan.epochs[-1].end)
+    final_b = nl * params.burn_gas * eth_per_gas * token_price(plan[-1].end)
 
     return GasBreakdown(initial_b, transition_b, final_b, mints, burns)
 
@@ -211,10 +213,9 @@ def engine_gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
     windows = np.stack([a.liquidity[o:o + width] for a, o in zip(allocations, offsets)])
     for a, w in zip(allocations, windows):
         assert np.count_nonzero(w > 0.0) == np.count_nonzero(a.liquidity > 0.0)
-    epochs = np.array(plan.epochs, dtype=np.int64)
     return engine._gas_breakdown(np.count_nonzero(windows > 0.0, axis=1),
                                  engine._unchanged(windows, offsets),
-                                 epochs[:, 0], epochs[-1, 1], params,
+                                 plan.epochs[:, 0], plan.epochs[-1, 1], params,
                                  np.asarray(prices, dtype=np.float64))
 
 
@@ -227,3 +228,29 @@ def write_csv(path, header: str, columns) -> None:
         for s in range(0, len(cols[0]), 1 << 16):
             cells = (map(repr, c[s:s + (1 << 16)].tolist()) for c in cols)
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def random_band_weights(partition: BucketPartition, benchmarks, tau: int, seed,
+                        first_epoch: int = 0):
+    """(offsets, weights) of the random band strategy, one row at a time:
+    row r's band, the buckets within tau of benchmarks[r] clipped at the
+    partition edges, draws ``default_rng([seed, first_epoch + r]).random``
+    of its width into a window of min(n, 2 tau + 1) buckets, and rows are
+    normalised as ``allocation.band_weights`` does."""
+    n = partition.n
+    width = min(n, 2 * tau + 1)
+    offsets = np.empty(len(benchmarks), dtype=np.int64)
+    w = np.zeros((len(benchmarks), width))
+    band = np.zeros(w.shape, dtype=bool)
+    for r, s in enumerate(benchmarks):
+        lo, hi = max(s - 1 - tau, 0), min(s + tau, n)  # 0-based band [lo, hi)
+        offsets[r] = off = min(lo, n - width)
+        rng = np.random.default_rng([seed, first_epoch + r])
+        w[r, lo - off:hi - off] = rng.random(hi - lo)
+        band[r, lo - off:hi - off] = True
+    total = w.sum(axis=1, keepdims=True)
+    empty = total[:, 0] <= 0.0
+    w[empty], total[empty] = band[empty], band[empty].sum(axis=1, keepdims=True)
+    w /= total
+    w /= w.sum(axis=1, keepdims=True)
+    return offsets, w

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from clmm_backtest.allocation import (AllocationWeights, ProfileParams,
-                                      allocate_epoch, custom_weights,
+                                      allocate_epoch, band_weights, custom_weights,
                                       normal_profile_weights,
                                       random_band_weights,
                                       uniform_band_weights)
@@ -62,9 +62,20 @@ class TestRandomBand:
         assert w.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_composite_seed_accepted(self):
-        a = random_band_weights(PART10, s=5, tau=2, seed=[7, 0])
-        b = random_band_weights(PART10, s=5, tau=2, seed=[7, 1])
+        a = random_band_weights(PART10, s=5, tau=2, seed=7, epoch=0)
+        b = random_band_weights(PART10, s=5, tau=2, seed=7, epoch=1)
         assert not np.array_equal(a.weights, b.weights)
+
+    def test_row_is_the_epoch_stream(self):
+        # the documented stream: default_rng([seed, epoch]), normalised
+        draws = np.random.default_rng([7, 12]).random(5)
+        w = random_band_weights(PART10, s=5, tau=2, seed=7, epoch=12)
+        assert w.weights[2:7] == pytest.approx(draws / draws.sum(), rel=1e-15)
+
+    @pytest.mark.parametrize("seed", [True, False, -1, 2.0, "7", [7, 0]])
+    def test_rejects_seeds_that_are_not_non_negative_integers(self, seed):
+        with pytest.raises(ValueError):
+            band_weights(PART10, [5], 2, seed)
 
 
 class TestNormalProfile:

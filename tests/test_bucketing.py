@@ -53,7 +53,7 @@ class TestBucketPartition:
         assert wide.bucket_range(1).p_b == 1e15
 
     @pytest.mark.parametrize("lower,upper,n", [
-        (1.0, 11.0, 0), (1.0, 11.0, -3), (1.0, 11.0, 2.5),
+        (1.0, 11.0, 0), (1.0, 11.0, -3), (1.0, 11.0, 2.5), (1.0, 11.0, True),
         (11.0, 1.0, 10), (4.0, 4.0, 10), (0.0, 4.0, 10), (-1.0, 4.0, 10),
         (float("nan"), 4.0, 10), (1.0, float("inf"), 10),
     ])
@@ -173,13 +173,67 @@ class TestSegmentEpochs:
         with pytest.raises(ValueError):
             segment_epochs(P1_11, np.array([2.0, 12.0]), tau=1)
 
-    @pytest.mark.parametrize("tau", [-1, 0.5, 1.5])
+    @pytest.mark.parametrize("tau", [-1, 0.5, 1.5, True, False])
     def test_rejects_bad_tau(self, tau):
         with pytest.raises(ValueError):
             segment_epochs(P1_11, np.array([2.0, 3.0]), tau)
 
+    def test_numpy_integers_accepted(self):
+        part = BucketPartition(1.0, 11.0, np.int64(10))
+        prices = np.array([2.5, 4.5, 2.5])
+        assert list(segment_epochs(part, prices, np.uint8(1))) \
+            == [Epoch(0, 1, 2), Epoch(1, 2, 4), Epoch(2, 2, 2)]
+
+    @pytest.mark.parametrize("n,tau", [(40_000, 3), (40_000, 0), (20_000, 19_998),
+                                       (60, 4), (60, 58)])
+    def test_long_bands_and_wide_partitions_match_rescan(self, n, tau):
+        # runs that change bucket at nearly every row but keep within tau
+        # of their first bucket span far more change points than the range
+        # tables look ahead (127); then the price jumps to a new run, some
+        # of them across bucket 32,767, the int16 limit
+        rng = np.random.default_rng(n + tau)
+        part = BucketPartition(1.0, 9.0, n)
+        spread = tau // 2
+        centres = np.minimum([32_767, 5, 32_768, n, 32_766, n // 2], n)
+        runs = [np.clip(c + rng.integers(-spread, spread + 1, length), 1, n)
+                for c, length in zip(centres, [700, 1, 300, 129, 2000, 5])]
+        b = np.concatenate(runs) - 1
+        prices = part.edges[b] + rng.random(len(b)) * part.width * 0.99
+        plan = segment_epochs(part, prices, tau)
+        assert [(e.start, e.end, e.benchmark) for e in plan] \
+            == segment_by_rescan(part, prices, tau)
+
+    @pytest.mark.parametrize("changes", [1, 126, 127, 128, 129, 254, 255, 256, 1000])
+    def test_breaks_around_the_horizon(self, changes):
+        # alternating buckets 3 and 4 keep within tau = 1 of bucket 3 for
+        # ``changes`` change points, then bucket 9 breaks the band
+        prices = np.append(np.where(np.arange(changes + 1) % 2, 4.5, 3.5), 9.5)
+        plan = segment_epochs(P1_11, prices, 1)
+        assert list(plan) == [Epoch(0, changes + 1, 3), Epoch(changes + 1, changes + 1, 9)]
+
 
 class TestEpochPlanInvariants:
+
+    def test_table_rows_and_epochs(self):
+        part = BucketPartition(0.5, 10.5, 10)
+        plan = segment_epochs(part, np.array([2.5, 3.2, 4.7, 4.1, 6.3]), tau=1)
+        assert plan.epochs.dtype == np.int64
+        assert plan.epochs.tolist() == [[0, 2, 3], [2, 4, 5]]
+        assert not plan.epochs.flags.writeable
+        assert plan[1] == Epoch(2, 4, 5) and plan[-1] == Epoch(2, 4, 5)
+        assert all(type(x) is int for ep in plan for x in ep)
+        assert len(plan) == 2
+
+    def test_accepts_a_table(self):
+        table = np.array([[0, 2, 3], [2, 4, 6]])
+        plan = EpochPlan(table, series_length=5, tau=1)
+        table[0, 0] = 9  # the plan keeps its own copy
+        assert list(plan) == [Epoch(0, 2, 3), Epoch(2, 4, 6)]
+
+    @pytest.mark.parametrize("epochs", [(), np.empty((0, 3)), [(0, 4)]])
+    def test_rejects_empty_or_misshapen(self, epochs):
+        with pytest.raises(ValueError):
+            EpochPlan(epochs, series_length=5, tau=1)
 
     def test_rejects_gap_between_epochs(self):
         with pytest.raises(ValueError, match="share a boundary"):

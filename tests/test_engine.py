@@ -166,7 +166,7 @@ class SevenBuckets:
 
     def plan_and_alloc(self):
         plan = segment_epochs(self.part, self.prices, tau=6)
-        w = uniform_band_weights(self.part, plan.epochs[0].benchmark, 6)
+        w = uniform_band_weights(self.part, plan[0].benchmark, 6)
         alloc = allocate_epoch(w, 1e6, 2300.0, self.part)
         assert len(alloc.active_buckets()) == 7
         return plan, [alloc]
@@ -296,7 +296,7 @@ class TestRunBacktest:
         cfg_re, _ = self.config_and_walk(reinvest_mode="reinvest")
         rep_ex = run_backtest(cfg_ex, prices)
         rep_re = run_backtest(cfg_re, prices)
-        b1 = rep_ex.plan.epochs[0].end
+        b1 = rep_ex.plan[0].end
         jump = rep_re.lp_trajectory[b1] - rep_ex.lp_trajectory[b1]
         assert jump == pytest.approx(rep_ex.ledger.fee_converted[0], rel=1e-9)
 
@@ -482,6 +482,29 @@ class TestRunBacktest:
         assert np.array_equal(a.lp_trajectory, b.lp_trajectory)
         assert a.ledger.total_fee_b == b.ledger.total_fee_b
         assert a.ledger.total_fee_b != c.ledger.total_fee_b
+
+    @pytest.mark.parametrize("seed", [True, False, -1, 2.5, "7"])
+    def test_random_seed_must_be_a_non_negative_integer(self, seed):
+        cfg = BacktestConfig(BucketPartition(1000.0, 4000.0, 30), 2,
+                             StrategyConfig("random", seed=seed), 1e6, 0.003)
+        with pytest.raises(ConfigError) as exc:
+            cfg.validate()
+        assert exc.value.key == "seed"
+
+    @pytest.mark.parametrize("tau", [True, False, -1, 2.0])
+    def test_tau_must_be_a_non_negative_integer(self, tau):
+        cfg = uniform_config(BucketPartition(1000.0, 4000.0, 30), tau)
+        with pytest.raises(ConfigError) as exc:
+            cfg.validate()
+        assert exc.value.key == "tau"
+
+    def test_numpy_integer_seeds_draw_their_int_stream(self):
+        part = BucketPartition(1000.0, 4000.0, 30)
+        prices = walk_prices(seed=41, n=600)
+        runs = [run_backtest(BacktestConfig(part, 2, StrategyConfig("random", seed=s),
+                                            1e6, 0.003), prices)
+                for s in (2**64 - 1, np.uint64(2**64 - 1))]
+        assert runs[0].lp_trajectory.tobytes() == runs[1].lp_trajectory.tobytes()
 
     def test_custom_weights_strategy_runs(self):
         part = BucketPartition(1000.0, 4000.0, 5)

@@ -24,8 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from clmm_backtest._pcg import epoch_draws
 from clmm_backtest.allocation import (EpochAllocation, ProfileParams, allocate_epoch,
-                                      custom_weights, normal_profile_weights,
+                                      band_weights, custom_weights, normal_profile_weights,
                                       random_band_weights, uniform_band_weights)
 from clmm_backtest.bucketing import BucketPartition, Epoch, EpochPlan, segment_epochs
 from clmm_backtest.calibration import fee_curve, whole_pool_fee
@@ -119,7 +120,7 @@ def epoch_weights(config, e, benchmark):
     if strat.mode == "uniform":
         return uniform_band_weights(part, benchmark, config.tau)
     if strat.mode == "random":
-        return random_band_weights(part, benchmark, config.tau, seed=[strat.seed, e])
+        return random_band_weights(part, benchmark, config.tau, seed=strat.seed, epoch=e)
     return custom_weights(part, strat.weights)
 
 
@@ -405,6 +406,84 @@ def test_galloping_scan_matches_rescan(part, seed, m, move, tau):
                   flat_p=0.5, clamp=False)
     plan = segment_epochs(part, prices, tau)
     assert [(e.start, e.end, e.benchmark) for e in plan] == rescan(part, prices, tau)
+
+
+@st.composite
+def bucket_paths(draw):
+    """Prices that keep to the band of a centre bucket for runs of up to
+    1,500 rows, changing bucket at nearly every row when tau >= 2, so that
+    epochs span hundreds of change points (the range tables look 127 ahead)
+    and then jump.  Large partitions lie on both sides of 32,767 buckets,
+    where the bucket type turns from int16 to int32, and a band's upper end
+    can pass that limit; tau runs from 0 to n - 2, the widest band that can
+    break; runs can be flat, and series can be one row long."""
+    n = draw(st.one_of(st.integers(1, 60), st.integers(16_384, 40_000)))
+    lower = draw(st.floats(0.37, 4321.0))
+    part = BucketPartition(lower, lower * draw(st.floats(1.5, 60.0)), n)
+    tau = draw(st.one_of(st.integers(2, 6), st.integers(0, 1), st.just(max(n - 2, 0)),
+                         st.integers(0, n)))
+    m = draw(st.integers(1, 4000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = tau // 2  # any two buckets within spread of a centre are within tau
+    buckets = []
+    while sum(map(len, buckets)) < m:
+        # some centres sit by bucket 32,767, the int16 limit
+        centre = int(rng.integers(1, n + 1)) if rng.random() < 0.7 \
+            else min(n, int(rng.integers(32_760, 32_776)))
+        length = int(rng.integers(1, 1500))
+        run = centre if rng.random() < 0.2 else \
+            centre + rng.integers(-spread, spread + 1, length)
+        buckets.append(np.clip(np.broadcast_to(run, length), 1, n))
+    b = np.concatenate(buckets)[:m] - 1
+    # a point inside the bucket, or its lower edge
+    e = part.edges
+    u = np.where(rng.random(m) < 0.1, 0.0, rng.random(m))
+    prices = np.minimum(e[b] + u * (e[b + 1] - e[b]), part.upper)
+    return part, prices, tau
+
+
+@settings(max_examples=150)
+@given(bucket_paths())
+def test_segmentation_matches_rescan_past_the_horizon(case):
+    part, prices, tau = case
+    plan = segment_epochs(part, prices, tau)
+    assert [(e.start, e.end, e.benchmark) for e in plan] == rescan(part, prices, tau)
+
+
+def seeds():
+    """Seeds of one entropy word (0 included), of several, and of more
+    than SeedSequence's 4-word pool holds (2**96 and up), as Python ints
+    or as numpy integers where they fit."""
+    ints = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**96 - 1),
+                     st.integers(2**96, 2**300))
+    return st.one_of(ints, st.builds(np.uint32, st.integers(0, 2**32 - 1)),
+                     st.builds(np.int64, st.integers(0, 2**63 - 1)),
+                     st.builds(np.uint64, st.integers(0, 2**64 - 1)))
+
+
+@settings(max_examples=200)
+@given(seed=seeds(), first=st.integers(0, 2**20), rows=st.integers(0, 30),
+       k=st.integers(0, 40))
+def test_epoch_draws_match_default_rng(seed, first, rows, k):
+    # numpy's compatibility policy (NEP 19) fixes the bit streams but not
+    # Generator.random, so this pins the documented stream itself
+    epochs = first + np.arange(rows)
+    want = np.array([np.random.default_rng([seed, e]).random(k) for e in epochs.tolist()])
+    assert epoch_draws(seed, epochs, k).tobytes() == want.reshape(rows, k).tobytes()
+
+
+@settings(max_examples=200)
+@given(n=st.integers(1, 40), tau=st.integers(0, 45), seed=seeds(),
+       first=st.integers(0, 2**20), data=st.data())
+def test_random_band_rows_match_per_row_generators(n, tau, seed, first, data):
+    # benchmarks at and near both partition edges clip their bands
+    part = BucketPartition(1.0, 2.0, n)
+    edge = st.sampled_from(sorted({b for b in (1, 2, n - 1, n) if 1 <= b <= n}))
+    benchmarks = data.draw(st.lists(st.one_of(edge, st.integers(1, n)), max_size=25))
+    offsets, w = band_weights(part, benchmarks, tau, seed, first)
+    want_offsets, want = oracle.random_band_weights(part, benchmarks, tau, seed, first)
+    assert offsets.tolist() == want_offsets.tolist()
+    assert w.tobytes() == want.tobytes()
 
 
 def float_partitions():
