@@ -8,11 +8,9 @@ entirely below with token B, and the bucket containing the anchor gets a
 two-sided split.  An anchor sitting exactly on a bucket edge follows the
 same edge-ownership rule as bucket lookup.
 
-The batched forms work on many epochs at once: ``band_weights`` gives the
-band strategies' weights over fixed-width windows of buckets, one row per
+Both steps work on many epochs at once: ``band_weights`` gives the band
+strategies' weights over fixed-width windows of buckets, one row per
 epoch, and ``deploy`` turns a table of shares into liquidity row by row.
-``uniform_band_weights``, ``random_band_weights`` and ``allocate_epoch``
-are their one-row views.
 """
 
 from __future__ import annotations
@@ -134,28 +132,6 @@ def band_weights(partition: BucketPartition, benchmarks, tau: int, seed=None,
     return offsets, w
 
 
-def _band_row(partition: BucketPartition, s: int, tau: int, seed=None,
-              epoch: int = 0) -> AllocationWeights:
-    offsets, w = band_weights(partition, [s], tau, seed, epoch)
-    full = np.zeros(partition.n)
-    full[offsets[0]:offsets[0] + w.shape[1]] = w[0]
-    return AllocationWeights(full)
-
-
-def uniform_band_weights(partition: BucketPartition, s: int, tau: int) -> AllocationWeights:
-    """Equal weights on the buckets within tau of the benchmark bucket s
-    (``band_weights`` for one benchmark, over the whole partition)."""
-    return _band_row(partition, s, tau)
-
-
-def random_band_weights(partition: BucketPartition, s: int, tau: int,
-                        seed: int, epoch: int = 0) -> AllocationWeights:
-    """Seeded random weights on the band around the benchmark bucket
-    (``band_weights`` for one benchmark, seed and epoch, over the whole
-    partition)."""
-    return _band_row(partition, s, tau, seed, epoch)
-
-
 def normal_profile_weights(partition: BucketPartition,
                            params: ProfileParams) -> AllocationWeights:
     """Bell-curve weights over the whole partition.
@@ -181,30 +157,17 @@ def custom_weights(partition: BucketPartition, weights) -> AllocationWeights:
     return AllocationWeights(w)
 
 
-@dataclass(frozen=True)
-class EpochAllocation:
-    """Deployed liquidity for one epoch: liquidity[i-1] backs bucket i."""
-
-    liquidity: np.ndarray
-    deployed_capital: float
-    anchor_price: float
-
-    def active_buckets(self) -> np.ndarray:
-        """1-based indices of buckets holding positive liquidity."""
-        return np.flatnonzero(self.liquidity > 0.0) + 1
-
-
 def deploy(share: np.ndarray, anchor_price: np.ndarray, sa: np.ndarray,
            sb: np.ndarray) -> np.ndarray:
     """Liquidity for capital shares, one row per deployment.
 
     ``share`` (rows, W) is the token-B capital per bucket, ``anchor_price``
     (rows,) each row's anchor, and ``sa``, ``sb`` (rows, W) the buckets'
-    lower and upper roots, ascending along each row.  This is
-    ``core_math.split_capital`` per cell, in its operation order, with
-    sides read from roots: buckets whose lower root is at least the
-    anchor's hold token A, those below token B, and a bucket with the
-    anchor strictly inside gets the two-sided split.
+    lower and upper roots, ascending along each row.  This is the test
+    oracle's scalar ``split_capital`` (``tests/oracle.py``) per cell, in
+    its operation order, with sides read from roots: buckets whose lower
+    root is at least the anchor's hold token A, those below token B, and a
+    bucket with the anchor strictly inside gets the two-sided split.
     """
     a = anchor_price[:, None]
     sp = np.sqrt(a)
@@ -216,37 +179,3 @@ def deploy(share: np.ndarray, anchor_price: np.ndarray, sa: np.ndarray,
     y_l = 1.0 / (sp - sa)
     liq[r, c] = share[r, c] * x_l * y_l / (x_l + a * y_l)
     return liq
-
-
-def allocate_epoch(weights: AllocationWeights, capital: float, anchor_price: float,
-                   partition: BucketPartition) -> EpochAllocation:
-    """Deploy a capital budget across buckets at the epoch's anchor price.
-
-    Each bucket with positive weight receives weight * capital and is
-    converted into liquidity on that bucket's range (``deploy`` over the
-    weights' span).  Valuing every deployed position at the anchor price
-    recovers the budget exactly.
-
-    Args:
-        weights: per-bucket capital weights over the partition.
-        capital: deployable capital in token B, positive.
-        anchor_price: first price of the epoch.
-        partition: bucket layout the weights refer to.
-
-    Returns:
-        EpochAllocation with the per-bucket liquidity vector.
-    """
-    if weights.n != partition.n:
-        raise ValueError(f"weights cover {weights.n} buckets, partition has {partition.n}")
-    if not (isfinite(capital) and capital > 0.0):
-        raise ValueError(f"capital must be positive and finite, got {capital}")
-    if not (isfinite(anchor_price) and anchor_price > 0.0):
-        raise ValueError(f"anchor price must be positive and finite, got {anchor_price}")
-
-    active = weights.active_buckets()
-    lo, hi = int(active[0]) - 1, int(active[-1])
-    share = weights.weights[None, lo:hi] * capital
-    liquidity = np.zeros(partition.n)
-    liquidity[lo:hi] = deploy(share, np.array([anchor_price]), partition.roots[None, lo:hi],
-                              partition.roots[None, lo + 1:hi + 1])[0]
-    return EpochAllocation(liquidity, capital, anchor_price)

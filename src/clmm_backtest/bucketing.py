@@ -23,8 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_math import PriceRange
-
 
 def check_integer(value, low: int, what: str) -> None:
     """Raise ValueError unless value is an int or numpy integer of at least
@@ -79,12 +77,6 @@ class BucketPartition:
 
     def midpoints(self) -> np.ndarray:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
-
-    def bucket_range(self, i: int) -> PriceRange:
-        """Price range of bucket i (1-based)."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"bucket index must be in 1..{self.n}, got {i}")
-        return PriceRange(self.edge(i - 1), self.edge(i))
 
     def bucket_of(self, p: float) -> int:
         """1-based bucket index containing price p.

@@ -16,10 +16,12 @@ import argparse
 import dataclasses
 import json
 import sys
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
 
+from .allocation import ProfileParams
 from .calibration import calibrate_variance, fee_curve
 from .config import load_config
 from .engine import BacktestReport, run_backtest
@@ -142,8 +144,8 @@ def _parse_grid(text: str) -> np.ndarray:
         steps = int(parts[2])
     except ValueError:
         raise ConfigError(f"cannot parse grid {text!r}", key="grid") from None
-    if not 0.0 < lo < hi or steps < 2:
-        raise ConfigError(f"grid needs 0 < lo < hi and steps >= 2, got {text!r}",
+    if not (0.0 < lo < hi and isfinite(hi)) or steps < 2:
+        raise ConfigError(f"grid needs 0 < lo < hi < inf and steps >= 2, got {text!r}",
                           key="grid")
     return np.linspace(lo, hi, steps)
 
@@ -157,10 +159,14 @@ def cmd_calibrate(args) -> int:
                           key="mu")
     bound = args.bound if args.bound is not None \
         else (profile.bound if profile else 3.0)
-    if args.target_fee <= 0.0:
-        raise ConfigError(f"target fee must be positive, got {args.target_fee}",
+    if not (isfinite(args.target_fee) and args.target_fee > 0.0):
+        raise ConfigError(f"target fee must be positive and finite, got {args.target_fee}",
                           key="target-fee")
     grid = _parse_grid(args.grid)
+    try:  # the profile's rule for mu and bound, at a valid variance
+        ProfileParams(mu, grid[0], bound)
+    except ValueError as err:
+        raise ConfigError(str(err), key="bound" if isfinite(mu) else "mu") from None
 
     series = load_prices(args.prices)
     out_dir = Path(args.out_dir)
@@ -181,7 +187,32 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+def _money(v: float) -> str:
+    return f"${v:,.2f}"
+
+
+def _pct(v: float) -> str:
+    return f"{v * 100:.2f}%"
+
+
+# the summary table: row label, report.json key, format
+_SUMMARY = (
+    ("Deployed capital W", "initial_capital", _money),
+    ("Final value", "final_value", _money),
+    ("Volume model", "volume_total_b", _money),
+    ("Fees model", "fees_total_b", _money),
+    ("Gas cost", "gas_cost_b", _money),
+    ("Epochs", "epochs", str),
+    ("Profit rate", "profit_rate", _pct),
+    ("B&H profit rate", "bh_profit_rate", _pct),
+)
+
+
 def cmd_report(args) -> int:
+    for flag, fact in (("fact-fee", args.fact_fee), ("fact-volume", args.fact_volume)):
+        if fact is not None and not (isfinite(fact) and fact > 0.0):
+            raise ConfigError(f"--{flag} must be positive and finite, got {fact}",
+                              key=flag)
     try:
         with open(args.report_path) as fh:
             report = json.load(fh)
@@ -190,30 +221,20 @@ def cmd_report(args) -> int:
     except json.JSONDecodeError as err:
         raise DataError(f"malformed report {args.report_path}: {err}") from None
 
-    def money(v: float) -> str:
-        return f"${v:,.2f}"
-
-    def pct(v: float) -> str:
-        return f"{v * 100:.2f}%"
-
-    rows = [
-        ("Deployed capital W", money(report["initial_capital"])),
-        ("Final value", money(report["final_value"])),
-        ("Volume model", money(report["volume_total_b"])),
-        ("Fees model", money(report["fees_total_b"])),
-        ("Gas cost", money(report["gas_cost_b"])),
-        ("Epochs", str(report["epochs"])),
-        ("Profit rate", pct(report["profit_rate"])),
-        ("B&H profit rate", pct(report["bh_profit_rate"])),
-    ]
+    rows = []
+    for label, key, fmt in _SUMMARY:
+        value = report.get(key) if isinstance(report, dict) else None
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise DataError(f"report {args.report_path} has no numeric {key!r}")
+        rows.append((label, fmt(value)))
     if args.fact_fee is not None:
         err = (report["fees_total_b"] - args.fact_fee) / args.fact_fee
-        rows.append(("Fees fact", money(args.fact_fee)))
-        rows.append(("Fees error", pct(err)))
+        rows.append(("Fees fact", _money(args.fact_fee)))
+        rows.append(("Fees error", _pct(err)))
     if args.fact_volume is not None:
         err = (report["volume_total_b"] - args.fact_volume) / args.fact_volume
-        rows.append(("Volume fact", money(args.fact_volume)))
-        rows.append(("Volume error", pct(err)))
+        rows.append(("Volume fact", _money(args.fact_volume)))
+        rows.append(("Volume error", _pct(err)))
 
     width = max(len(name) for name, _ in rows)
     for name, value in rows:

@@ -15,7 +15,7 @@ price, so all buckets' differences share a sign and the bucket sum of
 their positive parts is the positive part of the change in the aggregate
 reserves.
 
-Every epoch is replayed at once, at unit capital.  ``split_capital`` is
+Every epoch is replayed at once, at unit capital.  ``deploy`` is
 homogeneous of degree 1 in capital, so an epoch's liquidity, inflows,
 trajectory and end value are its capital times their values at capital 1,
 and the capital chain is a cumulative product of per-epoch growth factors:
@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -69,7 +69,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .allocation import (ProfileParams, band_weights, band_width, custom_weights,
                          deploy, normal_profile_weights)
 from .bucketing import BucketPartition, EpochPlan, check_integer, check_tau, segment_epochs
-from .core_math import ReservePair
 from .errors import ConfigError, DataError
 from .prices import check_timestamps
 
@@ -104,8 +103,11 @@ class GasParams:
     gas_token_price: Optional[float] = None
 
     def __post_init__(self):
-        if self.mint_gas <= 0 or self.burn_gas <= 0:
-            raise ConfigError("gas unit costs must be positive", key="mint_gas")
+        for key in ("mint_gas", "burn_gas"):
+            try:
+                check_integer(getattr(self, key), 1, key)
+            except ValueError as err:
+                raise ConfigError(str(err), key=key) from None
         if not (isfinite(self.gas_price_gwei) and self.gas_price_gwei > 0.0):
             raise ConfigError(f"gas price must be positive, got {self.gas_price_gwei}",
                               key="gas_price_gwei")
@@ -311,6 +313,13 @@ def _gas_breakdown(active, unchanged, starts, last, params: GasParams,
                         transition_b,
                         final * params.burn_gas * eth_per_gas * float(token_price[-1]),
                         first + int(mint.sum()), int(burn.sum()) + final)
+
+
+class ReservePair(NamedTuple):
+    """Token reserves of a position: x in token A, y in token B."""
+
+    x: float
+    y: float
 
 
 def buy_and_hold(prices: np.ndarray, initial_split: ReservePair) -> np.ndarray:

@@ -1,5 +1,10 @@
 """Brute-force references the engine is checked against.
 
+The scalar position math of one concentrated-liquidity range (the range
+reserves of the Uniswap v3 core whitepaper, Adams et al., 2021) is the
+hand-derived reference for ``allocation.deploy`` and the reserve kernel:
+``split_capital`` per bucket is what ``deploy`` computes per cell.
+
 The engine computes fees and the capital trajectory from aggregate
 reserves.  This module keeps the transparent reference for that: every
 bucket's reserves at every timestep, materialised, with per-bucket
@@ -17,15 +22,204 @@ the vectorised stream must match bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
+from clmm_backtest.allocation import band_weights, deploy
 from clmm_backtest.bucketing import BucketPartition, EpochPlan
-from clmm_backtest.core_math import ReservePair
 from clmm_backtest import engine
-from clmm_backtest.engine import _LIQ_EQUAL_RTOL, FeeLedger, GasBreakdown, GasParams
+from clmm_backtest.engine import (_LIQ_EQUAL_RTOL, FeeLedger, GasBreakdown, GasParams,
+                                  ReservePair)
+
+
+class CapitalSplit(NamedTuple):
+    """Result of splitting a capital budget into a range position."""
+
+    x: float
+    y: float
+    liquidity: float
+
+    @property
+    def reserves(self) -> ReservePair:
+        return ReservePair(self.x, self.y)
+
+
+@dataclass(frozen=True)
+class PriceRange:
+    """Price interval [p_a, p_b] with 0 < p_a < p_b < inf.
+
+    Exposes the square-root bounds and the full-range reserve depths per
+    unit of liquidity, which is what every other formula here consumes.
+    """
+
+    p_a: float
+    p_b: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.p_a) and math.isfinite(self.p_b)):
+            raise ValueError(f"price bounds must be finite, got [{self.p_a}, {self.p_b}]")
+        if not 0.0 < self.p_a < self.p_b:
+            raise ValueError(f"need 0 < p_a < p_b, got [{self.p_a}, {self.p_b}]")
+        if math.sqrt(self.p_a) >= math.sqrt(self.p_b):
+            # guards against bounds so close their square roots collapse
+            raise ValueError(f"degenerate range, sqrt bounds collide: [{self.p_a}, {self.p_b}]")
+
+    @property
+    def sqrt_a(self) -> float:
+        return math.sqrt(self.p_a)
+
+    @property
+    def sqrt_b(self) -> float:
+        return math.sqrt(self.p_b)
+
+    @property
+    def delta_x(self) -> float:
+        """Token-A depth per unit liquidity across the whole range."""
+        return 1.0 / self.sqrt_a - 1.0 / self.sqrt_b
+
+    @property
+    def delta_y(self) -> float:
+        """Token-B depth per unit liquidity across the whole range."""
+        return self.sqrt_b - self.sqrt_a
+
+    def contains(self, p: float) -> bool:
+        """True when p lies strictly inside the range."""
+        return self.p_a < p < self.p_b
+
+
+def _check_price(p: float) -> None:
+    if not (math.isfinite(p) and p > 0.0):
+        raise ValueError(f"price must be positive and finite, got {p}")
+
+
+def liquidity_from_x(x: float, rng: PriceRange) -> float:
+    """Liquidity of a position funded entirely with x units of token A."""
+    if not (math.isfinite(x) and x >= 0.0):
+        raise ValueError(f"token A amount must be non-negative, got {x}")
+    return x * rng.sqrt_a * rng.sqrt_b / (rng.sqrt_b - rng.sqrt_a)
+
+
+def liquidity_from_y(y: float, rng: PriceRange) -> float:
+    """Liquidity of a position funded entirely with y units of token B."""
+    if not (math.isfinite(y) and y >= 0.0):
+        raise ValueError(f"token B amount must be non-negative, got {y}")
+    return y / (rng.sqrt_b - rng.sqrt_a)
+
+
+def split_capital(w: float, p: float, rng: PriceRange) -> CapitalSplit:
+    """Split a token-B capital budget into a position on one range.
+
+    With the contract price strictly inside the range, the budget is split
+    so both tokens back the same liquidity; the split solves
+
+        x * sqrt(p) * sqrt(p_b) / (sqrt(p_b) - sqrt(p))
+            = y / (sqrt(p) - sqrt(p_a)),       y + x * p = w.
+
+    At or beyond a bound the position degenerates to a single token:
+    all token A bought at p when p <= p_a, all token B when p >= p_b.
+    Sides are told apart by square roots: a price inside the range whose
+    root equals a bound's counts as sitting on that bound.
+
+    Args:
+        w: capital budget in token B, must be positive.
+        p: current contract price.
+        rng: target price range.
+
+    Returns:
+        CapitalSplit with reserves (x, y) and the backed liquidity.
+    """
+    if not (math.isfinite(w) and w > 0.0):
+        raise ValueError(f"capital must be positive and finite, got {w}")
+    _check_price(p)
+
+    sp = math.sqrt(p)
+    if sp <= rng.sqrt_a:
+        x = w / p
+        return CapitalSplit(x, 0.0, liquidity_from_x(x, rng))
+    if sp >= rng.sqrt_b:
+        return CapitalSplit(0.0, w, liquidity_from_y(w, rng))
+
+    x_l = sp * rng.sqrt_b / (rng.sqrt_b - sp)
+    y_l = 1.0 / (sp - rng.sqrt_a)
+    denom = x_l + p * y_l
+    x = w * y_l / denom
+    y = w * x_l / denom
+    # both x * x_l and y * y_l reduce to the same expression, use it directly
+    liquidity = w * x_l * y_l / denom
+    return CapitalSplit(x, y, liquidity)
+
+
+def liquidity_state(l: float, rng: PriceRange, p: float) -> ReservePair:
+    """Reserves held by liquidity l on a range at contract price p.
+
+    Below the range the position is all token A, above it all token B,
+    and strictly inside both reserves are live:
+
+        p <= p_a:        (l * (1/sqrt(p_a) - 1/sqrt(p_b)), 0)
+        p_a < p < p_b:   (l * (1/sqrt(p) - 1/sqrt(p_b)), l * (sqrt(p) - sqrt(p_a)))
+        p >= p_b:        (0, l * (sqrt(p_b) - sqrt(p_a)))
+    """
+    if not (math.isfinite(l) and l >= 0.0):
+        raise ValueError(f"liquidity must be non-negative, got {l}")
+    _check_price(p)
+
+    if p <= rng.p_a:
+        return ReservePair(l * rng.delta_x, 0.0)
+    if p >= rng.p_b:
+        return ReservePair(0.0, l * rng.delta_y)
+    sp = math.sqrt(p)
+    return ReservePair(l * (1.0 / sp - 1.0 / rng.sqrt_b), l * (sp - rng.sqrt_a))
+
+
+def position_value(l: float, rng: PriceRange, p: float, valuation_price: float) -> float:
+    """Token-B value of a range position, reserves priced at valuation_price."""
+    _check_price(valuation_price)
+    x, y = liquidity_state(l, rng, p)
+    return y + x * valuation_price
+
+
+def invariant_residual(reserves: ReservePair, l: float, rng: PriceRange) -> float:
+    """Relative residual of the reserve curve identity for a range position.
+
+    Zero (up to roundoff) whenever (x, y, l) describe a consistent position:
+    (x + l/sqrt(p_b)) * (y + l*sqrt(p_a)) = l**2.
+    """
+    if l <= 0.0:
+        raise ValueError(f"liquidity must be positive, got {l}")
+    lhs = (reserves.x + l / rng.sqrt_b) * (reserves.y + l * rng.sqrt_a)
+    return (lhs - l * l) / (l * l)
+
+
+def bucket_range(partition: BucketPartition, i: int) -> PriceRange:
+    """Price range of bucket i (1-based): its two edges from the table."""
+    return PriceRange(partition.edge(i - 1), partition.edge(i))
+
+
+def band_row(partition: BucketPartition, benchmark: int, tau: int, seed=None,
+             epoch: int = 0) -> np.ndarray:
+    """One epoch's band weights over the whole partition, zero outside its
+    window: ``band_weights``' row without a seed, the per-row generator
+    reference ``random_band_weights``' row with one."""
+    if seed is None:
+        offsets, w = band_weights(partition, [benchmark], tau)
+    else:
+        offsets, w = random_band_weights(partition, [benchmark], tau, seed, epoch)
+    row = np.zeros(partition.n)
+    row[offsets[0]:offsets[0] + w.shape[1]] = w[0]
+    return row
+
+
+def deploy_row(partition: BucketPartition, weights, capital: float,
+               anchor: float) -> np.ndarray:
+    """One epoch's liquidity over the whole partition: ``deploy`` of the
+    shares weights * capital at the anchor price, as one row."""
+    share = np.asarray(weights, dtype=np.float64)[None] * capital
+    return deploy(share, np.array([float(anchor)]), partition.roots[None, :-1],
+                  partition.roots[None, 1:])[0]
 
 
 @dataclass(frozen=True)
@@ -63,27 +257,27 @@ def _states_rows(liquidity, sqrt_a, sqrt_b, sqrt_prices):
 
 
 def build_state_tensor(partition: BucketPartition, plan: EpochPlan,
-                       allocations: list, prices: np.ndarray) -> PoolStateTensor:
+                       liquidity: list, prices: np.ndarray) -> PoolStateTensor:
     """Materialise the reserve states of every epoch, timestep and bucket.
 
     Args:
         partition: bucket layout.
         plan: epoch segmentation of the series.
-        allocations: one EpochAllocation per epoch in the plan.
+        liquidity: one per-bucket liquidity vector per epoch in the plan.
         prices: full price series the plan was built for.
 
     Returns:
         PoolStateTensor with one (length, buckets, 2) array per epoch.
     """
-    if len(allocations) != len(plan):
-        raise ValueError(f"{len(allocations)} allocations for {len(plan)} epochs")
+    if len(liquidity) != len(plan):
+        raise ValueError(f"{len(liquidity)} liquidity vectors for {len(plan)} epochs")
     p = np.asarray(prices, dtype=np.float64)
     se = np.sqrt(partition.edges)
     sa, sb = se[:-1], se[1:]
     out = []
-    for ep, alloc in zip(plan, allocations):
+    for ep, liq in zip(plan, liquidity):
         sp = np.sqrt(p[ep.start:ep.end + 1])
-        x, y = _states_rows(alloc.liquidity, sa, sb, sp)
+        x, y = _states_rows(liq, sa, sb, sp)
         out.append(np.stack([x, y], axis=-1))
     return PoolStateTensor(plan, tuple(out))
 
@@ -140,7 +334,7 @@ def exact_volume(partition: BucketPartition, liquidity: np.ndarray,
     return total
 
 
-def gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
+def gas_cost(plan: EpochPlan, liquidity: list, params: GasParams,
              prices: np.ndarray) -> GasBreakdown:
     """Gas spend of a deployment schedule, in token B, from whole-vector
     comparisons.
@@ -153,8 +347,8 @@ def gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
     epoch's positions are burned at the last timestep.  Every transition
     compares the two liquidity vectors over all buckets.
     """
-    if len(allocations) != len(plan):
-        raise ValueError(f"{len(allocations)} allocations for {len(plan)} epochs")
+    if len(liquidity) != len(plan):
+        raise ValueError(f"{len(liquidity)} liquidity vectors for {len(plan)} epochs")
     p = np.asarray(prices, dtype=np.float64)
 
     def token_price(t: int) -> float:
@@ -166,14 +360,14 @@ def gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
     mints = burns = 0
     initial_b = transition_b = final_b = 0.0
 
-    first = allocations[0].liquidity > 0.0
+    first = liquidity[0] > 0.0
     n0 = int(first.sum())
     mints += n0
     initial_b = n0 * params.mint_gas * eth_per_gas * token_price(plan[0].start)
 
     for e in range(1, len(plan)):
-        old = allocations[e - 1].liquidity
-        new = allocations[e].liquidity
+        old = liquidity[e - 1]
+        new = liquidity[e]
         unchanged = (old > 0.0) & (new > 0.0) \
             & (np.abs(old - new) <= _LIQ_EQUAL_RTOL * np.maximum(old, new))
         burn_here = int(((old > 0.0) & ~unchanged).sum())
@@ -184,7 +378,7 @@ def gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
         transition_b += (burn_here * params.burn_gas
                          + mint_here * params.mint_gas) * eth_per_gas * price
 
-    last = allocations[-1].liquidity > 0.0
+    last = liquidity[-1] > 0.0
     nl = int(last.sum())
     burns += nl
     final_b = nl * params.burn_gas * eth_per_gas * token_price(plan[-1].end)
@@ -192,27 +386,27 @@ def gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
     return GasBreakdown(initial_b, transition_b, final_b, mints, burns)
 
 
-def engine_gas_cost(plan: EpochPlan, allocations: list, params: GasParams,
+def engine_gas_cost(plan: EpochPlan, liquidity: list, params: GasParams,
                     prices: np.ndarray, width: int = None,
                     offsets=None) -> GasBreakdown:
     """The engine's gas count on a schedule of whole liquidity vectors.
 
     ``run_backtest`` counts gas over each epoch's window of buckets; this
-    cuts each allocation to the window of ``width`` buckets starting at
-    ``offsets[e]`` (by default the whole partition for every epoch) and
+    cuts each liquidity vector to the window of ``width`` buckets starting
+    at ``offsets[e]`` (by default the whole partition for every epoch) and
     hands the windows to the same ``engine._unchanged`` and
-    ``engine._gas_breakdown``.  Each window must hold its allocation's
+    ``engine._gas_breakdown``.  Each window must hold its vector's
     positive buckets.
     """
-    if len(allocations) != len(plan):
-        raise ValueError(f"{len(allocations)} allocations for {len(plan)} epochs")
-    n = len(allocations[0].liquidity)
+    if len(liquidity) != len(plan):
+        raise ValueError(f"{len(liquidity)} liquidity vectors for {len(plan)} epochs")
+    n = len(liquidity[0])
     width = n if width is None else width
     offsets = np.zeros(len(plan), dtype=np.int64) if offsets is None \
         else np.asarray(offsets, dtype=np.int64)
-    windows = np.stack([a.liquidity[o:o + width] for a, o in zip(allocations, offsets)])
-    for a, w in zip(allocations, windows):
-        assert np.count_nonzero(w > 0.0) == np.count_nonzero(a.liquidity > 0.0)
+    windows = np.stack([liq[o:o + width] for liq, o in zip(liquidity, offsets)])
+    for liq, w in zip(liquidity, windows):
+        assert np.count_nonzero(w > 0.0) == np.count_nonzero(liq > 0.0)
     return engine._gas_breakdown(np.count_nonzero(windows > 0.0, axis=1),
                                  engine._unchanged(windows, offsets),
                                  plan.epochs[:, 0], plan.epochs[-1, 1], params,

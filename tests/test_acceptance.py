@@ -15,16 +15,13 @@ import time
 import numpy as np
 import pytest
 
-from clmm_backtest.allocation import EpochAllocation
+from clmm_backtest.allocation import deploy
 from clmm_backtest.bucketing import BucketPartition, segment_epochs
 from clmm_backtest.calibration import calibrate_variance, whole_pool_fee
 from clmm_backtest.cli import main
-from clmm_backtest.core_math import (PriceRange, ReservePair, liquidity_from_x,
-                                     liquidity_from_y, liquidity_state,
-                                     position_value, split_capital)
-from clmm_backtest.engine import (BacktestConfig, StrategyConfig, buy_and_hold,
-                                  run_backtest)
-from oracle import build_state_tensor, compute_fees
+from clmm_backtest.engine import (BacktestConfig, ReservePair, StrategyConfig,
+                                  buy_and_hold, run_backtest)
+from oracle import PriceRange, build_state_tensor, compute_fees, liquidity_state
 
 
 def report(criterion, detail):
@@ -34,39 +31,57 @@ def report(criterion, detail):
 def test_criterion_01_core_math_oracles():
     t0 = time.perf_counter()
 
-    assert liquidity_from_x(1.0, PriceRange(1, 4)) == pytest.approx(2.0, rel=1e-9)
-    assert liquidity_from_x(2.0, PriceRange(1, 4)) == pytest.approx(4.0, rel=1e-9)
-    assert liquidity_from_y(3.0, PriceRange(1, 4)) == pytest.approx(3.0, rel=1e-9)
-    assert liquidity_from_y(5.0, PriceRange(4, 9)) == pytest.approx(5.0, rel=1e-9)
+    def deployed(share, anchor, lower, upper):
+        """Liquidity ``deploy`` backs a token-B share with on one range."""
+        roots = BucketPartition(lower, upper, 1).roots
+        return float(deploy(np.array([[share]]), np.array([anchor]),
+                            roots[None, :1], roots[None, 1:])[0, 0])
 
-    split = split_capital(1.0, 2.25, PriceRange(1, 4))
+    def run(capital, p0):
+        """One-bucket [1, 4] backtest anchored at p0."""
+        cfg = BacktestConfig(BucketPartition(1.0, 4.0, 1), 0,
+                             StrategyConfig("uniform"), capital, 0.003)
+        return run_backtest(cfg, np.array([p0, p0]))
+
+    # token A alone (anchor at p_a: a share buys share / p_a of it), then
+    # token B alone (anchor at p_b)
+    assert deployed(1.0, 1.0, 1, 4) == pytest.approx(2.0, rel=1e-9)
+    assert deployed(2.0, 1.0, 1, 4) == pytest.approx(4.0, rel=1e-9)
+    assert deployed(3.0, 4.0, 1, 4) == pytest.approx(3.0, rel=1e-9)
+    assert deployed(5.0, 9.0, 4, 9) == pytest.approx(5.0, rel=1e-9)
+
+    split = run(1.0, 2.25).initial_split
     assert split.x == pytest.approx(2 / 10.5, rel=1e-9)
     assert split.y == pytest.approx(6 / 10.5, rel=1e-9)
-    assert split.liquidity == pytest.approx(12 / 10.5, rel=1e-9)
+    assert deployed(1.0, 2.25, 1, 4) == pytest.approx(12 / 10.5, rel=1e-9)
 
-    state = liquidity_state(2.0, PriceRange(1, 4), 0.25)
-    assert state == pytest.approx((1.0, 0.0), abs=1e-9)
-    state = liquidity_state(2.0, PriceRange(1, 4), 2.25)
-    # 2*(1/1.5 - 1/2) = 1/3
-    assert state == pytest.approx((1 / 3, 1.0), rel=1e-9)
-    state = liquidity_state(2.0, PriceRange(1, 4), 9.0)
-    assert state == pytest.approx((0.0, 2.0), abs=1e-9)
-    assert position_value(2.0, PriceRange(1, 4), 2.25, 2.25) \
-        == pytest.approx(1 + (1 / 3) * 2.25, rel=1e-9)
+    # liquidity 2 in each regime holds the reserves its capital splits into
+    for capital, p0, state in ((1.0, 1.0, (1.0, 0.0)),
+                               # 2*(1/1.5 - 1/2) = 1/3
+                               (1.75, 2.25, (1 / 3, 1.0)),
+                               (2.0, 4.0, (0.0, 2.0))):
+        assert deployed(capital, p0, 1, 4) == pytest.approx(2.0, rel=1e-9)
+        assert run(capital, p0).initial_split == pytest.approx(state, rel=1e-9, abs=1e-9)
+    assert run(1.75, 2.25).lp_trajectory[-1] == pytest.approx(1 + (1 / 3) * 2.25, rel=1e-9)
 
     rng = np.random.default_rng(101)
-    worst = 0.0
+    draws = []
     for _ in range(10_000):
         p_a = 10.0 ** rng.uniform(-4, 4)
         p_b = p_a * (1.0 + 10.0 ** rng.uniform(-3, 3))
         w = 10.0 ** rng.uniform(-2, 7)
         p = p_a * 10.0 ** (rng.uniform(-0.3, 0.3) * math.log10(p_b / p_a))
-        x, y, l = split_capital(w, p, PriceRange(p_a, p_b))
-        if l == 0.0:
-            continue
-        # curve identity, evaluated with independent arithmetic
-        res = (x + l / math.sqrt(p_b)) * (y + l * math.sqrt(p_a)) - l * l
-        worst = max(worst, abs(res) / (l * l))
+        draws.append((p_a, p_b, w, p))
+    p_a, p_b, w, p = np.array(draws).T
+    sa, sb = np.sqrt(p_a)[:, None], np.sqrt(p_b)[:, None]
+    l = deploy(w[:, None], p, sa, sb)[:, 0]
+    # the reserves at the anchor from the clipped root, then the curve
+    # identity, evaluated with independent arithmetic
+    c = np.clip(np.sqrt(p), sa[:, 0], sb[:, 0])
+    x, y = l * (1.0 / c - 1.0 / sb[:, 0]), l * (c - sa[:, 0])
+    live = l > 0.0
+    res = (x + l / np.sqrt(p_b)) * (y + l * np.sqrt(p_a)) - l * l
+    worst = float((np.abs(res[live]) / (l[live] * l[live])).max())
     assert worst < 1e-9
 
     elapsed = time.perf_counter() - t0
@@ -134,11 +149,9 @@ def test_criterion_04_fee_closed_forms():
     t0 = time.perf_counter()
     part = BucketPartition(1.0, 4.0, 1)
     l, rate = 5.5, 0.003
-    alloc = EpochAllocation(np.array([l]), 0.0, 1.2)
-
     def ledger_for(prices):
         plan = segment_epochs(part, prices, tau=1)
-        tensor = build_state_tensor(part, plan, [alloc], prices)
+        tensor = build_state_tensor(part, plan, [np.array([l])], prices)
         return compute_fees(tensor, rate, prices)
 
     rising_closed = rate * l * (math.sqrt(3.9) - math.sqrt(1.1))

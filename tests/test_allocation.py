@@ -5,72 +5,74 @@ import math
 import numpy as np
 import pytest
 
-from clmm_backtest.allocation import (AllocationWeights, ProfileParams,
-                                      allocate_epoch, band_weights, custom_weights,
-                                      normal_profile_weights,
-                                      random_band_weights,
-                                      uniform_band_weights)
+from clmm_backtest.allocation import (AllocationWeights, ProfileParams, band_weights,
+                                      custom_weights, normal_profile_weights)
 from clmm_backtest.bucketing import BucketPartition
-from clmm_backtest.core_math import position_value, split_capital
+from oracle import band_row, bucket_range, deploy_row, position_value, split_capital
 
 PART10 = BucketPartition(1.0, 11.0, 10)
+
+
+def active(offsets, w):
+    """1-based buckets carrying weight in the first row of a window table."""
+    return (offsets[0] + np.flatnonzero(w[0]) + 1).tolist()
 
 
 class TestUniformBand:
 
     def test_interior_band(self):
-        w = uniform_band_weights(PART10, s=5, tau=2)
-        assert w.active_buckets().tolist() == [3, 4, 5, 6, 7]
-        assert w.weights[2:7] == pytest.approx(np.full(5, 0.2), rel=1e-12)
+        offsets, w = band_weights(PART10, [5], 2)
+        assert active(offsets, w) == [3, 4, 5, 6, 7]
+        assert w[0] == pytest.approx(np.full(5, 0.2), rel=1e-12)
 
     def test_band_clipped_at_lower_bound(self):
-        w = uniform_band_weights(PART10, s=1, tau=2)
-        assert w.active_buckets().tolist() == [1, 2, 3]
-        assert w.weights[:3] == pytest.approx(np.full(3, 1 / 3), rel=1e-12)
+        offsets, w = band_weights(PART10, [1], 2)
+        assert active(offsets, w) == [1, 2, 3]
+        assert w[0, :3] == pytest.approx(np.full(3, 1 / 3), rel=1e-12)
 
     def test_band_clipped_at_upper_bound(self):
-        w = uniform_band_weights(PART10, s=10, tau=2)
-        assert w.active_buckets().tolist() == [8, 9, 10]
+        offsets, w = band_weights(PART10, [10], 2)
+        assert active(offsets, w) == [8, 9, 10]
 
     def test_tau_zero_is_single_bucket(self):
-        w = uniform_band_weights(PART10, s=4, tau=0)
-        assert w.active_buckets().tolist() == [4]
-        assert w.weights[3] == 1.0
+        offsets, w = band_weights(PART10, [4], 0)
+        assert active(offsets, w) == [4]
+        assert w[0, 0] == 1.0
 
     def test_rejects_benchmark_outside_partition(self):
         with pytest.raises(ValueError):
-            uniform_band_weights(PART10, s=0, tau=1)
+            band_weights(PART10, [0], 1)
         with pytest.raises(ValueError):
-            uniform_band_weights(PART10, s=11, tau=1)
+            band_weights(PART10, [11], 1)
 
 
 class TestRandomBand:
 
     def test_same_seed_same_weights(self):
-        a = random_band_weights(PART10, s=5, tau=2, seed=42)
-        b = random_band_weights(PART10, s=5, tau=2, seed=42)
-        assert np.array_equal(a.weights, b.weights)
+        a = band_weights(PART10, [5], 2, seed=42)[1]
+        b = band_weights(PART10, [5], 2, seed=42)[1]
+        assert np.array_equal(a, b)
 
     def test_different_seed_different_weights(self):
-        a = random_band_weights(PART10, s=5, tau=2, seed=42)
-        b = random_band_weights(PART10, s=5, tau=2, seed=43)
-        assert not np.array_equal(a.weights, b.weights)
+        a = band_weights(PART10, [5], 2, seed=42)[1]
+        b = band_weights(PART10, [5], 2, seed=43)[1]
+        assert not np.array_equal(a, b)
 
     def test_support_is_the_band(self):
-        w = random_band_weights(PART10, s=5, tau=2, seed=0)
-        assert w.active_buckets().tolist() == [3, 4, 5, 6, 7]
-        assert w.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        offsets, w = band_weights(PART10, [5], 2, seed=0)
+        assert active(offsets, w) == [3, 4, 5, 6, 7]
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_composite_seed_accepted(self):
-        a = random_band_weights(PART10, s=5, tau=2, seed=7, epoch=0)
-        b = random_band_weights(PART10, s=5, tau=2, seed=7, epoch=1)
-        assert not np.array_equal(a.weights, b.weights)
+        a = band_weights(PART10, [5], 2, seed=7, first_epoch=0)[1]
+        b = band_weights(PART10, [5], 2, seed=7, first_epoch=1)[1]
+        assert not np.array_equal(a, b)
 
     def test_row_is_the_epoch_stream(self):
         # the documented stream: default_rng([seed, epoch]), normalised
         draws = np.random.default_rng([7, 12]).random(5)
-        w = random_band_weights(PART10, s=5, tau=2, seed=7, epoch=12)
-        assert w.weights[2:7] == pytest.approx(draws / draws.sum(), rel=1e-15)
+        w = band_weights(PART10, [5], 2, seed=7, first_epoch=12)[1]
+        assert w[0] == pytest.approx(draws / draws.sum(), rel=1e-15)
 
     @pytest.mark.parametrize("seed", [True, False, -1, 2.0, "7", [7, 0]])
     def test_rejects_seeds_that_are_not_non_negative_integers(self, seed):
@@ -158,6 +160,8 @@ class TestCustomWeights:
 
 
 class TestAllocateEpoch:
+    """One epoch's capital deployed across buckets: ``deploy`` on one row,
+    valued with the oracle's scalar range math."""
 
     def anchors(self, part):
         return [part.lower + 1e-9, 2.4, 5.0, 7.3, part.upper - 1e-9,
@@ -168,75 +172,47 @@ class TestAllocateEpoch:
         for anchor in self.anchors(PART10):
             raw = rng.random(10) + 0.01
             weights = custom_weights(PART10, raw / raw.sum())
-            alloc = allocate_epoch(weights, 1e6, anchor, PART10)
+            liq = deploy_row(PART10, weights.weights, 1e6, anchor)
             total = sum(
-                position_value(alloc.liquidity[i - 1], PART10.bucket_range(i),
-                               anchor, anchor)
-                for i in alloc.active_buckets()
+                position_value(liq[i - 1], bucket_range(PART10, i), anchor, anchor)
+                for i in weights.active_buckets()
             )
             assert total == pytest.approx(1e6, rel=1e-9)
 
     def test_single_bucket_matches_direct_split(self):
-        w = uniform_band_weights(PART10, s=4, tau=0)
-        alloc = allocate_epoch(w, 5000.0, 4.4, PART10)
-        direct = split_capital(5000.0, 4.4, PART10.bucket_range(4))
-        assert alloc.liquidity[3] == pytest.approx(direct.liquidity, rel=1e-12)
-        assert np.count_nonzero(alloc.liquidity) == 1
+        liq = deploy_row(PART10, band_row(PART10, 4, 0), 5000.0, 4.4)
+        direct = split_capital(5000.0, 4.4, bucket_range(PART10, 4))
+        assert liq[3] == pytest.approx(direct.liquidity, rel=1e-12)
+        assert np.count_nonzero(liq) == 1
 
     def test_zero_weight_means_zero_liquidity(self):
         raw = np.array([0, 0, 1, 1, 0, 0, 2, 0, 0, 0], float)
         w = custom_weights(PART10, raw / raw.sum())
-        alloc = allocate_epoch(w, 1e4, 5.5, PART10)
-        assert set(alloc.active_buckets().tolist()) == {3, 4, 7}
-        assert alloc.liquidity[0] == 0.0
+        liq = deploy_row(PART10, w.weights, 1e4, 5.5)
+        assert set((np.flatnonzero(liq) + 1).tolist()) == {3, 4, 7}
+        assert liq[0] == 0.0
 
     def test_value_splits_proportionally_to_weights(self):
         raw = np.array([1, 0, 2, 0, 3, 0, 0, 0, 0, 4], float)
         weights = custom_weights(PART10, raw / raw.sum())
-        alloc = allocate_epoch(weights, 2e5, 6.1, PART10)
-        for i in alloc.active_buckets():
-            v = position_value(alloc.liquidity[i - 1], PART10.bucket_range(i),
-                               6.1, 6.1)
+        liq = deploy_row(PART10, weights.weights, 2e5, 6.1)
+        for i in weights.active_buckets():
+            v = position_value(liq[i - 1], bucket_range(PART10, i), 6.1, 6.1)
             assert v == pytest.approx(2e5 * weights.weights[i - 1], rel=1e-9)
 
     def test_buckets_above_anchor_hold_token_a_only(self):
-        w = uniform_band_weights(PART10, s=8, tau=1)
-        alloc = allocate_epoch(w, 1e4, 2.0, PART10)
-        for i in alloc.active_buckets():
-            rng = PART10.bucket_range(i)
-            l = alloc.liquidity[i - 1]
+        w = band_row(PART10, 8, 1)
+        liq = deploy_row(PART10, w, 1e4, 2.0)
+        for i in np.flatnonzero(liq) + 1:
+            rng = bucket_range(PART10, i)
+            l = liq[i - 1]
             assert l * rng.delta_x > 0
             # value held entirely in token A: worth w_i * W at the anchor
-            assert l * rng.delta_x * 2.0 == pytest.approx(
-                1e4 * w.weights[i - 1], rel=1e-9)
+            assert l * rng.delta_x * 2.0 == pytest.approx(1e4 * w[i - 1], rel=1e-9)
 
     def test_buckets_below_anchor_hold_token_b_only(self):
-        w = uniform_band_weights(PART10, s=2, tau=1)
-        alloc = allocate_epoch(w, 1e4, 9.0, PART10)
-        for i in alloc.active_buckets():
-            l = alloc.liquidity[i - 1]
-            assert l * PART10.bucket_range(i).delta_y == pytest.approx(
-                1e4 * w.weights[i - 1], rel=1e-9)
-
-    def test_records_anchor_and_capital(self):
-        w = uniform_band_weights(PART10, s=5, tau=1)
-        alloc = allocate_epoch(w, 777.0, 5.2, PART10)
-        assert alloc.deployed_capital == 777.0
-        assert alloc.anchor_price == 5.2
-
-    def test_rejects_nonpositive_capital_and_bad_anchor(self):
-        w = uniform_band_weights(PART10, s=5, tau=1)
-        with pytest.raises(ValueError):
-            allocate_epoch(w, 0.0, 5.2, PART10)
-        with pytest.raises(ValueError):
-            allocate_epoch(w, -3.0, 5.2, PART10)
-        with pytest.raises(ValueError):
-            allocate_epoch(w, 100.0, float("nan"), PART10)
-        with pytest.raises(ValueError):
-            allocate_epoch(w, 100.0, 0.0, PART10)
-
-    def test_weight_length_must_match_partition(self):
-        w = uniform_band_weights(PART10, s=5, tau=1)
-        other = BucketPartition(1.0, 11.0, 4)
-        with pytest.raises(ValueError):
-            allocate_epoch(w, 100.0, 5.2, other)
+        w = band_row(PART10, 2, 1)
+        liq = deploy_row(PART10, w, 1e4, 9.0)
+        for i in np.flatnonzero(liq) + 1:
+            assert liq[i - 1] * bucket_range(PART10, i).delta_y == pytest.approx(
+                1e4 * w[i - 1], rel=1e-9)

@@ -5,6 +5,7 @@ import pytest
 
 from clmm_backtest.bucketing import (BucketPartition, Epoch, EpochPlan,
                                      segment_epochs)
+from oracle import bucket_range
 
 P1_11 = BucketPartition(1.0, 11.0, 10)
 
@@ -33,9 +34,8 @@ class TestBucketPartition:
 
     def test_reference_layout(self):
         assert P1_11.width == pytest.approx(1.0, rel=1e-12)
-        b3 = P1_11.bucket_range(3)
-        assert b3.p_a == pytest.approx(3.0, rel=1e-12)
-        assert b3.p_b == pytest.approx(4.0, rel=1e-12)
+        assert P1_11.edge(2) == pytest.approx(3.0, rel=1e-12)
+        assert P1_11.edge(3) == pytest.approx(4.0, rel=1e-12)
 
     def test_interior_edge_belongs_to_higher_bucket(self):
         assert P1_11.bucket_of(4.0) == 4
@@ -49,8 +49,8 @@ class TestBucketPartition:
     def test_single_bucket_near_infinite_range(self):
         wide = BucketPartition(1e-14, 1e15, 1)
         assert wide.bucket_of(2000.0) == 1
-        assert wide.bucket_range(1).p_a == 1e-14
-        assert wide.bucket_range(1).p_b == 1e15
+        assert wide.edge(0) == 1e-14
+        assert wide.edge(1) == 1e15
 
     @pytest.mark.parametrize("lower,upper,n", [
         (1.0, 11.0, 0), (1.0, 11.0, -3), (1.0, 11.0, 2.5), (1.0, 11.0, True),
@@ -73,7 +73,8 @@ class TestBucketPartition:
         for _ in range(50):
             part = random_partition(rng)
             for i in range(1, part.n):
-                assert part.bucket_range(i).p_b == part.bucket_range(i + 1).p_a
+                # every bucket is a valid range for the scalar oracle
+                assert bucket_range(part, i).p_b == bucket_range(part, i + 1).p_a
 
     def test_bucket_of_lands_between_its_edges(self):
         rng = np.random.default_rng(9)

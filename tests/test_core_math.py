@@ -1,14 +1,14 @@
-"""Single-range position math: hand examples, identities, domain errors."""
+"""The oracle's single-range position math: hand examples, identities,
+domain errors."""
 
 import math
 
 import numpy as np
 import pytest
 
-from clmm_backtest.core_math import (PriceRange, ReservePair, invariant_residual,
-                                     liquidity_from_x, liquidity_from_y,
-                                     liquidity_state, position_value,
-                                     split_capital)
+from clmm_backtest.engine import ReservePair
+from oracle import (PriceRange, invariant_residual, liquidity_from_x, liquidity_from_y,
+                    liquidity_state, position_value, split_capital)
 
 R14 = PriceRange(1.0, 4.0)
 

@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 
 from clmm_backtest import engine
-from clmm_backtest.allocation import (EpochAllocation, ProfileParams, allocate_epoch,
-                                      custom_weights, uniform_band_weights)
+from clmm_backtest.allocation import ProfileParams, custom_weights
 from clmm_backtest.bucketing import BucketPartition, segment_epochs
-from clmm_backtest.core_math import (PriceRange, ReservePair, liquidity_state,
-                                     split_capital)
-from clmm_backtest.engine import (BacktestConfig, GasParams, StrategyConfig,
+from clmm_backtest.engine import (BacktestConfig, GasParams, ReservePair, StrategyConfig,
                                   buy_and_hold, run_backtest)
 from clmm_backtest.errors import ConfigError, DataError
-from oracle import build_state_tensor, compute_fees, engine_gas_cost
+from oracle import (band_row, bucket_range, build_state_tensor, compute_fees, deploy_row,
+                    engine_gas_cost, liquidity_state, split_capital)
 
 B14 = BucketPartition(1.0, 4.0, 1)
 
@@ -22,8 +20,7 @@ B14 = BucketPartition(1.0, 4.0, 1)
 def single_bucket_l2_tensor(prices):
     prices = np.asarray(prices, dtype=np.float64)
     plan = segment_epochs(B14, np.clip(prices, 1.0, 4.0), tau=1)
-    alloc = EpochAllocation(np.array([2.0]), 0.0, float(prices[0]))
-    return build_state_tensor(B14, plan, [alloc], prices)
+    return build_state_tensor(B14, plan, [np.array([2.0])], prices)
 
 
 def uniform_config(part, tau, capital=1e6, fee_rate=0.003, **kw):
@@ -51,16 +48,13 @@ class TestStateTensor:
         rng = np.random.default_rng(31)
         prices = rng.uniform(1.0, 11.0, 60)
         plan = segment_epochs(part, prices, tau=3)
-        allocs = []
-        for ep in plan:
-            w = uniform_band_weights(part, ep.benchmark, 3)
-            allocs.append(allocate_epoch(w, 1e5, float(prices[ep.start]), part))
-        tensor = build_state_tensor(part, plan, allocs, prices)
+        liqs = [deploy_row(part, band_row(part, ep.benchmark, 3), 1e5, prices[ep.start])
+                for ep in plan]
+        tensor = build_state_tensor(part, plan, liqs, prices)
         for e, ep in enumerate(plan):
             for t in range(0, ep.end - ep.start + 1, 7):
                 for i in range(1, 11):
-                    expect = liquidity_state(allocs[e].liquidity[i - 1],
-                                             part.bucket_range(i),
+                    expect = liquidity_state(liqs[e][i - 1], bucket_range(part, i),
                                              float(prices[ep.start + t]))
                     got = tensor.state_at(e, t, i)
                     assert got.x == pytest.approx(expect.x, rel=1e-12, abs=1e-15)
@@ -72,8 +66,7 @@ class TestStateTensor:
         plan = segment_epochs(part, prices, tau=9)
         liq = np.zeros(10)
         liq[4] = 3.0
-        tensor = build_state_tensor(part, plan, [EpochAllocation(liq, 0.0, 2.0)],
-                                    prices)
+        tensor = build_state_tensor(part, plan, [liq], prices)
         st = tensor.epoch_states(0)
         assert np.all(st[:, [0, 1, 2, 3, 5, 6, 7, 8, 9], :] == 0.0)
         assert np.all(st[:, 4, :] >= 0.0)
@@ -128,13 +121,11 @@ class TestComputeFees:
 
     def test_monotone_rise_has_closed_form_and_path_invariance(self):
         l, rate = 7.3, 0.005
-        rng = PriceRange(1.0, 4.0)
         coarse = np.array([1.2, 3.7])
         fine = np.linspace(1.2, 3.7, 501)
         for prices in (coarse, fine):
             plan = segment_epochs(B14, np.clip(prices, 1, 4), tau=1)
-            tensor = build_state_tensor(
-                B14, plan, [EpochAllocation(np.array([l]), 0.0, 1.2)], prices)
+            tensor = build_state_tensor(B14, plan, [np.array([l])], prices)
             ledger = compute_fees(tensor, rate, prices)
             closed = rate * l * (math.sqrt(3.7) - math.sqrt(1.2))
             assert ledger.fee_b[0] == pytest.approx(closed, rel=1e-9)
@@ -144,8 +135,7 @@ class TestComputeFees:
         l, rate = 7.3, 0.005
         for prices in (np.array([3.7, 1.2]), np.linspace(3.7, 1.2, 501)):
             plan = segment_epochs(B14, np.clip(prices, 1, 4), tau=1)
-            tensor = build_state_tensor(
-                B14, plan, [EpochAllocation(np.array([l]), 0.0, 3.7)], prices)
+            tensor = build_state_tensor(B14, plan, [np.array([l])], prices)
             ledger = compute_fees(tensor, rate, prices)
             closed = rate * l * (1 / math.sqrt(1.2) - 1 / math.sqrt(3.7))
             assert ledger.fee_a[0] == pytest.approx(closed, rel=1e-9)
@@ -166,10 +156,9 @@ class SevenBuckets:
 
     def plan_and_alloc(self):
         plan = segment_epochs(self.part, self.prices, tau=6)
-        w = uniform_band_weights(self.part, plan[0].benchmark, 6)
-        alloc = allocate_epoch(w, 1e6, 2300.0, self.part)
-        assert len(alloc.active_buckets()) == 7
-        return plan, [alloc]
+        liq = deploy_row(self.part, band_row(self.part, plan[0].benchmark, 6), 1e6, 2300.0)
+        assert np.count_nonzero(liq) == 7
+        return plan, [liq]
 
 
 class TestGasCost(SevenBuckets):
@@ -197,8 +186,8 @@ class TestGasCost(SevenBuckets):
         assert len(plan) == 2
         w1 = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0]) / 3
         w2 = np.array([0, 0, 0, 0, 0, 0, 0, 1, 1, 0]) / 2
-        allocs = [allocate_epoch(custom_weights(part, w1), 1e4, 2.5, part),
-                  allocate_epoch(custom_weights(part, w2), 1e4, 8.5, part)]
+        allocs = [deploy_row(part, custom_weights(part, w1).weights, 1e4, 2.5),
+                  deploy_row(part, custom_weights(part, w2).weights, 1e4, 8.5)]
         gas = engine_gas_cost(plan, allocs, GasParams(), prices)
         expect = (3 * 215_000 + 2 * 430_000) * 100e-9 * 8.5
         assert gas.transition_b == pytest.approx(expect, rel=1e-12)
@@ -211,8 +200,7 @@ class TestGasCost(SevenBuckets):
         plan = segment_epochs(part, prices, tau=2)
         liq = np.zeros(10)
         liq[4] = 5.0
-        allocs = [EpochAllocation(liq, 0.0, 2.5),
-                  EpochAllocation(liq.copy(), 0.0, 8.5)]
+        allocs = [liq, liq.copy()]
         gas = engine_gas_cost(plan, allocs, GasParams(), prices)
         assert gas.transition_b == 0.0
         assert gas.mint_events == 1
@@ -225,7 +213,7 @@ class TestGasCost(SevenBuckets):
         liq1, liq2 = np.zeros(10), np.zeros(10)
         liq1[4] = 5.0
         liq2[4] = 6.0
-        allocs = [EpochAllocation(liq1, 0.0, 2.5), EpochAllocation(liq2, 0.0, 8.5)]
+        allocs = [liq1, liq2]
         gas = engine_gas_cost(plan, allocs, GasParams(), prices)
         expect = (215_000 + 430_000) * 100e-9 * 8.5
         assert gas.transition_b == pytest.approx(expect, rel=1e-12)
@@ -233,8 +221,7 @@ class TestGasCost(SevenBuckets):
     def test_no_liquidity_costs_nothing(self):
         prices = np.array([2.5, 2.6])
         plan = segment_epochs(B14, prices, tau=1)
-        gas = engine_gas_cost(plan, [EpochAllocation(np.zeros(1), 0.0, 2.5)],
-                       GasParams(), prices)
+        gas = engine_gas_cost(plan, [np.zeros(1)], GasParams(), prices)
         assert gas.total_b == 0.0
         assert gas.mint_events == 0
         assert gas.burn_events == 0
@@ -246,6 +233,15 @@ class TestGasCost(SevenBuckets):
             GasParams(gas_price_gwei=-1.0)
         with pytest.raises(ConfigError):
             GasParams(gas_token_price=0.0)
+
+    @pytest.mark.parametrize("key", ["mint_gas", "burn_gas"])
+    @pytest.mark.parametrize("value", [float("nan"), True, 2.5, 0, -1, "1"])
+    def test_gas_units_must_be_positive_integers(self, key, value):
+        # a NaN unit cost would put NaN gas into report.json
+        with pytest.raises(ConfigError) as err:
+            GasParams(**{key: value})
+        assert err.value.key == key
+        GasParams(**{key: np.int64(7)})  # numpy integers are integers
 
 
 class TestBuyAndHold:
@@ -282,12 +278,11 @@ class TestRunBacktest:
         sb = np.sqrt(cfg.partition.edges)[1:]
         for e, ep in enumerate(list(report.plan)[:-1]):
             # value of the outgoing epoch's book at the shared boundary
-            w = uniform_band_weights(cfg.partition, ep.benchmark, cfg.tau)
-            alloc = allocate_epoch(w, float(report.epoch_capital[e]),
-                                   float(prices[ep.start]), cfg.partition)
+            liq = deploy_row(cfg.partition, band_row(cfg.partition, ep.benchmark, cfg.tau),
+                             report.epoch_capital[e], prices[ep.start])
             c = np.clip(math.sqrt(prices[ep.end]), sa, sb)
-            x = (alloc.liquidity * (1.0 / c - 1.0 / sb)).sum()
-            y = (alloc.liquidity * (c - sa)).sum()
+            x = (liq * (1.0 / c - 1.0 / sb)).sum()
+            y = (liq * (c - sa)).sum()
             old_value = y + x * prices[ep.end]
             assert report.lp_trajectory[ep.end] == pytest.approx(old_value, rel=1e-9)
 
@@ -317,12 +312,10 @@ class TestRunBacktest:
     def test_streamed_fees_match_state_tensor(self):
         cfg, prices = self.config_and_walk()
         report = run_backtest(cfg, prices)
-        allocs = []
-        for e, ep in enumerate(report.plan):
-            w = uniform_band_weights(cfg.partition, ep.benchmark, cfg.tau)
-            allocs.append(allocate_epoch(w, float(report.epoch_capital[e]),
-                                         float(prices[ep.start]), cfg.partition))
-        tensor = build_state_tensor(cfg.partition, report.plan, allocs, prices)
+        liqs = [deploy_row(cfg.partition, band_row(cfg.partition, ep.benchmark, cfg.tau),
+                           report.epoch_capital[e], prices[ep.start])
+                for e, ep in enumerate(report.plan)]
+        tensor = build_state_tensor(cfg.partition, report.plan, liqs, prices)
         ledger = compute_fees(tensor, cfg.fee_rate, prices)
         assert report.ledger.inflow_a == pytest.approx(ledger.inflow_a, rel=1e-12)
         assert report.ledger.inflow_b == pytest.approx(ledger.inflow_b, rel=1e-12)
@@ -524,7 +517,7 @@ class TestRunBacktest:
         assert [(e.start, e.end, e.benchmark) for e in report.plan] \
             == [(0, 1, 1), (1, 2, 2)]
 
-        r1, r2 = part.bucket_range(1), part.bucket_range(2)
+        r1, r2 = bucket_range(part, 1), bucket_range(part, 2)
         l1 = split_capital(100.0, 1.2, r1).liquidity
         inflow_b1 = l1 * (math.sqrt(2.0) - math.sqrt(1.2))
         v_end = l1 * (math.sqrt(2.0) - 1.0)  # saturated, all token B

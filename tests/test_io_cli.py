@@ -1,9 +1,12 @@
 """Price file ingestion, config parsing, and the command line surface."""
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -505,7 +508,8 @@ class TestCliCalibrate:
         assert code == 4  # unreachable, but mu came from the config
         assert (out / "fee_curve.csv").is_file()
 
-    @pytest.mark.parametrize("grid", ["1:2", "a:b:4", "2.0:1.0:4", "0.5:1.0:1"])
+    @pytest.mark.parametrize("grid", ["1:2", "a:b:4", "2.0:1.0:4", "0.5:1.0:1",
+                                      "0.05:inf:5"])
     def test_bad_grid_exits_2(self, tmp_path, capsys, grid):
         cfg, prices = self.setup_run(tmp_path)
         assert main(["calibrate", "--config", cfg, "--prices", prices,
@@ -515,6 +519,20 @@ class TestCliCalibrate:
         cfg, prices = self.setup_run(tmp_path)
         assert main(["calibrate", "--config", cfg, "--prices", prices,
                      "--target-fee", "-5", "--mu", "0.0"]) == 2
+
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--target-fee", "nan", "target-fee"), ("--target-fee", "inf", "target-fee"),
+        ("--mu", "nan", "mu"), ("--bound", "0", "bound"), ("--bound", "-1", "bound"),
+        ("--bound", "nan", "bound"), ("--grid", "0.05:inf:5", "grid"),
+    ])
+    def test_bad_numbers_exit_2_before_any_work(self, tmp_path, capsys, flag, value, key):
+        cfg, prices = self.setup_run(tmp_path)
+        args = {"--target-fee": "5000", "--mu": "0.0", flag: value}
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--config", cfg, "--prices", prices, "--out-dir", str(out),
+                     *(x for item in args.items() for x in item)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config: [{key}] ")
+        assert not out.exists()
 
 
 class TestCliReport:
@@ -558,6 +576,34 @@ class TestCliReport:
     def test_missing_report_exits_3(self, tmp_path):
         assert main(["report", str(tmp_path / "absent.json")]) == 3
 
+    @pytest.mark.parametrize("text,key", [
+        ('{"a": 1}', "initial_capital"), ("[1]", "initial_capital"),
+        ("null", "initial_capital"), ('{"initial_capital": "1e6"}', "initial_capital"),
+    ])
+    def test_report_without_a_summary_entry_exits_3(self, tmp_path, capsys, text, key):
+        bad = tmp_path / "report.json"
+        bad.write_text(text)
+        assert main(["report", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and repr(key) in err
+
+    def test_report_missing_one_key_names_it(self, tmp_path, capsys):
+        path = self.write_report(tmp_path)
+        report = json.loads(path.read_text())
+        del report["gas_cost_b"]
+        path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 3
+        assert "'gas_cost_b'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--fact-fee", "--fact-volume"])
+    @pytest.mark.parametrize("value", ["0", "-2", "nan", "inf"])
+    def test_bad_fact_exits_2(self, tmp_path, capsys, flag, value):
+        path = self.write_report(tmp_path)
+        capsys.readouterr()
+        assert main(["report", str(path), flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config: [{flag[2:]}] ")
+
 
 def test_module_entry_point(tmp_path):
     cfg = write(tmp_path / "run.cfg", BASE_CONFIG)
@@ -570,3 +616,27 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("backtest:")
     assert (out / "report.json").is_file()
+
+
+# the bindings perfbench's tracer wraps for a layer that runs; a binding a
+# module no longer has is skipped by the tracer, so its layer would read zero
+TRACED = [
+    ("clmm_backtest", "load_config"), ("clmm_backtest", "run_backtest"),
+    ("clmm_backtest.cli", "main"), ("clmm_backtest.cli", "load_config"),
+    ("clmm_backtest.cli", "load_prices"), ("clmm_backtest.cli", "run_backtest"),
+    ("clmm_backtest.cli", "fee_curve"), ("clmm_backtest.cli", "calibrate_variance"),
+    ("clmm_backtest.engine", "segment_epochs"),
+    ("clmm_backtest.engine", "normal_profile_weights"),
+    ("clmm_backtest.engine", "custom_weights"),
+]
+
+
+def test_traced_layer_bindings_exist():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wrapped = {(module, attr) for module, attr, _ in tracer.WRAPPED}
+    for module, attr in TRACED:
+        assert (module, attr) in wrapped
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)

@@ -5,7 +5,7 @@ count and the calibration's dot product.
 The replay is checked against the brute-force oracle (every bucket's
 reserves at every timestep, ``oracle.py``), epoch by epoch and along the
 capital chain, and against itself run to run; the galloping epoch scan
-against a per-row re-scan, ``allocate_epoch`` against a per-bucket
+against a per-row re-scan, ``deploy`` against a per-bucket
 ``split_capital`` loop, the engine's gas count over moving windows
 against the oracle's whole-vector count, and the calibration's whole-pool
 fee against the oracle, its exact rational form and the replay.  Bulk
@@ -25,14 +25,12 @@ from hypothesis import strategies as st
 
 import oracle
 from clmm_backtest._pcg import epoch_draws
-from clmm_backtest.allocation import (EpochAllocation, ProfileParams, allocate_epoch,
-                                      band_weights, custom_weights, normal_profile_weights,
-                                      random_band_weights, uniform_band_weights)
+from clmm_backtest.allocation import (ProfileParams, band_weights, custom_weights,
+                                      normal_profile_weights)
 from clmm_backtest.bucketing import BucketPartition, Epoch, EpochPlan, segment_epochs
 from clmm_backtest.calibration import fee_curve, whole_pool_fee
 from clmm_backtest import prices as prices_module
 from clmm_backtest.engine import BacktestConfig, GasParams, StrategyConfig, run_backtest
-from clmm_backtest.core_math import position_value, split_capital
 from clmm_backtest.errors import DataError
 from clmm_backtest.prices import PriceSeries, load_prices
 from oracle import build_state_tensor, compute_fees
@@ -115,22 +113,21 @@ def scenarios(draw, modes=("custom", "uniform", "random")):
 
 
 def epoch_weights(config, e, benchmark):
-    """The allocation weights of epoch e, one strategy at a time."""
+    """The allocation weights of epoch e over the whole partition, one
+    strategy at a time; random rows come from the per-row generators."""
     strat, part = config.strategy, config.partition
-    if strat.mode == "uniform":
-        return uniform_band_weights(part, benchmark, config.tau)
-    if strat.mode == "random":
-        return random_band_weights(part, benchmark, config.tau, seed=strat.seed, epoch=e)
-    return custom_weights(part, strat.weights)
+    if strat.mode == "custom":
+        return custom_weights(part, strat.weights).weights
+    return oracle.band_row(part, benchmark, config.tau, strat.seed, e)
 
 
 def oracle_run(config, report, prices):
     """Oracle states for the epochs and budgets the engine ran."""
     part = config.partition
-    allocs = [allocate_epoch(epoch_weights(config, e, ep.benchmark),
-                             float(report.epoch_capital[e]), float(prices[ep.start]), part)
-              for e, ep in enumerate(report.plan)]
-    return allocs, build_state_tensor(part, report.plan, allocs, prices)
+    liqs = [oracle.deploy_row(part, epoch_weights(config, e, ep.benchmark),
+                              report.epoch_capital[e], prices[ep.start])
+            for e, ep in enumerate(report.plan)]
+    return liqs, build_state_tensor(part, report.plan, liqs, prices)
 
 
 def next_capital(config, end_value, fee):
@@ -142,7 +139,7 @@ def next_capital(config, end_value, fee):
     return config.capital
 
 
-def step_slack(part, plan, allocs, prices):
+def step_slack(part, plan, liquidity, prices):
     """Per epoch, 4 ulps of the full (token A, token B) depths of the
     buckets holding the price at either end of each moving step.
 
@@ -155,11 +152,11 @@ def step_slack(part, plan, allocs, prices):
     """
     sa, sb = part.roots[:-1], part.roots[1:]
     slack = np.zeros((len(plan), 2))
-    for e, (ep, alloc) in enumerate(zip(plan, allocs)):
+    for e, (ep, liq) in enumerate(zip(plan, liquidity)):
         span = prices[ep.start:ep.end + 1]
         c = np.clip(np.sqrt(span), part.roots[0], part.roots[-1])
         k = part.roots[1:-1].searchsorted(c, side="right")
-        depth = alloc.liquidity[k] * np.stack([1.0 / sa[k] - 1.0 / sb[k], sb[k] - sa[k]])
+        depth = liq[k] * np.stack([1.0 / sa[k] - 1.0 / sb[k], sb[k] - sa[k]])
         moved = np.diff(span) != 0.0
         slack[e] = 4 * EPS * (depth[:, :-1] + depth[:, 1:])[:, moved].sum(axis=1)
     return slack
@@ -186,19 +183,19 @@ def check_against_oracle(config, prices, timestamps):
     plus the ``step_slack`` of the buckets holding the price.
     """
     report = run_backtest(config, prices, timestamps)
-    allocs, tensor = oracle_run(config, report, prices)
+    liqs, tensor = oracle_run(config, report, prices)
     ledger = compute_fees(tensor, config.fee_rate, prices)
 
     # per-epoch inflows, relative to the epoch's converted volume
     volume = ledger.volume_converted
-    noise = step_slack(config.partition, report.plan, allocs, prices)
+    noise = step_slack(config.partition, report.plan, liqs, prices)
     assert np.all(np.abs(report.ledger.inflow_b - ledger.inflow_b)
                   <= REL * volume + noise[:, 1])
     assert np.all(np.abs(report.ledger.inflow_a - ledger.inflow_a) * ledger.end_price
                   <= REL * volume + noise[:, 0] * ledger.end_price)
-    assert report.epoch_active.tolist() == [len(a.active_buckets()) for a in allocs]
+    assert report.epoch_active.tolist() == [np.count_nonzero(liq) for liq in liqs]
     # counts identical and totals bitwise equal: same sums in the same order
-    assert report.gas == oracle.gas_cost(report.plan, allocs, config.gas, prices)
+    assert report.gas == oracle.gas_cost(report.plan, liqs, config.gas, prices)
 
     # trajectory: later epochs own the shared boundary row
     expect = np.empty(len(prices))
@@ -281,11 +278,11 @@ def test_long_capital_chain_matches_the_sequential_oracle(mode):
     capital, chain = config.capital, []
     for e, ep in enumerate(report.plan):
         chain.append(capital)
-        alloc = allocate_epoch(epoch_weights(config, e, ep.benchmark), capital,
-                               float(prices[ep.start]), part)
+        liq = oracle.deploy_row(part, epoch_weights(config, e, ep.benchmark), capital,
+                                prices[ep.start])
         span = prices[ep.start:ep.end + 1]
         plan = EpochPlan((Epoch(0, len(span) - 1, ep.benchmark),), len(span), 0)
-        tensor = build_state_tensor(part, plan, [alloc], span)
+        tensor = build_state_tensor(part, plan, [liq], span)
         x, y = tensor.states[0][-1].sum(axis=0)
         fee = compute_fees(tensor, config.fee_rate, span).fee_converted[0]
         capital = next_capital(config, y + span[-1] * x, fee)
@@ -333,10 +330,10 @@ def test_dot_product_fee_matches_the_oracle_and_the_replay(case):
         return
 
     # the oracle: every bucket's reserves at every row of one deployment
-    alloc = allocate_epoch(normal_profile_weights(part, profile), config.capital,
-                           float(prices[0]), part)
+    liq = oracle.deploy_row(part, normal_profile_weights(part, profile).weights,
+                            config.capital, prices[0])
     plan = EpochPlan((Epoch(0, len(prices) - 1, 1),), len(prices), part.n)
-    ledger = compute_fees(build_state_tensor(part, plan, [alloc], prices),
+    ledger = compute_fees(build_state_tensor(part, plan, [liq], prices),
                           config.fee_rate, prices)
     volume = ledger.total_volume_b
     scale = 1.0
@@ -351,12 +348,12 @@ def test_dot_product_fee_matches_the_oracle_and_the_replay(case):
     # of the step itself: against them the oracle property's bound, with
     # 1/c's rounding for token A, and against the exact volume of a short
     # walk no slack at all
-    slack_b = step_slack(part, plan, [alloc], prices)[0, 1]
-    slack_a = reciprocal_slack(part, alloc.liquidity, prices)
+    slack_b = step_slack(part, plan, [liq], prices)[0, 1]
+    slack_a = reciprocal_slack(part, liq, prices)
     tol = f * scale * (REL * volume + slack_b + slack_a * prices[-1])
     assert abs(fee - ledger.total_fee_b * scale) <= tol
     if len(prices) <= 64:
-        exact = oracle.exact_volume(part, alloc.liquidity, prices)
+        exact = oracle.exact_volume(part, liq, prices)
         if config.volume_cap is not None:
             exact = min(exact, Fraction(config.volume_cap))
         assert abs(fee - f * float(exact)) <= REL * f * volume * scale
@@ -543,19 +540,21 @@ def epoch_allocations(draw):
 @given(epoch_allocations())
 def test_allocation_matches_per_bucket_split(case):
     part, weights, capital, anchor = case
-    alloc = allocate_epoch(weights, capital, anchor, part)
+    liq = oracle.deploy_row(part, weights.weights, capital, anchor)
     loop = np.zeros(part.n)
     for i in weights.active_buckets():
         share = weights.weights[i - 1] * capital
-        loop[i - 1] = split_capital(share, anchor, part.bucket_range(int(i))).liquidity
-    assert alloc.liquidity.tobytes() == loop.tobytes()
+        loop[i - 1] = oracle.split_capital(share, anchor,
+                                           oracle.bucket_range(part, int(i))).liquidity
+    assert liq.tobytes() == loop.tobytes()
 
     # valued at the anchor, the positions hold the deployed capital; a
     # bucket's token-A depth 1/sa - 1/sb cancels to within eps * sb/(sb - sa)
     # of itself, so narrow buckets widen the bound past 1e-12
     active = weights.active_buckets()
-    value = math.fsum(position_value(float(alloc.liquidity[i - 1]), part.bucket_range(int(i)),
-                                     anchor, anchor) for i in active)
+    value = math.fsum(oracle.position_value(float(liq[i - 1]),
+                                            oracle.bucket_range(part, int(i)), anchor, anchor)
+                      for i in active)
     sa, sb = part.roots[:-1][active - 1], part.roots[1:][active - 1]
     cancel = float((sb / (sb - sa)).max())
     assert abs(value - capital) <= (REL + 4 * np.finfo(float).eps * cancel) * capital
@@ -595,26 +594,24 @@ def schedules(draw):
     plan = EpochPlan(tuple(Epoch(s, t, 1 + e % 2)
                            for e, (s, t) in enumerate(zip(starts, ends))), m, 0)
     prices = rng.uniform(500.0, 5000.0, m)
-    allocs = [EpochAllocation(liq, 1e6, float(prices[ep.start]))
-              for liq, ep in zip(liquidity, plan)]
     # windows of one width, each holding its epoch's positive buckets and
     # placed anywhere that allows, as run_backtest's move from epoch to epoch
     spans = [np.flatnonzero(liq > 0.0) for liq in liquidity]
     width = draw(st.integers(max([s[-1] - s[0] + 1 for s in spans if len(s)] or [1]), n))
     offsets = [int(rng.integers(max(0, s[-1] + 1 - width), min(s[0], n - width) + 1))
                if len(s) else int(rng.integers(0, n - width + 1)) for s in spans]
-    return plan, allocs, prices, width, offsets
+    return plan, liquidity, prices, width, offsets
 
 
 @settings(max_examples=100)
 @given(schedules(), st.booleans())
 def test_gas_cost_matches_whole_vector_count(schedule, token_a_is_gas):
-    plan, allocs, prices, width, offsets = schedule
+    plan, liquidity, prices, width, offsets = schedule
     params = GasParams(gas_token_price=None if token_a_is_gas else 1234.5)
     # counts identical and totals bitwise equal: same sums in the same order
-    expect = oracle.gas_cost(plan, allocs, params, prices)
-    assert oracle.engine_gas_cost(plan, allocs, params, prices) == expect
-    assert oracle.engine_gas_cost(plan, allocs, params, prices, width, offsets) == expect
+    expect = oracle.gas_cost(plan, liquidity, params, prices)
+    assert oracle.engine_gas_cost(plan, liquidity, params, prices) == expect
+    assert oracle.engine_gas_cost(plan, liquidity, params, prices, width, offsets) == expect
 
 
 TS_CELLS = ["+5", "5.0", "1_000", "-1", '"12"', "1e3", "#x", "", " ",
