@@ -83,6 +83,20 @@ def _get_int(pairs: dict, key: str) -> int:
                           key=key) from None
 
 
+_VALID_PROFILE = {"mu": 0.0, "variance": 1.0, "bound": 3.0}
+
+
+def _profile(values: dict) -> ProfileParams:
+    """The bell-curve profile, or a ConfigError under the key of the first
+    value (mu, variance, bound) that ``ProfileParams`` rejects on its own."""
+    for key in _VALID_PROFILE:
+        try:
+            ProfileParams(**{**_VALID_PROFILE, key: values[key]})
+        except ValueError as err:
+            raise ConfigError(str(err), key=key) from None
+    return ProfileParams(**values)
+
+
 def parse_config(text: str) -> BacktestConfig:
     """Parse config text into a validated BacktestConfig."""
     pairs = _parse_pairs(text)
@@ -128,12 +142,9 @@ def parse_config(text: str) -> BacktestConfig:
         for k in ("mu", "variance"):
             if k not in pairs:
                 raise ConfigError(f"strategy=normal needs {k}", key=k)
-        try:
-            profile = ProfileParams(_get_float(pairs, "mu"),
-                                    _get_float(pairs, "variance"),
-                                    _get_float(pairs, "bound") if "bound" in pairs else 3.0)
-        except ValueError as err:
-            raise ConfigError(str(err), key="variance") from None
+        profile = _profile({"mu": _get_float(pairs, "mu"),
+                            "variance": _get_float(pairs, "variance"),
+                            "bound": _get_float(pairs, "bound") if "bound" in pairs else 3.0})
 
     gas = GasParams(
         mint_gas=_get_int(pairs, "mint_gas") if "mint_gas" in pairs else 430_000,

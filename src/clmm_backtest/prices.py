@@ -11,13 +11,22 @@ Timestamps are integer unix seconds and must be strictly ascending;
 prices must be positive and finite.  Error messages name the offending
 data row (1-based, header excluded, blank rows not counted).
 
-Loading decides the layout from the first non-blank row, then parses the
-rest of the file in one ``np.loadtxt`` call.  Anything that call or the
-series checks reject (a bad or missing cell, quoted cells, ``1_000``,
-whitespace-only rows) sends the file through the row-by-row ``csv``
-parser instead, which accepts those quirks and names the first bad row.
-A clean file therefore never pays for the row parser, and a bad one gets
-the same message either way.
+Loading decides the layout from the first non-blank row, then reads the
+rest of the file as bytes with ``_floattext``'s bulk parser if every row is
+clean:
+
+  * each row ends in LF or CR LF (the last row may end in neither);
+  * a two-column row has exactly one ``,``;
+  * a timestamp cell is 1-18 ASCII digits;
+  * a price cell is ASCII digits with at most one ``.``, 1-19 digits in all
+    (``5.`` and ``.5`` included).
+
+Any other row (signs, exponents, spaces, quotes, blank rows, a lone CR,
+longer cells, non-ASCII bytes, empty cells), or a series that fails the
+checks above, sends the whole file through the row-by-row ``csv`` parser
+instead, which accepts those quirks and names the first bad row.  A clean
+file therefore never pays for the row parser, and a bad one gets the row
+parser's message, the only one there is.
 
 ``write_csv`` emits ints as digits and floats as shortest round-trip text,
 so a load/write/load cycle reproduces the series bit for bit.  Its bytes
@@ -30,7 +39,6 @@ and columns of any other dtype go through ``repr`` cell by cell.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -152,20 +160,18 @@ def _read_layout(fh, path) -> _Layout:
 
 
 def _parse_bulk(fh, layout: _Layout):
-    """(prices, timestamps) from one ``loadtxt`` pass; raises on any quirk.
+    """(prices, timestamps) of a clean body read as bytes, or None.
 
-    The structured dtype names every column in file order and no
-    ``usecols`` is given, so a row with a missing or extra cell raises
-    instead of being silently cut to shape.  Warnings are errors: an empty
-    body warns, and older numpy only warns when it reads ``5.0`` as an
-    integer timestamp.
+    The grammar of clean rows is in the module docstring; any other row
+    makes the whole file go through ``_parse_rows``.
     """
-    dtype = [("ts", np.int64) if i == layout.ts_col else ("price", np.float64)
-             for i in range(layout.width)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1, dtype=dtype)
-    return table["price"], table["ts"] if layout.ts_col is not None else None
+    # imported on the first load, so that runs which read no CSV do not load
+    # the parser and its tables
+    from ._floattext import parse_columns
+    if layout.start >> 64:
+        return None     # a text position that holds decoder state, not a byte offset
+    fh.buffer.seek(layout.start)
+    return parse_columns(fh.buffer, layout.price_col, layout.ts_col)
 
 
 def _parse_rows(fh, layout: _Layout):
@@ -189,10 +195,12 @@ def load_prices(path) -> PriceSeries:
     try:
         with open(path, newline="") as fh:
             layout = _read_layout(fh, path)
-            try:
-                return PriceSeries(*_parse_bulk(fh, layout), source=str(path))
-            except (ValueError, DataError, Warning):
-                pass  # not clean: the row parser names the first bad row
+            parsed = _parse_bulk(fh, layout)
+            if parsed is not None:
+                try:
+                    return PriceSeries(*parsed, source=str(path))
+                except DataError:
+                    pass  # the row parser names the first bad row
             fh.seek(layout.start)
             return PriceSeries(*_parse_rows(fh, layout), source=str(path))
     except (OSError, UnicodeDecodeError) as err:

@@ -1,15 +1,20 @@
-"""The bulk CSV formatter against the ``repr`` row writer.
+"""The bulk CSV formatter against the ``repr`` row writer, and the bulk
+CSV parser against ``float`` and the row parser.
 
 ``prices.write_csv`` must write exactly the bytes of ``oracle.write_csv``,
 which calls ``repr`` on every cell.  Columns are tiled from a few drawn
 values, so that they can straddle the writer's chunk seams while cases
 stay shrinkable, and cells that ``repr`` writes itself sit on both sides
-of every seam.
+of every seam.  Reading, every clean file must parse in bulk to exactly
+the row parser's columns, with rows tiled across the parser's block seams
+in the same way, and each decimal must become the float ``float`` makes
+of it, decimal ties included.
 """
 
 import math
 import struct
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,7 +22,7 @@ from hypothesis import strategies as st
 
 import oracle
 from clmm_backtest import _floattext, prices
-from clmm_backtest.prices import write_csv
+from clmm_backtest.prices import load_prices, write_csv
 
 CHUNK = prices._WRITE_CHUNK_ROWS
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
@@ -101,3 +106,123 @@ def test_other_dtypes_match_the_repr_writer(tmp_path):
     write_csv(tmp_path / "w.csv", "a,b,c,d,e,f", columns)
     oracle.write_csv(tmp_path / "r.csv", "a,b,c,d,e,f", columns)
     assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
+
+
+def tie(e, m, nudge):
+    """(w, f) with w 10**-f the midpoint of the float (2**52 + m) 2**(e - 52)
+    and the next one up, then ``nudge`` units of its last digit away."""
+    mid, f = Fraction(2 * (2**52 + m) + 1) * Fraction(2) ** (e - 53), 0
+    while mid.denominator != 1:
+        mid, f = mid * 10, f + 1
+    return int(mid) + nudge, f
+
+
+# decimal ties, integers from 2**53 and up to four fraction digits below
+# it, and decimals a few units of the last digit either side of them
+decimal_ties = st.builds(tie, st.integers(49, 63), st.integers(0, 2**52 - 1),
+                         st.integers(-3, 3)).filter(lambda wf: wf[0] < 10**19)
+decimal_pairs = st.tuples(st.integers(1, 10**19 - 1), st.integers(0, 19))
+# significands just below a power of two, which float64 rounds up to it
+below_powers = st.tuples(st.builds(lambda k, d: 2**k - d, st.integers(54, 63),
+                                   st.integers(1, 2**10)), st.integers(0, 19))
+repr_pairs = st.floats(1e-3, 1e16, exclude_max=True).map(repr).filter(
+    lambda c: "e" not in c and len(c) <= 20).map(
+    lambda c: (int(c.replace(".", "")), len(c) - 1 - c.index(".")))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(decimal_pairs, below_powers, decimal_ties, repr_pairs),
+                min_size=1, max_size=40))
+def test_decimal_to_float_rounds_as_float_does(pairs):
+    w, f = zip(*pairs)
+    got = _floattext.decimal_to_float(np.array(w, dtype=np.uint64), np.array(f, dtype=np.intp))
+    assert got.tolist() == [float(f"{a}e-{b}") for a, b in pairs]
+
+
+def cell(w, f, width):
+    """w 10**-f as ``width`` digits (zero-padded) with a point before the
+    last f; with f = 0 the point trails on odd widths."""
+    digits = str(w).zfill(width)
+    if f == 0:
+        return digits + "." if width % 2 else digits
+    return digits[:width - f] + "." + digits[width - f:]
+
+
+# 1-19 digits, leading zeros kept, 0-19 of them after the point, not all
+# zero (the row parser rejects a zero price)
+padded = st.integers(1, 19).flatmap(
+    lambda n: st.tuples(st.integers(1, 10**n - 1), st.integers(0, n), st.just(n)))
+clean_prices = st.one_of(
+    padded.map(lambda c: cell(*c)),
+    st.one_of(decimal_ties, repr_pairs).map(lambda wf: cell(*wf, max(len(str(wf[0])), wf[1])))
+    .filter(lambda c: len(c.replace(".", "")) <= 19))
+clean_stamps = st.integers(1, 18).flatmap(
+    lambda n: st.integers(0, 10**n - 1).map(lambda v: str(v).zfill(n)))
+
+
+@st.composite
+def clean_price_files(draw):
+    """Files of clean rows in every layout: rows tiled from drawn cells, a
+    few of them or enough to pass one or two block seams."""
+    layout = draw(st.sampled_from(["ts,price", "price,ts", "price", "1col", "2col"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    prices = draw(st.lists(clean_prices, min_size=1, max_size=30))
+    stamps = draw(st.lists(clean_stamps, min_size=1, max_size=30))
+    pairs = list(zip(stamps * len(prices), prices * len(stamps)))
+    tile = {"ts,price": [f"{t},{p}" for t, p in pairs], "2col": [f"{t},{p}" for t, p in pairs],
+            "price,ts": [f"{p},{t}" for t, p in pairs]}.get(layout, prices)
+    seams = draw(st.sampled_from([0, 1, 2]))
+    if seams:   # rows until the body passes the seam by a few bytes either way
+        target = seams * _floattext._BLOCK_BYTES + draw(st.integers(-60, 60))
+        n = body = 0
+        while body < target:
+            body += len(tile[n % len(tile)]) + len(end)
+            n += 1
+    else:
+        n = draw(st.integers(1, 70))
+    header = [] if layout in ("1col", "2col") else [layout]
+    text = end.join(header + [tile[i % len(tile)] for i in range(n)])
+    return text + draw(st.sampled_from([end, ""]))
+
+
+def parse_both_ways(path):
+    """The bulk parser's and the row parser's columns of one file."""
+    with open(path, newline="") as fh:
+        layout = prices._read_layout(fh, path)
+        bulk = prices._parse_bulk(fh, layout)
+        fh.seek(layout.start)
+        return bulk, prices._parse_rows(fh, layout)
+
+
+@settings(max_examples=60)
+@given(clean_price_files())
+def test_clean_files_parse_in_bulk_as_the_row_parser_reads_them(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("ingest") / "prices.csv"
+    path.write_bytes(text.encode())
+    bulk, rows = parse_both_ways(path)
+    assert bulk is not None
+    assert bulk[0].tobytes() == rows[0].tobytes()
+    if rows[1] is None:
+        assert bulk[1] is None
+    else:
+        assert bulk[1].dtype == np.int64
+        assert bulk[1].tobytes() == rows[1].tobytes()
+
+
+def test_parse_core_keeps_to_integer_dtypes(tmp_path, monkeypatch):
+    # 18-digit timestamps and 19-digit significands: a float64 or signed step
+    # would lose digits or change sign
+    stamps = [2**53 + 1, 10**17 - 3, 10**18 - 2, 10**18 - 1]
+    cells = ["9999999999999999999", "9007199254740993", "4503599627370496.5",
+             "9.223372036854775809"]
+    path = tmp_path / "p.csv"
+    path.write_text("ts,price\n" + "".join(f"{t},{c}\n" for t, c in zip(stamps, cells)))
+    seen = []
+    to_float = _floattext.decimal_to_float
+    monkeypatch.setattr(_floattext, "decimal_to_float",
+                        lambda w, f: seen.append((w.dtype, w.tolist())) or to_float(w, f))
+    series = load_prices(path)
+    assert seen == [(np.dtype(np.uint64), [int(c.replace(".", "")) for c in cells])]
+    assert series.prices.tolist() == [float(c) for c in cells]
+    assert series.timestamps.dtype == np.int64
+    assert series.timestamps.tolist() == stamps

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from clmm_backtest import calibration
+from clmm_backtest import prices as prices_module
 from clmm_backtest.cli import main
 from clmm_backtest.config import load_config, parse_config
 from clmm_backtest.errors import ConfigError, DataError
@@ -123,6 +124,58 @@ class TestLoadPrices:
         with pytest.raises(DataError, match="row 2"):
             load_prices(f)
 
+    @pytest.mark.parametrize("header,rows,timestamps", [
+        ("ts,price", ["1,2000.5", "2,.5", "3,7."], [1, 2, 3]),
+        ("price,ts", ["2000.5,1", ".5,2", "7.,3"], [1, 2, 3]),
+        ("price", ["2000.5", ".5", "7."], None),
+        (None, ["1,2000.5", "2,.5", "3,7."], [1, 2, 3]),
+        (None, ["2000.5", ".5", "7."], None),
+    ])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("last", ["\n", ""])
+    def test_clean_file_never_reaches_the_row_parser(self, tmp_path, monkeypatch,
+                                                     header, rows, timestamps, end, last):
+        def refuse(fh, layout):
+            raise AssertionError("a clean file went through the row parser")
+        monkeypatch.setattr(prices_module, "_parse_rows", refuse)
+        lines = ([header] if header else []) + rows
+        path = tmp_path / "p.csv"
+        path.write_bytes((end.join(lines) + (end if last else "")).encode())
+        s = load_prices(path)
+        assert s.prices.tolist() == [2000.5, 0.5, 7.0]
+        assert (s.timestamps.tolist() if timestamps else s.timestamps) == timestamps
+
+    @pytest.mark.parametrize("text,expect", [
+        ("price\n1\n+2\n", [1.0, 2.0]), ("price\n1\n 2 \n", [1.0, 2.0]),
+        ("price\n1\r2\r", [1.0, 2.0]), ("price\n1\n\n2\n", [1.0, 2.0]),
+        ("price\n1\n2e0\n", [1.0, 2.0]), ("price\n1\n1.2.\n", "row 2"),
+        ("price\n1\n" + "1" * 20 + "\n", [1.0, 1.111111111111111e19]),
+        ("ts,price\n1,1\n2,2,\n", "row 2"), ("ts,price\n1,1\n2.,2\n", "row 2"),
+        ("ts,price\n1,1\n" + "1" * 19 + ",2\n", [1.0, 2.0]),
+    ])
+    def test_rows_that_are_not_clean_go_to_the_row_parser(self, tmp_path, text, expect):
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        with open(path, newline="") as fh:
+            assert prices_module._parse_bulk(fh, prices_module._read_layout(fh, path)) is None
+        if isinstance(expect, str):
+            with pytest.raises(DataError, match=expect):
+                load_prices(path)
+        else:
+            assert load_prices(path).prices.tolist() == expect
+
+    @pytest.mark.parametrize("text", ["price\n1\n0.\n", "ts,price\n2,1\n1,2\n", "price\n1\n"])
+    def test_clean_rows_the_series_rejects_get_the_row_parsers_message(self, tmp_path, text):
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as got:
+            load_prices(path)
+        with open(path, newline="") as fh:
+            layout = prices_module._read_layout(fh, path)
+            with pytest.raises(DataError) as expect:
+                PriceSeries(*prices_module._parse_rows(fh, layout))
+        assert str(got.value) == str(expect.value)
+
     def test_csv_writer_matches_per_row_repr(self, tmp_path):
         # exponent-form reprs, subnormals and ints, across a chunk seam
         floats = np.array([1e-05, 1e+16, 5e-324, 0.1, -0.0, 2000.5,
@@ -230,6 +283,18 @@ class TestParseConfig:
     def test_domain_violations_carry_the_key(self, field, value, key):
         with pytest.raises(ConfigError) as exc:
             parse_config(BASE_CONFIG.replace(field, value))
+        assert exc.value.key == key
+
+    @pytest.mark.parametrize("values,key,message", [
+        ("mu = nan\nvariance = 1", "mu", "must be finite"),
+        ("mu = 0\nvariance = 1\nbound = 0", "bound", "bound must be positive"),
+        ("mu = 0\nvariance = -1", "variance", "variance must be positive"),
+        ("mu = 0\nvariance = -1\nbound = inf", "variance", "variance must be positive"),
+    ])
+    def test_bad_profile_value_carries_its_own_key(self, values, key, message):
+        text = BASE_CONFIG.replace("strategy = uniform", "strategy = normal") + values + "\n"
+        with pytest.raises(ConfigError, match=message) as exc:
+            parse_config(text)
         assert exc.value.key == key
 
     def test_custom_strategy_needs_matching_weights(self):

@@ -623,22 +623,27 @@ BLANK_ROWS = ["", "  ", "\t", ",", " , "]
 
 @st.composite
 def price_files(draw):
-    """CSV text in every accepted layout, mostly clean, with a drawn share
-    of quirk cells, blank rows and ragged rows."""
+    """(CSV text, clean) in every accepted layout, mostly numbers, with a
+    drawn share of quirk cells, blank rows and ragged rows.  ``clean`` marks
+    the files with no quirk at all and a "\n" or "\r\n" line end, whose every
+    row the bulk parser reads."""
     ts_name = draw(st.sampled_from(["ts", "timestamp", "time", "TS", " Time "]))
     layout = draw(st.sampled_from(["ts,price", "price,ts", "price", "1col", "2col"]))
     has_ts = layout in ("ts,price", "price,ts", "2col")
     price_first = layout == "price,ts"
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    quirk = draw(st.sampled_from([0.0, 0.005, 0.02, 0.1, 0.3]))
+    quirk = draw(st.sampled_from([0.0, 0.0, 0.005, 0.02, 0.1, 0.3]))
     lines = []
     if layout in ("ts,price", "price,ts", "price"):
         lines.append(",".join([ts_name, "Price"][::-1 if price_first else 1])
                      if has_ts else " price ")
-    t = int(rng.integers(-10**6, 10**6))
-    for _ in range(int(rng.integers(0, 60))):
+    # without quirks: unsigned timestamps, and prices repr writes positionally
+    t = int(rng.integers(0 if quirk == 0.0 else -10**6, 10**6))
+    sigma = 2.0 if quirk == 0.0 else 3.0
+    rows = int(rng.integers(0, 60))
+    for _ in range(rows):
         t += int(rng.integers(-1, 4)) if rng.random() < quirk else int(rng.integers(1, 90))
-        price = repr(float(rng.lognormal(7.0, 3.0)))
+        price = repr(float(rng.lognormal(7.0, sigma)))
         if rng.random() < quirk:
             price = PRICE_CELLS[rng.integers(len(PRICE_CELLS))]
         cells = [price]
@@ -651,7 +656,8 @@ def price_files(draw):
         if rng.random() < quirk:
             lines.append(BLANK_ROWS[rng.integers(len(BLANK_ROWS))])
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return end.join(lines) + draw(st.sampled_from([end, ""]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    return text, quirk == 0.0 and end != "\r" and rows > 0
 
 
 def load_by_rows(path):
@@ -667,9 +673,14 @@ def csv_path(tmp_path_factory):
 
 
 @settings(max_examples=400)
-@given(text=price_files())
-def test_bulk_ingest_agrees_with_row_parser(csv_path, text):
+@given(price_files())
+def test_bulk_ingest_agrees_with_row_parser(csv_path, file):
+    text, clean = file
     csv_path.write_bytes(text.encode())
+    if clean:   # every row is the bulk parser's
+        with open(csv_path, newline="") as fh:
+            layout = prices_module._read_layout(fh, csv_path)
+            assert prices_module._parse_bulk(fh, layout) is not None
     try:
         expect = load_by_rows(csv_path)
     except DataError as err:
