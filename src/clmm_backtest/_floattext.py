@@ -8,8 +8,8 @@ to it when several qualify, and the even last digit on a tie.  Python's
 Schubfach way to render doubles", 2020) and Ryu (U. Adams, PLDI 2018), which
 need nothing but fixed-width integer arithmetic.  ``shortest_digits`` runs
 Schubfach on whole numpy columns: its three 126 x 64-bit products are done
-in 32-bit limbs of ``uint64`` words (``mul64``), the trailing zeros are
-stripped in a masked loop, and the digits become text four at a time
+in 32-bit limbs of ``uint64`` words (``_wide.mul64``), the trailing zeros
+are stripped in a masked loop, and the digits become text four at a time
 through a lookup table.
 
 Only cells in ``repr``'s positional layout take that path: finite normal
@@ -48,6 +48,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._wide import mul64
+
 _U = np.uint64
 _LOW32, _32 = _U(0xFFFFFFFF), _U(32)
 _LOW63, _63 = _U((1 << 63) - 1), _U(63)
@@ -64,19 +66,6 @@ _POW10 = np.array([10 ** i for i in range(20)], dtype=_U)
 # "0000" .. "9999": four ASCII digits per uint32 word
 _DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
                     axis=-1).view(np.uint32).ravel()
-
-
-def mul64(a, b):
-    """Full 128-bit products of two ``uint64`` arrays as (high, low) words.
-
-    The high word is summed from 32-bit limbs, so no partial product
-    overflows; the low word is the wrapped product.
-    """
-    a0, a1 = a & _LOW32, a >> _32
-    b0, b1 = b & _LOW32, b >> _32
-    lo_lo, hi_lo, lo_hi = a0 * b0, a1 * b0, a0 * b1
-    mid = (lo_lo >> _32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)
-    return a1 * b1 + (hi_lo >> _32) + (lo_hi >> _32) + (mid >> _32), a * b
 
 
 def _power_table():
@@ -290,8 +279,8 @@ def csv_rows(columns) -> str:
 # masking, unlike subtracting "0", never borrows from a neighbouring byte.
 _NL, _CR, _COMMA, _DOT = (np.uint8(ord(c)) for c in "\n\r,.")
 _ZERO, _NINE = np.uint8(ord("0")), np.uint8(9)
-# by word and digit count: 0x0F in the bytes of the digits that word j of
-# the words ending at a cell's end holds
+# [j, n]: 0x0F on the bytes of word j, counted back from a cell's end, that
+# hold digits of an n-digit cell
 _DIGIT_MASKS = np.array([[(0x0F0F0F0F0F0F0F0F << 8 * (8 - min(max(n - 8 * j, 0), 8)))
                           & 0xFFFFFFFFFFFFFFFF for n in range(20)] for j in range(3)], _U)
 _WORD_ENDS = np.array([8, 16, 24], dtype=np.intp)   # word j starts 8 (j + 1) bytes back

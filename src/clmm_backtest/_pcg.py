@@ -12,7 +12,7 @@ Here the hashing runs on ``uint32`` arrays with one element per epoch, and
 the LCG jumps to every draw at once: after j steps the state is
 ``M**j s + (M**(j-1) + ... + 1) inc``, with those two factors per j taken
 from Python ints.  128-bit words are (high, low) ``uint64`` pairs; their
-products are built from ``_floattext.mul64``, the full 64 x 64-bit product
+products are built from ``_wide.mul64``, the full 64 x 64-bit product
 in 32-bit limbs.  ``uint32`` and ``uint64`` words only ever meet scalars of
 their own type, so the arithmetic is the same on numpy 1.24 and 2.x.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._floattext import mul64
+from ._wide import mul64
 
 _U32, _U64 = np.uint32, np.uint64
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
