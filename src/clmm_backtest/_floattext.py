@@ -476,8 +476,9 @@ def parse_columns(raw, price_col, ts_col):
         parsed = _parse_block(block, price_col, ts_col)
         if parsed is None or at + len(parsed[0]) > rows:
             return None
-        prices[at:at + len(parsed[0])] = parsed[0]
+        n = len(parsed[0])
+        prices[at:at + n] = parsed[0]
         if stamps is not None:
-            stamps[at:at + len(parsed[0])] = parsed[1]
-        at += len(parsed[0])
+            stamps[at:at + n] = parsed[1]
+        at += n
     return (prices, stamps) if at == rows else None
