@@ -3,8 +3,8 @@
 A partition slices [lower, upper] into n equal-width buckets numbered 1..n
 and owns the edge table (``edges`` and their square ``roots``) that lookup,
 allocation and the reserve kernel read.  Buckets are half-open [left, right):
-lookup is a right-sided ``searchsorted`` over the interior edges, so a price
-on an interior edge belongs to the higher bucket, the upper bound to bucket n.
+a price on an interior edge belongs to the higher bucket, the upper bound to
+bucket n.  The widths are equal, so lookup computes the bucket from the price.
 
 An epoch plan splits a price series into maximal runs during which the
 price stays within ``tau`` buckets of the run's benchmark bucket.  The
@@ -12,14 +12,15 @@ first index that breaks the band closes the old run and opens the new one,
 so consecutive epochs share exactly that boundary index.  A band can only
 break where the bucket changes, so segmentation works on the series'
 bucket change points: range min/max tables give each change point's first
-break within a horizon, and the epoch chain follows them.
+break within a horizon, and the epoch chain follows them.  The plan keeps
+the series' bucket column for the replay to read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -37,6 +38,10 @@ def check_tau(tau) -> None:
     check_integer(tau, 0, "tau")
 
 
+# prices per chunk of the bucket lookup, which bounds its temporaries
+_LOOKUP_ROWS = 1 << 14
+
+
 @dataclass(frozen=True)
 class BucketPartition:
     """Equal-width partition of [lower, upper] into n buckets."""
@@ -46,6 +51,8 @@ class BucketPartition:
     n: int
     edges: np.ndarray = field(init=False, repr=False, compare=False)
     roots: np.ndarray = field(init=False, repr=False, compare=False)
+    _highs: np.ndarray = field(init=False, repr=False, compare=False)
+    _scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (isfinite(self.lower) and isfinite(self.upper)):
@@ -61,9 +68,13 @@ class BucketPartition:
         if not (roots[1:] > roots[:-1]).all():
             raise ValueError(f"buckets too narrow, edges or their square roots collide: "
                              f"[{self.lower}, {self.upper}] in {self.n} buckets")
-        edges.flags.writeable = roots.flags.writeable = False
+        highs = np.append(edges[1:-1], np.inf)
+        edges.flags.writeable = roots.flags.writeable = highs.flags.writeable = False
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "_highs", highs)
+        scale = self.n / float(self.upper - self.lower)
+        object.__setattr__(self, "_scale", scale if isfinite(scale) else 0.0)
 
     @property
     def width(self) -> float:
@@ -79,27 +90,49 @@ class BucketPartition:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
     def bucket_of(self, p: float) -> int:
-        """1-based bucket index containing price p.
+        """1-based bucket of price p, ValueError outside [lower, upper]; a
+        guess the lookup would keep is kept without building arrays."""
+        if self.lower <= p <= self.upper:
+            k = min(int((p - self.lower) * self._scale), self.n - 1)
+            if self.edges[k] <= p < self._highs[k]:
+                return k + 1
+        return int(self.bucket_column([p])[0]) + 1
 
-        Raises ValueError for prices outside [lower, upper].
+    def bucket_indices(self, prices: np.ndarray) -> np.ndarray:
+        """Vectorised bucket_of over a price array."""
+        return self.bucket_column(prices).astype(np.int64) + 1
+
+    def bucket_column(self, prices) -> np.ndarray:
+        """0-based buckets of a 1-d price array, read-only, in int16 if n fits
+        it, else int32; ValueError names a price outside [lower, upper].
+
+        The guess floor((p - lower) n / (upper - lower)), clamped to n - 1,
+        is off by one where the edges' rounding moves them past p: such a
+        row moves one bucket down or up.  A row still outside its edges is
+        searched for: on a partition a few ulps wide the scale can be
+        subnormal, or overflow and guess 0.
         """
-        if not (isfinite(p) and self.lower <= p <= self.upper):
-            raise ValueError(f"price {p} outside partition [{self.lower}, {self.upper}]")
-        return int(self.edges[1:-1].searchsorted(p, side="right")) + 1
-
-    def _check_inside(self, p: np.ndarray) -> None:
-        """Raise ValueError naming the first price outside [lower, upper]."""
+        p = np.asarray(prices, dtype=np.float64)
         # reductions scan without a full-length mask; NaN fails both
         if p.size and not (self.lower <= p.min() and p.max() <= self.upper):
             i = int(np.argmax(~np.isfinite(p) | (p < self.lower) | (p > self.upper)))
             raise ValueError(f"price {p[i]} at index {i} outside partition "
                              f"[{self.lower}, {self.upper}]")
-
-    def bucket_indices(self, prices: np.ndarray) -> np.ndarray:
-        """Vectorised bucket_of over a price array."""
-        p = np.asarray(prices, dtype=np.float64)
-        self._check_inside(p)
-        return self.edges[1:-1].searchsorted(p, side="right") + 1
+        out = np.empty(len(p), dtype=np.int16 if self.n < 1 << 15 else np.int32)
+        lows, highs, scale = self.edges[:-1], self._highs, self._scale
+        for c0 in range(0, len(p), _LOOKUP_ROWS):
+            c = p[c0:c0 + _LOOKUP_ROWS]
+            k = np.minimum((c - self.lower) * scale, self.n - 1).astype(np.intp)
+            below, above = c < lows.take(k), c >= highs.take(k)
+            moved = np.flatnonzero(below | above)
+            if moved.size:
+                km, cm = k[moved] + above[moved] - below[moved], c[moved]
+                bad = (cm < lows[km]) | (cm >= highs[km])
+                km[bad] = np.searchsorted(self.edges[1:-1], cm[bad], side="right")
+                k[moved] = km
+            out[c0:c0 + _LOOKUP_ROWS] = k
+        out.flags.writeable = False
+        return out
 
 
 class Epoch(NamedTuple):
@@ -116,12 +149,14 @@ class EpochPlan:
 
     ``epochs`` is a read-only int64 table with one (start, end, benchmark)
     row per epoch; it may be given as any sequence of such rows, ``Epoch``s
-    included.  Iterating or indexing a plan gives ``Epoch``s.
+    included.  Iterating or indexing a plan gives ``Epoch``s.  ``buckets`` is
+    the series' ``bucket_column`` if ``segment_epochs`` made the plan.
     """
 
     epochs: np.ndarray
     series_length: int
     tau: int
+    buckets: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.array(self.epochs, dtype=np.int64)
@@ -167,7 +202,7 @@ def _band_reach(v: np.ndarray, tau: int, n: int) -> np.ndarray:
     """For each j, how many of v[j + 1], v[j + 2], ... stay within tau of
     v[j] before the first that does not, capped at _HORIZON (uint8).
 
-    v holds bucket indices in 1..n; past its end every value counts as out
+    v holds 0-based buckets, below n; past its end every value counts as out
     of band.  min and max of v over windows of 2**l values, for l below
     _LEVELS, are built one chunk of j at a time, and each j's run is found
     by descending them from the longest window to the shortest.
@@ -184,9 +219,9 @@ def _band_reach(v: np.ndarray, tau: int, n: int) -> np.ndarray:
             h = 1 << (level - 1)
             lows.append(np.minimum(lows[-1][:-h], lows[-1][h:]))
             highs.append(np.maximum(highs[-1][:-h], highs[-1][h:]))
-        # no value exceeds n, so clipping s + tau to n keeps it in v's type
+        # no value exceeds n - 1, so clipping s + tau to it keeps v's type
         s = v[c0:c1]
-        lo, hi = s - tau, np.minimum(s, n - tau) + tau
+        lo, hi = s - tau, np.minimum(s, n - 1 - tau) + tau
         # at - (its start) is the in-band run so far, grown by 2**l windows
         at = np.arange(c1 - c0)
         for level in reversed(range(_LEVELS)):
@@ -212,25 +247,21 @@ def segment_epochs(partition: BucketPartition, prices: np.ndarray, tau: int) -> 
         tau: reset half-width in buckets, non-negative integer.
 
     Returns:
-        EpochPlan covering the whole series.
+        EpochPlan covering the whole series, carrying its bucket column.
     """
     check_tau(tau)
     p = np.asarray(prices, dtype=np.float64)
     m = len(p)
     if m == 0:
         raise ValueError("price series is empty")
+    buckets = partition.bucket_column(p)
     if tau >= partition.n - 1:
         # every bucket lies within tau of every other, so nothing resets
-        partition._check_inside(p)
-        return EpochPlan([(0, m - 1, partition.bucket_of(float(p[0])))], m, int(tau))
+        return EpochPlan([(0, m - 1, int(buckets[0]) + 1)], m, int(tau), buckets)
 
-    # a band breaks only where the bucket changes: row 0 and the change
-    # points, with their buckets in the narrowest type that holds 1..n
-    buckets = partition.bucket_indices(p)
+    # a band breaks only where the bucket changes: row 0 and the change points
     rows = np.concatenate([[0], np.flatnonzero(buckets[1:] != buckets[:-1]) + 1])
-    v = buckets[rows].astype(np.int16 if partition.n <= np.iinfo(np.int16).max
-                           else np.int32)
-    del buckets
+    v = buckets[rows]
     reach = _band_reach(v, int(tau), partition.n)
 
     # the epoch chain: the next epoch starts at the first value out of band
@@ -257,5 +288,5 @@ def segment_epochs(partition: BucketPartition, prices: np.ndarray, tau: int) -> 
     table[:, 0] = rows[firsts]
     table[:-1, 1] = table[1:, 0]
     table[-1, 1] = m - 1
-    table[:, 2] = v[firsts]
-    return EpochPlan(table, m, int(tau))
+    np.add(v[firsts], 1, out=table[:, 2], dtype=np.int64)
+    return EpochPlan(table, m, int(tau), buckets)

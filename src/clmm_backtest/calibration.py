@@ -83,8 +83,8 @@ def _bucket_volume(pool_config: BacktestConfig, prices) -> np.ndarray:
     travel = np.zeros(2 * n)                            # U_b, then U_a
     crossed = np.zeros(2 * (n + 1), dtype=np.int64)     # up, then down
     for t0 in range(0, len(p) - 1, _BLOCK_ROWS):  # bounds the temporaries
-        s = np.sqrt(clamped[t0:t0 + _BLOCK_ROWS + 1])
-        k = r[1:-1].searchsorted(s, side="right")
+        block = clamped[t0:t0 + _BLOCK_ROWS + 1]
+        s, k = np.sqrt(block), part.bucket_column(block).astype(np.intp)
         down = s[1:] < s[:-1]
         lo, hi = np.minimum(s[:-1], s[1:]), np.maximum(s[:-1], s[1:])
         k_lo, k_hi = np.minimum(k[:-1], k[1:]), np.maximum(k[:-1], k[1:])
@@ -239,28 +239,3 @@ def _calibrate(pool: _WholePool, mu, bound, target_fee, variance_grid,
         else:
             hi = mid
     return result(best_v, best_fee, iterations)
-
-
-def calibrate_over_mu(pool_config: BacktestConfig, prices, mu_values, bound: float,
-                      target_fee: float, variance_grid) -> CalibrationResult:
-    """Coarse outer search: calibrate the variance at each mu, keep the best.
-
-    mu values where the target is unreachable are skipped; if every mu is
-    unreachable the last such error is re-raised.  One travel pass over the
-    series serves every mu.
-    """
-    pool = _WholePool(pool_config, prices)
-    best = None
-    last_err = None
-    for mu in mu_values:
-        try:
-            res = _calibrate(pool, float(mu), bound, target_fee, variance_grid, None)
-        except CalibrationUnreachableError as err:
-            last_err = err
-            continue
-        if best is None or res.relative_error < best.relative_error:
-            best = res
-    if best is None:
-        raise last_err if last_err is not None else \
-            CalibrationUnreachableError("no mu values supplied")
-    return best

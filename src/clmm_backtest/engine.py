@@ -29,10 +29,10 @@ are handled in groups of at most ``_GROUP_CELLS // W``, so no table has
 epochs x buckets cells.  Per group, unit liquidity is one
 (epochs x W) array, and the kernel tabulates it with cumulative full
 depths, one table column per window bucket.  One pass over the group's
-rows, in fixed 2**13-row blocks that overlap by one row, finds for each
-row the bucket holding the price with ``searchsorted`` (O(log n), not
-O(n)) and gathers its column of the owning epoch's table: buckets below
-it hold their full token-B depth, buckets above their full token-A depth.
+rows, in fixed 2**13-row blocks that overlap by one row, reads each row's
+bucket from the column segmentation computed from the price (O(1) a row)
+and gathers its column of the owning epoch's table: buckets below it hold
+their full token-B depth, buckets above their full token-A depth.
 A boundary row, shared by two epochs, is owned by the later one; it is
 evaluated once more under the earlier epoch's table for that epoch's last
 step and end value.  Within a block of one epoch the per-epoch lookups
@@ -59,7 +59,7 @@ never subtracted from the capital trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import isfinite
 from typing import NamedTuple, Optional
 
@@ -434,22 +434,25 @@ def _blocks(starts, first, last, overlap):
         yield t0, t1, ea, eb, spread
 
 
-def _reserves(tab, lower, price, shift, low, high, value):
+def _columns(buckets, offset, base, width):
+    """Table columns of rows in 0-based ``buckets`` under epochs whose
+    windows start at bucket ``offset`` and whose columns at ``base``."""
+    return np.clip(np.subtract(buckets, offset, dtype=np.intp), 0, width) + base
+
+
+def _reserves(tab, col, price, low, high, value):
     """Positions' token-B value and anchored reserves at given prices.
 
-    Per row, of the epoch valued there: ``low``/``high`` its window's outer
-    roots and ``shift`` what turns a count of ``lower``, the ascending
-    inner edge roots searched, into that epoch's table column (scalars
-    when one epoch owns every row).  Writes the value into ``value``;
-    returns the anchored (token B, token A), shape (2, rows).
+    Per row, of the epoch valued there: ``col`` its table column and
+    ``low``/``high`` its window's outer roots (scalars when one epoch owns
+    every row).  Writes the value into ``value``; returns the anchored
+    (token B, token A), shape (2, rows).
     """
     c = np.empty((2, len(price)))
     np.sqrt(price, out=c[0])
     np.minimum(np.maximum(c[0], low, out=c[0]), high, out=c[0])
-    k = lower.searchsorted(c[0], side="right")
-    k += shift
     np.divide(1.0, c[0], out=c[1])
-    rows = tab.take(k, axis=1)
+    rows = tab.take(col, axis=1)
     # (y, x) of the bucket holding the price, then the same anchored
     own = c - rows[1:5].reshape(2, 2, -1)
     own *= rows[0]
@@ -460,31 +463,28 @@ def _reserves(tab, lower, price, shift, low, high, value):
     return rows[7:]
 
 
-def _replay(tab, width, offsets, starts, last, prices, roots, trajectory, steps):
+def _replay(tab, width, offsets, starts, last, prices, buckets, roots, trajectory,
+            steps):
     """Unit inflows and end values of a group of epochs.
 
     The epochs start at rows ``starts`` and the last ends at row ``last``;
     their windows begin at buckets ``offsets`` and ``tab`` is their
-    ``_kernel_table``.  Writes the unit trajectory into
-    trajectory[starts[0]..last] and, unless steps is None, the unit
-    per-step inflows into its columns (token B in row 0, token A in row 1;
-    step t -> t+1 at column t).  Returns ((token B, token A) inflows,
-    shape (2, epochs), and end values).
+    ``_kernel_table``; ``buckets`` are the rows' 0-based buckets.  Writes
+    the unit trajectory into trajectory[starts[0]..last] and, unless steps
+    is None, the unit per-step inflows into its columns (token B in row 0,
+    token A in row 1; step t -> t+1 at column t).  Returns ((token B,
+    token A) inflows, shape (2, epochs), and end values).
     """
-    # a row's table column: its bucket's place in the window, past the
-    # columns of the group's earlier epochs
-    column = np.arange(len(starts)) * (width + 1) - offsets
+    # each epoch's table columns follow those of the group's earlier ones
+    base = np.arange(len(starts)) * (width + 1)
     low, high = roots[offsets], roots[offsets + width]
-    window = offsets.tolist()
     inflow = np.zeros((2, len(starts)))
     end_value = np.empty(len(starts))
     for t0, t1, ea, eb, spread in _blocks(starts, starts[0], last, overlap=True):
-        # search the inner edges of the windows the block's epochs span
-        first = min(window[ea:eb + 1])
-        lower = roots[first + 1:max(window[ea:eb + 1]) + width]
         p = prices[t0:t1 + 1]
-        anchored = _reserves(tab, lower, p, spread(column) + first, spread(low),
-                             spread(high), trajectory[t0:t1 + 1])
+        col = _columns(buckets[t0:t1 + 1], spread(offsets), spread(base), width)
+        anchored = _reserves(tab, col, p, spread(low), spread(high),
+                             trajectory[t0:t1 + 1])
         step = np.subtract(anchored[:, 1:], anchored[:, :-1])
         # each epoch's steps start at its first row; one that starts on the
         # block's last row has none here
@@ -494,8 +494,9 @@ def _replay(tab, width, offsets, starts, last, prices, roots, trajectory, steps)
             # value come from that epoch's positions
             ended = slice(ea, eb)
             bounds = starts[ea + 1:eb + 1] - t0
-            patch = _reserves(tab, lower, p[bounds], column[ended] + first, low[ended],
-                              high[ended], end_value[ended])
+            col = _columns(buckets[t0 + bounds], offsets[ended], base[ended], width)
+            patch = _reserves(tab, col, p[bounds], low[ended], high[ended],
+                              end_value[ended])
             step[:, bounds - 1] = patch - anchored[:, bounds - 1]
             seg += bounds[bounds < t1 - t0].tolist()
         np.maximum(step, 0.0, out=step)
@@ -507,17 +508,14 @@ def _replay(tab, width, offsets, starts, last, prices, roots, trajectory, steps)
     return inflow, end_value
 
 
-def _deploy_group(weights, offsets, width, anchors, tables, partition):
-    """Unit-capital liquidity of a group of epochs, shape (epochs, W), and
-    its ``_kernel_table``; ``anchors`` are the epochs' first prices."""
+def _deploy_group(weights, offsets, width, anchors, buckets, tables):
+    """Unit-capital liquidity of a group of epochs, shape (epochs, W), and its
+    ``_kernel_table``; the epochs start at prices ``anchors`` in ``buckets``."""
     roots, depth = tables
     window_roots = _window_columns(roots, offsets, width)
     unit = deploy(weights, anchors, window_roots[1], window_roots[0])
-    first_root = np.sqrt(anchors)
-    first_col = partition.roots[1:-1].searchsorted(first_root, side="right") - offsets
-    first_col = np.clip(first_col, 0, width - 1)
     return unit, _kernel_table(unit, window_roots, _window_columns(depth, offsets, width),
-                               first_root, first_col)
+                               np.sqrt(anchors), _columns(buckets, offsets, 0, width - 1))
 
 
 def _growth(config: BacktestConfig, unit_end, unit_inflow, end_price) -> np.ndarray:
@@ -680,6 +678,8 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
     p, timestamps, bucket_prices = checked_prices(config, prices, timestamps)
     part = config.partition
     plan = segment_epochs(part, bucket_prices, config.tau)
+    # the report's plan does not keep the bucket column alive
+    buckets, plan = plan.buckets, replace(plan, buckets=None)
     starts, ends = plan.epochs[:, 0], plan.epochs[:, 1]
     n_epochs, m = len(plan), len(p)
     tables = _bucket_tables(part)
@@ -700,9 +700,10 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
         g = slice(g0, min(n_epochs, g0 + group))
         last = ends[g.stop - 1]
         offsets, w = weights(g.start, g.stop)
-        unit, tab = _deploy_group(w, offsets, width, p[starts[g]], tables, part)
-        unit_inflow, unit_end = _replay(tab, width, offsets, starts[g], last, p, part.roots,
-                                        trajectory, steps)
+        unit, tab = _deploy_group(w, offsets, width, p[starts[g]], buckets[starts[g]],
+                                  tables)
+        unit_inflow, unit_end = _replay(tab, width, offsets, starts[g], last, p, buckets,
+                                        part.roots, trajectory, steps)
 
         # an epoch's capital is the one before times that one's growth
         chain = np.multiply.accumulate(np.append(
@@ -720,6 +721,7 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
         prev_liq, prev_off = liq[-1:], offsets[-1:]
         if g0 == 0:
             first_liq, first_off = liq[0], int(offsets[0])
+    del buckets
 
     ledger = FeeLedger(config.fee_rate, inflow[1], inflow[0], p[ends])
 

@@ -227,11 +227,3 @@ def write_csv(path, header: str, columns) -> None:
         fh.write(header + "\n")
         for s in range(0, len(cols[0]), _WRITE_CHUNK_ROWS):
             fh.write(csv_rows([c[s:s + _WRITE_CHUNK_ROWS] for c in cols]))
-
-
-def write_prices(series: PriceSeries, path) -> None:
-    """Write a series back to CSV in a bit-exact round-trippable form."""
-    if series.timestamps is not None:
-        write_csv(path, "ts,price", (series.timestamps, series.prices))
-    else:
-        write_csv(path, "price", (series.prices,))

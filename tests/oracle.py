@@ -15,7 +15,9 @@ the gas count that compares whole liquidity vectors at every transition,
 and drives the engine's window-restricted count on hand-made schedules,
 so that the two can be checked against each other, and the CSV row writer
 that calls ``repr`` on every cell, which the bulk formatter must match byte
-for byte.  The random band strategy's weights are drawn here the way numpy
+for byte.  Two conveniences no run needs live here for the tests that use
+them: a price series written back to CSV, and a variance fit repeated over
+several profile centres.  The random band strategy's weights are drawn here the way numpy
 documents them, one ``default_rng([seed, epoch])`` generator per row, which
 the vectorised stream must match bit for bit.
 """
@@ -29,9 +31,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from clmm_backtest import prices as price_io
 from clmm_backtest.allocation import band_weights, deploy
 from clmm_backtest.bucketing import BucketPartition, EpochPlan
+from clmm_backtest.calibration import CalibrationResult, _calibrate, _WholePool
 from clmm_backtest import engine
+from clmm_backtest.errors import CalibrationUnreachableError
 from clmm_backtest.engine import (_LIQ_EQUAL_RTOL, FeeLedger, GasBreakdown, GasParams,
                                   ReservePair)
 
@@ -448,3 +453,37 @@ def random_band_weights(partition: BucketPartition, benchmarks, tau: int, seed,
     w /= total
     w /= w.sum(axis=1, keepdims=True)
     return offsets, w
+
+
+def write_prices(series: price_io.PriceSeries, path) -> None:
+    """Write a series back to CSV with the bulk writer, in a bit-exact
+    round-trippable form."""
+    if series.timestamps is not None:
+        price_io.write_csv(path, "ts,price", (series.timestamps, series.prices))
+    else:
+        price_io.write_csv(path, "price", (series.prices,))
+
+
+def calibrate_over_mu(pool_config, prices, mu_values, bound: float, target_fee: float,
+                      variance_grid) -> CalibrationResult:
+    """Coarse outer search: calibrate the variance at each mu, keep the best.
+
+    mu values where the target is unreachable are skipped; if every mu is
+    unreachable the last such error is re-raised.  One travel pass over the
+    series serves every mu.
+    """
+    pool = _WholePool(pool_config, prices)
+    best = None
+    last_err = None
+    for mu in mu_values:
+        try:
+            res = _calibrate(pool, float(mu), bound, target_fee, variance_grid, None)
+        except CalibrationUnreachableError as err:
+            last_err = err
+            continue
+        if best is None or res.relative_error < best.relative_error:
+            best = res
+    if best is None:
+        raise last_err if last_err is not None else \
+            CalibrationUnreachableError("no mu values supplied")
+    return best

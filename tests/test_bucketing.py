@@ -105,6 +105,71 @@ class TestBucketPartition:
         assert mids == pytest.approx(np.arange(1.5, 11.5), rel=1e-12)
 
 
+def guess(part, p):
+    """The lookup's first guess, floor((p - lower) n / (upper - lower))."""
+    return min(int((p - part.lower) * (part.n / (part.upper - part.lower))), part.n - 1)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The prices the lookup leaves to a binary search."""
+    found, search = [], np.searchsorted
+    monkeypatch.setattr(np, "searchsorted",
+                        lambda a, v, **kw: found.extend(np.ravel(v).tolist()) or search(a, v, **kw))
+    return found
+
+
+class TestBucketColumn:
+    """The arithmetic lookup: a guess from the price, one edge comparison
+    each way, and a search for rows the comparisons cannot place."""
+
+    def test_guess_one_bucket_too_high_moves_down(self, searches):
+        part = BucketPartition(7.9, 21.2, 7)
+        p = float(np.nextafter(part.edges[3], -np.inf))  # 13.6, edge 3 rounds up
+        assert guess(part, p) == 3
+        assert part.bucket_column([p]).tolist() == [2]
+        assert part.bucket_of(p) == 3
+        assert searches == []
+
+    def test_guess_one_bucket_too_low_moves_up(self, searches):
+        part = BucketPartition(0.1, 0.7, 3)
+        p = float(part.edges[1])  # 0.3, edge 1 rounds down
+        assert guess(part, p) == 0
+        assert part.bucket_column([p]).tolist() == [1]
+        assert part.bucket_of(p) == 2
+        assert searches == []
+
+    def test_rows_beyond_one_bucket_are_searched(self, searches):
+        # a partition 16 ulps wide at 2**-1020: n / (upper - lower)
+        # overflows, so every guess is bucket 0, and only the search places
+        # prices two or more buckets up
+        lower = 2.0 ** -1020
+        part = BucketPartition(lower, lower + 16 * 2.0 ** -1072, 4)
+        prices = lower + np.arange(17) * 2.0 ** -1072
+        assert part.n / (part.upper - part.lower) == float("inf")
+        want = part.edges[1:-1].searchsorted(prices, side="right")
+        assert part.bucket_column(prices).tolist() == want.tolist()
+        assert searches == prices[want >= 2].tolist()
+        assert [part.bucket_of(p) for p in prices.tolist()] == (want + 1).tolist()
+
+    @pytest.mark.parametrize("n,dtype", [(32_767, np.int16), (32_768, np.int32)])
+    def test_int16_holds_up_to_32767_buckets(self, n, dtype):
+        part = BucketPartition(1.0, 9.0, n)
+        prices = np.array([1.0, part.edges[n - 1], 9.0])
+        column = part.bucket_column(prices)
+        assert column.dtype == dtype
+        assert column.tolist() == [0, n - 1, n - 1]
+        # the 1-based buckets are formed in int64, so bucket n never wraps
+        assert part.bucket_indices(prices).tolist() == [1, n, n]
+        plan = segment_epochs(part, np.array([1.0, 9.0]), 0)
+        assert list(plan) == [Epoch(0, 1, 1), Epoch(1, 1, n)]
+
+    def test_column_is_read_only(self):
+        column = P1_11.bucket_column(np.array([2.0, 11.0]))
+        assert not column.flags.writeable
+        assert P1_11.bucket_column(np.empty(0)).tolist() == []
+
+
 class TestSegmentEpochs:
 
     def test_reference_trace(self):
@@ -121,6 +186,18 @@ class TestSegmentEpochs:
         prices = np.array([2.5, 3.2, 4.7, 4.1, 6.3])
         plan = segment_epochs(part, prices, tau=9)
         assert list(plan) == [Epoch(0, 4, 3)]
+        # the shortcut for tau >= n - 1 fills the bucket column too
+        assert plan.buckets.tolist() == [2, 2, 4, 3, 5]
+
+    def test_plan_carries_the_bucket_column(self):
+        part = BucketPartition(0.5, 10.5, 10)
+        prices = np.array([2.5, 3.2, 4.7, 4.1, 6.3])
+        plan = segment_epochs(part, prices, tau=1)
+        assert plan.buckets.tolist() == (part.bucket_indices(prices) - 1).tolist()
+        assert not plan.buckets.flags.writeable
+        # not shown, and absent from plans built from rows
+        assert "buckets" not in repr(plan)
+        assert EpochPlan(plan.epochs, 5, 1).buckets is None
 
     def test_tau_zero_resets_on_every_bucket_change(self):
         part = BucketPartition(0.0625, 8.0625, 8)

@@ -8,11 +8,11 @@ import pytest
 from clmm_backtest import calibration
 from clmm_backtest.allocation import ProfileParams
 from clmm_backtest.bucketing import BucketPartition
-from clmm_backtest.calibration import (CalibrationResult, FeeCurve,
-                                       calibrate_over_mu, calibrate_variance,
+from clmm_backtest.calibration import (CalibrationResult, FeeCurve, calibrate_variance,
                                        fee_curve, whole_pool_fee)
 from clmm_backtest.engine import BacktestConfig, StrategyConfig, run_backtest
 from clmm_backtest.errors import CalibrationUnreachableError
+from oracle import calibrate_over_mu
 
 
 def pool_config(partition, capital=1e6):

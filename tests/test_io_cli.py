@@ -17,7 +17,8 @@ from clmm_backtest import prices as prices_module
 from clmm_backtest.cli import main
 from clmm_backtest.config import load_config, parse_config
 from clmm_backtest.errors import ConfigError, DataError
-from clmm_backtest.prices import PriceSeries, load_prices, write_csv, write_prices
+from clmm_backtest.prices import PriceSeries, load_prices, write_csv
+from oracle import write_prices
 
 BASE_CONFIG = """
 # sample pool
@@ -705,3 +706,19 @@ def test_traced_layer_bindings_exist():
     for module, attr in TRACED:
         assert (module, attr) in wrapped
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_traced_segmentation_returns_the_epochs_and_the_bucket_column(monkeypatch):
+    # the tracer counts bucketing.epochs as len() of what the engine's
+    # segment_epochs binding returns, and times the bucket lookup in it
+    from clmm_backtest import engine
+    plans, segment = [], engine.segment_epochs
+    monkeypatch.setattr(engine, "segment_epochs",
+                        lambda *args: plans.append(segment(*args)) or plans[-1])
+    config = parse_config(BASE_CONFIG)
+    prices = 2500.0 + 400.0 * np.sin(np.arange(3000) / 97.0)
+    report = engine.run_backtest(config, prices)
+    (plan,) = plans
+    assert len(plan) == len(report.plan) == len(report.ledger.inflow_b) > 10
+    assert plan.buckets.tolist() == (config.partition.bucket_indices(prices) - 1).tolist()
+    assert report.plan.buckets is None  # the report does not keep the column

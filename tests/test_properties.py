@@ -20,15 +20,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import oracle
 from clmm_backtest._pcg import epoch_draws
-from clmm_backtest.allocation import (ProfileParams, band_weights, custom_weights,
+from clmm_backtest.allocation import (ProfileParams, band_weights, custom_weights, deploy,
                                       normal_profile_weights)
 from clmm_backtest.bucketing import BucketPartition, Epoch, EpochPlan, segment_epochs
 from clmm_backtest.calibration import fee_curve, whole_pool_fee
+from clmm_backtest import calibration, engine
 from clmm_backtest import prices as prices_module
 from clmm_backtest.engine import BacktestConfig, GasParams, StrategyConfig, run_backtest
 from clmm_backtest.errors import DataError
@@ -264,6 +265,63 @@ def test_repeat_runs_are_byte_identical(case):
     assert a.monthly_fees == b.monthly_fees
 
 
+def root_edge_walk(part, m, seed):
+    """A walk over the interior edges whose rows sit at an edge: the float
+    below it whose root rounds onto the edge's root (so the root puts it a
+    bucket higher than the price does), the float above it whose root does
+    (both put it in the same bucket), or a price near it."""
+    e, r = part.edges, part.roots
+    below, above = np.nextafter(e, -np.inf), np.nextafter(e, np.inf)
+    rng = np.random.default_rng(seed)
+    j = np.clip(part.n // 2 + np.cumsum(rng.integers(-2, 3, m)), 1, part.n - 1)
+    kind = rng.integers(0, 3, m)
+    near = e[j] + rng.uniform(-0.3, 0.3, m) * part.width
+    prices = np.where(kind == 0, below[j], np.where(kind == 1, above[j], near))
+    # where no float next to the edge has its root, take the edge itself
+    rounded = np.sqrt(prices) == r[j]
+    return np.where((kind < 2) & ~rounded, e[j], prices)
+
+
+@pytest.mark.parametrize("mode,tau", [("uniform", 2), ("random", 3), ("custom", 1)])
+def test_prices_whose_root_rounds_onto_an_edge_root(mode, tau, monkeypatch):
+    # the kernel reads each row's bucket from its price; looking the root up
+    # among the edge roots, as the kernel once did, puts the rows below an
+    # edge whose root rounds onto its root one bucket higher, where the
+    # neighbouring bucket holds the same reserves
+    part = BucketPartition(1000.0, 4000.0, 100)
+    prices = root_edge_walk(part, 4000, 11)
+    k = part.bucket_column(prices)
+    root = np.sqrt(prices)
+    assert np.count_nonzero(root == part.roots[k + 1]) > 300
+    assert np.count_nonzero((root == part.roots[k]) & (prices > part.edges[k])) > 300
+    timestamps = 1_600_000_000 + np.cumsum(np.random.default_rng(3).integers(1, 3 * 86_400,
+                                                                              len(prices)))
+    strategy = StrategyConfig(mode, seed=5 if mode == "random" else None,
+                              weights=np.full(part.n, 1.0 / part.n) if mode == "custom" else None)
+    config = BacktestConfig(part, tau, strategy, 1e6, 0.003, reinvest_mode="reinvest")
+    check_against_oracle(config, prices, timestamps)
+
+    report = run_backtest(config, prices, timestamps)
+    starts = report.plan.epochs[:, 0]
+    assert np.count_nonzero(root[starts] == part.roots[k[starts] + 1]) > 10
+
+    def by_roots(partition, series, tau):
+        plan = segment_epochs(partition, series, tau)
+        found = partition.roots[1:-1].searchsorted(np.sqrt(series), side="right")
+        return dataclasses.replace(plan, buckets=found.astype(plan.buckets.dtype))
+    monkeypatch.setattr(engine, "segment_epochs", by_roots)
+    old = run_backtest(config, prices, timestamps)
+
+    def drift(new, ref):
+        return float(np.max(np.abs(new - ref) / np.abs(ref)))
+    monthly = [np.array([[r["fee_a"], r["fee_b"], r["fee_converted_b"]] for r in rep.monthly_fees])
+               for rep in (report, old)]
+    # measured: 0, the two agree to the last bit
+    assert drift(report.lp_trajectory, old.lp_trajectory) <= REL
+    assert drift(report.ledger.fee_converted, old.ledger.fee_converted) <= REL
+    assert drift(*monthly) <= REL
+
+
 @pytest.mark.parametrize("mode", ["reinvest", "exclude", "fix-at-level"])
 def test_long_capital_chain_matches_the_sequential_oracle(mode):
     # thousands of epochs, each budget built from the oracle's own last one:
@@ -365,6 +423,31 @@ def test_dot_product_fee_matches_the_oracle_and_the_replay(case):
         inner = prices.copy()
         inner[1:-1] = np.clip(prices[1:-1], part.lower, part.upper)
         assert whole_pool_fee(config, inner, mu, variance, bound) == fee
+
+
+def test_bucket_volume_is_exact_on_narrow_buckets():
+    # [2, 2.0078125] in 140 buckets, where the replay's fee is 8e-12 off the
+    # exact one: each bucket's v, and the whole-pool fee, stay within one
+    # ulp of the rational volume on the same floats (measured: 0.79 and
+    # 0.62 ulps), with prices on edges whose roots the lookup must place
+    part = BucketPartition(2.0, 2.0078125, 140)
+    rng = np.random.default_rng(3)
+    prices = 2.00390625 + np.cumsum(rng.normal(0.0, 0.05 * part.width, 60))
+    prices[::7] = part.edges[60 + rng.integers(0, 20, 9)]
+    config = BacktestConfig(part, 0, StrategyConfig("uniform"), 1e6, 0.003)
+    v = calibration._bucket_volume(config, prices)
+    unit = deploy(np.ones((1, part.n)), prices[:1], part.roots[None, :-1],
+                  part.roots[None, 1:])[0]
+    for i in range(part.n):
+        exact = oracle.exact_volume(part, np.where(np.arange(part.n) == i, unit, 0.0), prices)
+        assert abs(Fraction(float(v[i])) - exact) <= EPS * exact
+    assert np.count_nonzero(v) > 10
+    profile = ProfileParams(0.0, 0.01)
+    liq = oracle.deploy_row(part, normal_profile_weights(part, profile).weights,
+                            config.capital, prices[0])
+    exact = Fraction(config.fee_rate) * oracle.exact_volume(part, liq, prices)
+    fee = whole_pool_fee(config, prices, profile.mu, profile.variance)
+    assert abs(Fraction(fee) - exact) <= EPS * exact
 
 
 @settings(max_examples=60)
@@ -505,6 +588,41 @@ def test_interior_edges_belong_to_the_higher_bucket(part, seed):
                              np.random.default_rng(seed).uniform(lo, hi, 50)])
     assert part.bucket_indices(prices).tolist() \
         == [part.bucket_of(p) for p in prices.tolist()]
+
+
+@st.composite
+def lookup_partitions(draw):
+    """Float partitions, partitions only a few ulps wide (down to where the
+    lookup's scale overflows), and [2, 2.0078125] in 140 buckets."""
+    kind = draw(st.sampled_from(["float", "narrow", "narrow", "found"]))
+    if kind == "float":
+        return draw(float_partitions())
+    if kind == "found":
+        return BucketPartition(2.0, 2.0078125, 140)
+    lower = draw(st.one_of(st.floats(1e-300, 1e300),
+                           st.floats(2.0 ** -1022, 2.0 ** -1018)))
+    n = draw(st.integers(1, 8))
+    upper = lower + draw(st.integers(1, 6 * n)) * float(np.spacing(lower))
+    try:
+        return BucketPartition(lower, upper, n)
+    except ValueError:  # edges or roots collide
+        reject()
+
+
+@settings(max_examples=300)
+@given(part=lookup_partitions(), seed=st.integers(0, 2**32 - 1))
+def test_bucket_column_is_the_right_sided_search(part, seed):
+    # every edge, the floats either side of it, both bounds and random
+    # prices land where the binary search over the interior edges puts them
+    e = part.edges
+    prices = np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf),
+                             np.random.default_rng(seed).uniform(part.lower, part.upper, 50)])
+    prices = np.clip(prices, part.lower, part.upper)
+    want = e[1:-1].searchsorted(prices, side="right")
+    column = part.bucket_column(prices)
+    assert column.dtype == (np.int16 if part.n <= 32_767 else np.int32)
+    assert column.tolist() == want.tolist()
+    assert [part.bucket_of(p) for p in prices.tolist()] == (want + 1).tolist()
 
 
 @st.composite
