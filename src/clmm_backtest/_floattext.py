@@ -248,28 +248,36 @@ def _int_cells(cells, v):
     cells[:, 3] = negative * _U(ord("-"))
 
 
-def csv_rows(columns) -> str:
-    """CSV rows for equal-length numpy columns: cells as ``repr`` writes
-    them, comma-separated, each row ending in a newline."""
-    layout = []
-    for column in columns:
-        if column.dtype.kind == "f" and column.dtype.itemsize <= 8:
-            layout.append((_FLOAT_W, _float_cells, column))
-        elif column.dtype.kind in "iu":
-            layout.append((_INT_W, _int_cells, column))
-        else:
-            cells = _repr_cells(column.tolist())
-            layout.append((cells.shape[1], np.copyto, cells))
-    table = np.zeros((len(columns[0]), sum(w for w, _, _ in layout) + 8),
-                     dtype=np.uint8)
-    at = 0
-    for width, fill, column in layout:
-        fill(table[:, at:at + width], column)
-        if at:
-            table[:, at] = ord(",")
-        at += width
-    table[:, at] = ord("\n")
-    return table[table != 0].tobytes().decode()
+def csv_text(columns, rows):
+    """CSV rows for equal-length numpy columns, ``rows`` rows at a time:
+    cells as ``repr`` writes them, comma-separated, each row ending in a
+    newline.  The chunks share one byte table and mask: fresh ones, once past
+    what malloc serves from its heap, are page-faulted in anew every chunk."""
+    buf = keep = np.empty(0, dtype=np.uint8)
+    for s in range(0, len(columns[0]), rows):
+        layout = []
+        for column in (c[s:s + rows] for c in columns):
+            if column.dtype.kind == "f" and column.dtype.itemsize <= 8:
+                layout.append((_FLOAT_W, _float_cells, column))
+            elif column.dtype.kind in "iu":
+                layout.append((_INT_W, _int_cells, column))
+            else:
+                cells = _repr_cells(column.tolist())
+                layout.append((cells.shape[1], np.copyto, cells))
+        width = sum(w for w, _, _ in layout) + 8
+        size = len(layout[0][2]) * width
+        if buf.size < size:
+            buf, keep = np.empty(size, dtype=np.uint8), np.empty(size, dtype=bool)
+        table = buf[:size].reshape(-1, width)
+        table.fill(0)
+        at = 0
+        for width, fill, column in layout:
+            fill(table[:, at:at + width], column)
+            if at:
+                table[:, at] = ord(",")
+            at += width
+        table[:, at] = ord("\n")
+        yield buf[:size][np.not_equal(buf[:size], 0, out=keep[:size])].tobytes().decode()
 
 
 # Reading.  A clean cell's digits are read as little-endian uint64 words

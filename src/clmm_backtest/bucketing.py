@@ -90,12 +90,7 @@ class BucketPartition:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
     def bucket_of(self, p: float) -> int:
-        """1-based bucket of price p, ValueError outside [lower, upper]; a
-        guess the lookup would keep is kept without building arrays."""
-        if self.lower <= p <= self.upper:
-            k = min(int((p - self.lower) * self._scale), self.n - 1)
-            if self.edges[k] <= p < self._highs[k]:
-                return k + 1
+        """1-based bucket of price p, ValueError outside [lower, upper]."""
         return int(self.bucket_column([p])[0]) + 1
 
     def bucket_indices(self, prices: np.ndarray) -> np.ndarray:

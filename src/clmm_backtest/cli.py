@@ -227,14 +227,11 @@ def cmd_report(args) -> int:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise DataError(f"report {args.report_path} has no numeric {key!r}")
         rows.append((label, fmt(value)))
-    if args.fact_fee is not None:
-        err = (report["fees_total_b"] - args.fact_fee) / args.fact_fee
-        rows.append(("Fees fact", _money(args.fact_fee)))
-        rows.append(("Fees error", _pct(err)))
-    if args.fact_volume is not None:
-        err = (report["volume_total_b"] - args.fact_volume) / args.fact_volume
-        rows.append(("Volume fact", _money(args.fact_volume)))
-        rows.append(("Volume error", _pct(err)))
+    for label, key, fact in (("Fees", "fees_total_b", args.fact_fee),
+                             ("Volume", "volume_total_b", args.fact_volume)):
+        if fact is not None:
+            rows.append((f"{label} fact", _money(fact)))
+            rows.append((f"{label} error", _pct((report[key] - fact) / fact)))
 
     width = max(len(name) for name, _ in rows)
     for name, value in rows:

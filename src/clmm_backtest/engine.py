@@ -36,10 +36,12 @@ their full token-B depth, buckets above their full token-A depth.
 A boundary row, shared by two epochs, is owned by the later one; it is
 evaluated once more under the earlier epoch's table for that epoch's last
 step and end value.  Within a block of one epoch the per-epoch lookups
-are scalars.  Then the group's capitals follow, and its trajectory and
-steps are scaled in place: the trajectory and the per-step inflows are
-the only series-length arrays the replay allocates.  Gas compares each
-epoch's window liquidity with the next epoch's over their overlap.
+are scalars.  Steps are summed once per segment, an epoch cut at each
+calendar month's first step when there are timestamps: epoch inflows and
+monthly rows are sums of segments.  Then the group's capitals scale its
+segment sums, and its trajectory in place, the only series-length array
+the replay allocates.  Gas compares each epoch's window liquidity with
+the next epoch's over their overlap.
 
 Two precision rules keep the aggregates as exact as the per-bucket sums.
 Steps are differenced from reserves anchored at the epoch's first price: a
@@ -463,22 +465,21 @@ def _reserves(tab, col, price, low, high, value):
     return rows[7:]
 
 
-def _replay(tab, width, offsets, starts, last, prices, buckets, roots, trajectory,
-            steps):
-    """Unit inflows and end values of a group of epochs.
+def _replay(tab, width, offsets, starts, cuts, last, prices, buckets, roots, trajectory):
+    """Unit inflows per segment and end values of a group of epochs.
 
     The epochs start at rows ``starts`` and the last ends at row ``last``;
     their windows begin at buckets ``offsets`` and ``tab`` is their
-    ``_kernel_table``; ``buckets`` are the rows' 0-based buckets.  Writes
-    the unit trajectory into trajectory[starts[0]..last] and, unless steps
-    is None, the unit per-step inflows into its columns (token B in row 0,
-    token A in row 1; step t -> t+1 at column t).  Returns ((token B,
-    token A) inflows, shape (2, epochs), and end values).
+    ``_kernel_table``; ``buckets`` are the rows' 0-based buckets.  Segment j
+    holds steps cuts[j] up to the next cut (step t -> t+1 is step t); the
+    epoch starts are cuts.  Writes the unit trajectory into
+    trajectory[starts[0]..last].  Returns ((token B, token A) inflows,
+    shape (2, segments), and end values).
     """
     # each epoch's table columns follow those of the group's earlier ones
     base = np.arange(len(starts)) * (width + 1)
     low, high = roots[offsets], roots[offsets + width]
-    inflow = np.zeros((2, len(starts)))
+    inflow = np.zeros((2, len(cuts)))
     end_value = np.empty(len(starts))
     for t0, t1, ea, eb, spread in _blocks(starts, starts[0], last, overlap=True):
         p = prices[t0:t1 + 1]
@@ -486,9 +487,6 @@ def _replay(tab, width, offsets, starts, last, prices, buckets, roots, trajector
         anchored = _reserves(tab, col, p, spread(low), spread(high),
                              trajectory[t0:t1 + 1])
         step = np.subtract(anchored[:, 1:], anchored[:, :-1])
-        # each epoch's steps start at its first row; one that starts on the
-        # block's last row has none here
-        seg = [0]
         if eb > ea:
             # a boundary row ends the earlier epoch: its last step and end
             # value come from that epoch's positions
@@ -498,12 +496,13 @@ def _replay(tab, width, offsets, starts, last, prices, buckets, roots, trajector
             patch = _reserves(tab, col, p[bounds], low[ended], high[ended],
                               end_value[ended])
             step[:, bounds - 1] = patch - anchored[:, bounds - 1]
-            seg += bounds[bounds < t1 - t0].tolist()
         np.maximum(step, 0.0, out=step)
-        if steps is not None:
-            steps[:, t0:t1] = step
         if t1 > t0:
-            inflow[:, ea:ea + len(seg)] += np.add.reduceat(step, seg, axis=1)
+            # the steps run from the segment holding t0 through those cut
+            # before the block's last row
+            s0, s1 = cuts.searchsorted((t0 + 1, t1)).tolist()
+            inflow[:, s0 - 1:s1] += np.add.reduceat(step, np.append(0, cuts[s0:s1] - t0),
+                                                    axis=1)
     end_value[-1] = trajectory[last]
     return inflow, end_value
 
@@ -528,37 +527,27 @@ def _growth(config: BacktestConfig, unit_end, unit_inflow, end_price) -> np.ndar
     return np.ones(len(unit_end))
 
 
-def _scale_rows(trajectory, steps, starts, last, capital):
-    """Scale a group's unit trajectory rows starts[0]..last and step
-    columns in place by the capital of the epoch owning each."""
+def _scale_rows(trajectory, starts, last, capital):
+    """Scale a group's unit trajectory rows starts[0]..last in place by the
+    capital of the epoch owning each."""
     for t0, t1, _, _, spread in _blocks(starts, starts[0], last - 1, overlap=False):
-        c = spread(capital)
-        trajectory[t0:t1 + 1] *= c
-        if steps is not None:
-            steps[:, t0:t1 + 1] *= c
+        trajectory[t0:t1 + 1] *= spread(capital)
     trajectory[last] *= capital[-1]
 
 
-def _monthly_attribution(timestamps, prices, step_a, step_b, fee_rate):
-    """Calendar-month fee rows; token-A fees convert at each month's last price.
-
-    Months with no accrual still appear when the series covers them.  The
-    sum over months can differ slightly from the ledger total because the
-    ledger converts at epoch-final prices instead.
-    """
+def _months(timestamps):
+    """Calendar months of the steps, step t -> t+1 dated at row t+1: each
+    month's label and its first step.  A month appears when a step ends in it."""
     step_ts = timestamps[1:]
-    rows, i0 = [], 0
+    labels, firsts, i0 = [], [], 0
     while i0 < len(step_ts):  # ascending: a month's steps end where the next begins
         month = np.datetime64(int(step_ts[i0]), "s").astype("datetime64[M]")
+        labels.append(str(month))
+        firsts.append(i0)
         # the last month of int64 time has no next month: its start wraps
         end = (month + 1).astype("datetime64[s]").astype(np.int64)
-        i1 = int(step_ts.searchsorted(end)) if end > step_ts[i0] else len(step_ts)
-        fa = fee_rate * float(step_a[i0:i1].sum())
-        fb = fee_rate * float(step_b[i0:i1].sum())
-        rows.append({"month": str(month), "fee_a": fa, "fee_b": fb,
-                     "fee_converted_b": fb + fa * float(prices[i1])})
-        i0 = i1
-    return rows
+        i0 = int(step_ts.searchsorted(end)) if end > step_ts[i0] else len(step_ts)
+    return labels, np.array(firsts, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -678,18 +667,25 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
     p, timestamps, bucket_prices = checked_prices(config, prices, timestamps)
     part = config.partition
     plan = segment_epochs(part, bucket_prices, config.tau)
-    # the report's plan does not keep the bucket column alive
+    # only segmentation reads the clamped copy; the report's plan drops the buckets
+    del bucket_prices
     buckets, plan = plan.buckets, replace(plan, buckets=None)
     starts, ends = plan.epochs[:, 0], plan.epochs[:, 1]
     n_epochs, m = len(plan), len(p)
     tables = _bucket_tables(part)
     width, weights = _strategy_windows(config, plan.epochs[:, 2])
     group = max(1, _GROUP_CELLS // width)
+    # a segment is an epoch, cut at each month's first step when there are
+    # timestamps: epoch e's segments are first[e] .. first[e + 1] - 1
+    cuts = starts
+    if timestamps is not None:
+        months, month_first = _months(timestamps)
+        cuts = np.sort(np.concatenate([starts, month_first]))
+        cuts = cuts[np.append(True, cuts[1:] != cuts[:-1])]
+    first = np.append(cuts.searchsorted(starts), len(cuts))
 
     trajectory = np.empty(m)
-    # per-step inflows only feed the monthly rows
-    steps = np.zeros((2, m - 1)) if timestamps is not None else None
-    inflow = np.empty((2, n_epochs))  # token B, token A
+    segments = np.empty((2, len(cuts)))  # token B, token A
     epoch_capital = np.empty(n_epochs)
     epoch_active = np.empty(n_epochs, dtype=np.int64)
     unchanged = np.empty(n_epochs - 1, dtype=np.int64)
@@ -698,20 +694,22 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
 
     for g0 in range(0, n_epochs, group):
         g = slice(g0, min(n_epochs, g0 + group))
+        s = slice(first[g.start], first[g.stop])
         last = ends[g.stop - 1]
         offsets, w = weights(g.start, g.stop)
         unit, tab = _deploy_group(w, offsets, width, p[starts[g]], buckets[starts[g]],
                                   tables)
-        unit_inflow, unit_end = _replay(tab, width, offsets, starts[g], last, p, buckets,
-                                        part.roots, trajectory, steps)
+        unit_seg, unit_end = _replay(tab, width, offsets, starts[g], cuts[s], last, p,
+                                     buckets, part.roots, trajectory)
+        unit_inflow = np.add.reduceat(unit_seg, first[g] - s.start, axis=1)
 
         # an epoch's capital is the one before times that one's growth
         chain = np.multiply.accumulate(np.append(
             capital, _growth(config, unit_end, unit_inflow, p[ends[g]])))
         cap, capital = chain[:-1], chain[-1]
         epoch_capital[g] = cap
-        inflow[:, g] = unit_inflow * cap
-        _scale_rows(trajectory, steps, starts[g], last, cap)
+        segments[:, s] = unit_seg * np.repeat(cap, np.diff(first[g.start:g.stop + 1]))
+        _scale_rows(trajectory, starts[g], last, cap)
 
         # gas compares consecutive windows, across the group seam too
         liq = unit * cap[:, None]
@@ -723,14 +721,13 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
             first_liq, first_off = liq[0], int(offsets[0])
     del buckets
 
+    inflow = np.add.reduceat(segments, first[:-1], axis=1)
     ledger = FeeLedger(config.fee_rate, inflow[1], inflow[0], p[ends])
 
     scale = 1.0
-    if config.volume_cap is not None:
-        total = ledger.total_volume_b
-        if total > config.volume_cap:
-            scale = config.volume_cap / total
-            ledger = ledger.scaled(scale)
+    if config.volume_cap is not None and ledger.total_volume_b > config.volume_cap:
+        scale = config.volume_cap / ledger.total_volume_b
+        ledger = ledger.scaled(scale)
 
     gas = _gas_breakdown(epoch_active, unchanged, starts, ends[-1], config.gas, p)
 
@@ -743,8 +740,13 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
 
     monthly = None
     if timestamps is not None:
-        steps *= scale
-        monthly = _monthly_attribution(timestamps, p, steps[1], steps[0], config.fee_rate)
+        # token-A fees convert at each month's last price, so the months'
+        # sum can differ slightly from the ledger's, converted per epoch
+        sums = np.add.reduceat(segments, cuts.searchsorted(month_first), axis=1)
+        fee_b, fee_a = (config.fee_rate * (sums * scale)).tolist()
+        last_price = p[np.append(month_first[1:], m - 1)].tolist()
+        monthly = [{"month": label, "fee_a": fa, "fee_b": fb, "fee_converted_b": fb + fa * pe}
+                   for label, fa, fb, pe in zip(months, fee_a, fee_b, last_price)]
 
     return BacktestReport(
         config=config,

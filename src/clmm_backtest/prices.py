@@ -221,9 +221,7 @@ def write_csv(path, header: str, columns) -> None:
     """
     # imported on the first write, so that runs which write no CSV do not
     # load the formatter and its tables
-    from ._floattext import csv_rows
-    cols = [np.asarray(c) for c in columns]
+    from ._floattext import csv_text
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for s in range(0, len(cols[0]), _WRITE_CHUNK_ROWS):
-            fh.write(csv_rows([c[s:s + _WRITE_CHUNK_ROWS] for c in cols]))
+        fh.writelines(csv_text([np.asarray(c) for c in columns], _WRITE_CHUNK_ROWS))

@@ -1,6 +1,7 @@
 """State tensor, fee accrual, gas model, and the full replay loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -430,8 +431,8 @@ class TestRunBacktest:
         assert months[0] == "2021-01"
         fee_a_total = sum(row["fee_a"] for row in report.monthly_fees)
         fee_b_total = sum(row["fee_b"] for row in report.monthly_fees)
-        assert fee_a_total == pytest.approx(report.ledger.fee_a.sum(), rel=1e-9)
-        assert fee_b_total == pytest.approx(report.ledger.fee_b.sum(), rel=1e-9)
+        assert fee_a_total == pytest.approx(report.ledger.fee_a.sum(), rel=1e-12)
+        assert fee_b_total == pytest.approx(report.ledger.fee_b.sum(), rel=1e-12)
 
     def test_timestamp_count_must_match_prices(self):
         cfg, prices = self.config_and_walk()
@@ -459,6 +460,32 @@ class TestRunBacktest:
         ts[5] = ts[4]
         with pytest.raises(DataError, match="^row 6: "):
             run_backtest(cfg, prices, timestamps=ts)
+
+    @staticmethod
+    def traced_peak(cfg, prices, timestamps=None):
+        """Peak bytes numpy and Python allocate during one run, after a warm-up."""
+        run_backtest(cfg, prices, timestamps)
+        tracemalloc.start()
+        try:
+            run_backtest(cfg, prices, timestamps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_monthly_rows_allocate_no_per_step_array(self):
+        # monthly rows are sums of epoch-by-month segments: no (2, m - 1)
+        # array of per-step inflows, 3.2 MB on this walk, is ever built
+        cfg = uniform_config(BucketPartition(1000.0, 4000.0, 100), 2)
+        prices = walk_prices(seed=12, n=200_000, vol=0.001)
+        stamps = 1_672_531_200 + 60 * np.arange(len(prices))
+        assert self.traced_peak(cfg, prices, stamps) <= self.traced_peak(cfg, prices) + 2**19
+
+    def test_clamp_mode_frees_the_clamped_copy(self):
+        # only segmentation reads the clamped series (1.6 MB on this walk)
+        cfg = uniform_config(BucketPartition(1000.0, 4000.0, 100), 2)
+        prices = walk_prices(seed=12, n=200_000, vol=0.001)
+        clamp = uniform_config(cfg.partition, 2, price_mode="clamp")
+        assert self.traced_peak(clamp, prices) <= self.traced_peak(cfg, prices) + 2**19
 
     def test_no_timestamps_no_monthly_rows(self):
         cfg, prices = self.config_and_walk()

@@ -265,6 +265,98 @@ def test_repeat_runs_are_byte_identical(case):
     assert a.monthly_fees == b.monthly_fees
 
 
+def month_stamps(m, firsts):
+    """Minute timestamps of m rows whose months' first steps are ``firsts``
+    (step t -> t+1 is dated at row t+1): row f + 1 opens a month at its
+    first second, one month after the last."""
+    opens = np.append(0, np.asarray(firsts) + 1)
+    month = opens.searchsorted(np.arange(m), side="right") - 1
+    begins = (np.datetime64("2021-01") + np.arange(len(opens))).astype("datetime64[s]")
+    return begins.astype(np.int64)[month] + 60 * (np.arange(m) - opens[month])
+
+
+def segment_case(m, mode="fix-at-level", seed=5):
+    """A band run of many epochs over a 40-bucket partition; by default
+    every epoch starts at the same capital, so each month's fees stay
+    comparable to the run's total."""
+    part = BucketPartition(1000.0, 4000.0, 40)
+    prices = walk(np.random.default_rng(seed), part, m, move=0.3, jump_p=0.0, flat_p=0.0,
+                  clamp=False)
+    return BacktestConfig(part, 1, StrategyConfig("uniform"), 1e6, 0.003,
+                          reinvest_mode=mode), prices
+
+
+def check_months(config, prices, firsts):
+    """The oracle check of a run whose months begin at steps ``firsts``."""
+    timestamps = month_stamps(len(prices), firsts)
+    months = timestamps[1:].astype("datetime64[s]").astype("datetime64[M]")
+    assert np.flatnonzero(months[1:] != months[:-1]).tolist() == [f - 1 for f in firsts]
+    check_against_oracle(config, prices, timestamps)
+    return run_backtest(config, prices, timestamps)
+
+
+@pytest.mark.parametrize("first", [BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_month_starting_at_a_block_seam(first):
+    # blocks start at rows 0, 8191, 16382, ...: the month's first step is
+    # the first block's last one, the second block's first one, or inside
+    # the second block
+    config, prices = segment_case(12_000)
+    assert len(check_months(config, prices, [first]).monthly_fees) == 2
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_month_starting_at_an_epoch_boundary(shift):
+    # the month opens with the earlier epoch's last (patched) step, the
+    # boundary row's step, or the one after it
+    config, prices = segment_case(3000)
+    starts = run_backtest(config, prices).plan.epochs[:, 0]
+    assert len(starts) > 20
+    boundary = int(starts[len(starts) // 2])
+    check_months(config, prices, [boundary + shift])
+
+
+def test_one_step_month():
+    config, prices = segment_case(3000)
+    assert prices[1501] != prices[1500]
+    row = check_months(config, prices, [1500, 1501]).monthly_fees[1]
+    assert max(row["fee_a"], row["fee_b"]) > 0.0
+
+
+def test_final_epoch_starting_on_the_last_row():
+    # the last price breaks the band: the final epoch has no steps, and the
+    # last month holds only the step into it
+    config, prices = segment_case(3000)
+    part = config.partition
+    prices[-1] = part.lower if prices[-2] > part.edges[part.n // 2] else part.upper
+    report = check_months(config, prices, [1000, len(prices) - 2])
+    assert report.plan.epochs[-1, 0] == len(prices) - 1
+    assert report.ledger.inflow_b[-1] == report.ledger.inflow_a[-1] == 0.0
+
+
+@pytest.mark.parametrize("mode", ["reinvest", "fix-at-level"])
+@pytest.mark.parametrize("cells", [3, 4, 100])
+def test_months_across_epoch_groups(cells, mode, monkeypatch):
+    # the 3-bucket windows in groups of one epoch, one, or 33: a group's
+    # segments run from its first epoch's start to the next group's
+    config, prices = segment_case(3000, mode)
+    prices[-1] = config.partition.upper if prices[-2] < 2500.0 else config.partition.lower
+    monkeypatch.setattr(engine, "_GROUP_CELLS", cells)
+    report = check_months(config, prices, list(range(100, 2999, 211)))
+    assert report.plan.epochs[-1, 0] == len(prices) - 1
+
+
+def test_timestamps_leave_the_exclude_chain_bitwise_unchanged():
+    # under exclude, inflows never reach the capital chain: cutting
+    # segments at month starts moves neither capitals nor trajectory
+    config, prices = segment_case(20_000, mode="exclude")
+    firsts = list(range(50, 19_999, 977))
+    plain = run_backtest(config, prices)
+    stamped = run_backtest(config, prices, month_stamps(len(prices), firsts))
+    assert len(stamped.monthly_fees) == len(firsts) + 1
+    assert stamped.lp_trajectory.tobytes() == plain.lp_trajectory.tobytes()
+    assert stamped.epoch_capital.tobytes() == plain.epoch_capital.tobytes()
+
+
 def root_edge_walk(part, m, seed):
     """A walk over the interior edges whose rows sit at an edge: the float
     below it whose root rounds onto the edge's root (so the root puts it a
