@@ -3,27 +3,24 @@ and clean decimal cells to the float64 ``float`` reads.
 
 Writing.  A float64 is written as its shortest round-trip decimal: the
 fewest significant digits that read back to the same float, the one closest
-to it when several qualify, and the even last digit on a tie.  Python's
-``repr`` picks those digits, and so do Schubfach (R. Giulietti, "The
-Schubfach way to render doubles", 2020) and Ryu (U. Adams, PLDI 2018), which
-need nothing but fixed-width integer arithmetic.  ``shortest_digits`` runs
-Schubfach on whole numpy columns: its three 126 x 64-bit products are done
-in 32-bit limbs of ``uint64`` words (``_wide.mul64``), the trailing zeros
-are stripped in a masked loop, and the digits become text four at a time
-through a lookup table.
+to it when several qualify, and the even last digit on a tie, as ``repr``
+picks them.  ``shortest_digits`` finds them on whole numpy columns with
+Dragonbox (J. Jeon, "Dragonbox: A New Floating-Point Binary-to-Decimal
+Conversion Algorithm", 2020), nearest-even path with kappa = 2: one
+64 x 128-bit product per value with a power of ten from a 619-row table, in
+32-bit limbs of ``uint64`` words (``_wide.mul64``), and a parity product for
+the one value in a hundred whose last digit a remainder cannot settle.
 
-Only cells in ``repr``'s positional layout take that path: finite normal
-floats whose digits give 1e-4 <= |x| < 1e16, written as ``123.45``,
-``0.0001`` or ``1000.0``.  The power-of-ten table covers just the binary
-exponents of that range and is built at import from Python ints.  Every
-other float cell (nan, inf, +-0, subnormals, and magnitudes ``repr`` writes
-in exponent form) goes through ``repr`` itself.  Integer columns take the
-same digit path whatever their values; any other dtype goes through
-``repr`` cell by cell.
-
-Each cell is laid out in a fixed-width row of bytes with NUL padding, the
-rows of all columns are put side by side, and dropping the NULs leaves the
-CSV text.
+Every float cell has one layout: sign, integer digits, the point, fraction
+digits, then an exponent suffix, as wide as the chunk of rows needs.  Cells
+that ``repr`` writes positionally (1e-4 <= |x| < 1e16) mask the suffix out;
+their integer part is trunc(|x|), exact there because an integer below 2**53
+is itself a float, and from 2**53 to 1e16 every float is an even integer
+whose odd neighbours would need 16 digits.  Other cells take ``repr``'s
+``d.ddde+XX`` form; nan, inf and +-0 are fixed texts.  Integer columns take
+the same digit path, other dtypes ``repr`` cell by cell.  Digits go in four
+at a time through a lookup table, masks turn unused slots into NULs, and
+dropping the NULs from the chunk's bytes leaves the CSV text.
 
 Reading.  ``parse_columns`` counts a price file's rows, then reads its body
 in blocks of 64 KiB, each cut after its last newline, finds the separators
@@ -40,8 +37,8 @@ Parsing Without Fallback", Software: Practice and Experience, 2023).
 
 Nothing here depends on numpy's promotion rules for Python scalars (NEP 50):
 ``uint64`` words only ever meet ``uint64`` scalars and arrays, and signed
-lengths reach them only as indices, so the arithmetic is the same on numpy
-1.24 and 2.x.
+lengths and exponents reach them only as indices, so the arithmetic is the
+same on numpy 1.24 and 2.x.
 """
 
 from __future__ import annotations
@@ -52,232 +49,278 @@ from ._wide import mul64
 
 _U = np.uint64
 _LOW32, _32 = _U(0xFFFFFFFF), _U(32)
-_LOW63, _63 = _U((1 << 63) - 1), _U(63)
-_FRACTION, _HIDDEN = _U((1 << 52) - 1), _U(1 << 52)
-_TEN, _TEN4, _TEN16 = _U(10), _U(10_000), _U(10 ** 16)
-_U0, _U1, _U2 = _U(0), _U(1), _U(2)
-
-# binary exponents whose floats can print positionally: 2**-14 < 1e-4 and
-# 1e16 < 2**54; which of them do is decided from the digits
-_E_LO, _E_HI = -14, 53
-_BIAS_LO, _E_SPAN = _U(1023 + _E_LO), _U(_E_HI - _E_LO)
+_LOW63, _63, _64 = _U((1 << 63) - 1), _U(63), _U(64)
+_FRACTION, _HIDDEN, _U52 = _U((1 << 52) - 1), _U(1 << 52), _U(52)
+_TEN, _FIFTY, _HUNDRED, _THOUSAND, _TEN4 = _U(10), _U(50), _U(100), _U(1000), _U(10_000)
+_U0, _U1, _U2, _TEN15, _TEN16 = _U(0), _U(1), _U(2), _U(10 ** 15), _U(10 ** 16)
 
 _POW10 = np.array([10 ** i for i in range(20)], dtype=_U)
 # "0000" .. "9999": four ASCII digits per uint32 word
 _DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
                     axis=-1).view(np.uint32).ravel()
 
-
-def _power_table():
-    """Schubfach's per-exponent constants, one row per (binary exponent,
-    irregular spacing): g = floor(10**-k 2**(125 - floor(log2 10**-k))) + 1
-    split into 63-bit halves, the shift h, and the decimal exponent k."""
-    rows = []
-    for e2 in range(_E_LO, _E_HI + 1):
-        q = e2 - 52                 # the float is c 2**q, 2**52 <= c < 2**53
-        for irregular in (0, 1):    # c = 2**52: the gap below is half as wide
-            # floor(log10(2**q)), or floor(log10(3/4 2**q)) when irregular
-            k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
-            p = 10 ** abs(k)
-            if k <= 0:
-                log2 = p.bit_length() - 1
-                g = (p << (125 - log2)) + 1
-            else:
-                log2 = -p.bit_length()
-                g = (1 << (125 - log2)) // p + 1
-            rows.append((g >> 63, g & ((1 << 63) - 1), q + log2 + 2, k))
-    g1, g0, h, k = zip(*rows)
-    return np.array(g1, _U), np.array(g0, _U), np.array(h, _U), np.array(k, np.int64)
+# Dragonbox's powers of ten, phi_k = ceil(10**k 2**(127 - floor(log2 10**k)))
+# for k = -292..326, as high and low words
+_K_MIN = -292
+_PHI = np.zeros((2, 619), dtype=_U)
 
 
-_G1, _G0, _H, _K = _power_table()
+def _fill_phi(ks):
+    for k in ks:
+        if k >= 0:
+            shift = 128 - (10 ** k).bit_length()
+            phi = 10 ** k << shift if shift >= 0 else -(-10 ** k >> -shift)
+        else:
+            phi = -(-(1 << (127 + (10 ** -k).bit_length())) // 10 ** -k)
+        _PHI[:, k - _K_MIN] = phi >> 64, phi & 0xFFFFFFFFFFFFFFFF
 
 
-def _scaled(g1, g0, cp):
-    """Schubfach's rop: floor(g cp / 2**127), its last bit set when inexact."""
-    x1 = mul64(g0, cp)[0]
-    y1, y0 = mul64(g1, cp)
-    z = (y0 >> _U1) + x1
-    return (y1 + (z >> _63)) | (((z & _LOW63) + _LOW63) >> _63)
+# Per biased exponent b: the float is fc 2**e, e = b - 1075 (subnormals as
+# b = 1); its digits are found in units of 10**-k, -k = floor(log10 2**e) - 2,
+# with beta = e + floor(log2 10**k), 6..9.  The rows of phi that floats
+# 2**-14 <= |x| < 2**54, which can print positionally, need (k = 0..22 with
+# the shorter interval's) are built at import, the rest on first use (0.9 ms).
+_EXP = np.maximum(np.arange(2048), 1) - 1075
+_MINUS_K = ((_EXP * 315_653) >> 20) - 2
+_BETA = (_EXP + ((_MINUS_K * -1_741_647) >> 19)).astype(_U)
+_fill_phi(range(0, 23))
+_PHI_BY_EXP = _PHI[:, -_MINUS_K - _K_MIN]
 
 
-def positional_range(x):
-    """Mask of the float64 values ``shortest_digits`` accepts: finite,
-    nonzero and normal, with a binary exponent that can print positionally."""
-    return ((x.view(_U) >> _U(52)) & _U(0x7FF)) - _BIAS_LO <= _E_SPAN
+def _strip_zeros(d, exponent, length):
+    """Move the trailing zeros of ``d`` to ``exponent``, in place."""
+    at, q = np.arange(len(d)), d
+    while at.size:
+        t = q // _TEN
+        keep = t * _TEN == q
+        at, q = at[keep], t[keep]
+        d[at] = q
+        exponent[at] += 1
+        length[at] -= 1
 
 
-def shortest_digits(x):
-    """Shortest round-trip decimal of each float64 in ``x``.
-
-    ``x`` must lie in ``positional_range``.  Returns (digits, exponent,
-    length): ``uint64`` digits without trailing zeros, ``int64`` decimal
-    exponents and digit counts, with |x| = digits 10**exponent.
-    """
-    bits = x.view(_U)
-    fraction = bits & _FRACTION
-    irregular = (fraction == _U0).astype(_U)
-    row = ((((bits >> _U(52)) & _U(0x7FF)) - _BIAS_LO) * _U2 + irregular).astype(np.intp)
-    c = fraction | _HIDDEN
-    g1, g0, h, k = _G1[row], _G0[row], _H[row], _K[row]
-    cb = c << _U2
-    vb = _scaled(g1, g0, cb << h)
-    vbl = _scaled(g1, g0, (cb - _U2 + irregular) << h)
-    vbr = _scaled(g1, g0, (cb + _U2) << h)
-    odd = c & _U1                   # an odd c's interval leaves out its ends
-
-    s = vb >> _U2                   # 16 or 17 digits
-    up10 = s // _TEN * _TEN
-    # one digit fewer: u' = up10 or w' = up10 + 10, if exactly one rounds back
-    u_in = vbl + odd <= up10 << _U2
-    w_in = ((up10 + _TEN) << _U2) + odd <= vbr
-    shorter = u_in != w_in
-    d = np.where(u_in, up10, up10 + _TEN)
-    # else s or s + 1: the one that rounds back, or the closer, or the even
-    u_in = vbl + odd <= s << _U2
-    w_in = ((s + _U1) << _U2) + odd <= vbr
-    mid = (s << _U2) + _U2
-    take_s = np.where(u_in != w_in, u_in,
-                      (vb < mid) | ((vb == mid) & ((s & _U1) == _U0)))
-    d = np.where(shorter, d, np.where(take_s, s, s + _U1))
-
-    length = (d >= _TEN16).astype(np.int64) + 16
-    exponent = k.copy()
-    z = np.flatnonzero(d % _TEN == _U0)
-    while z.size:
-        d[z] //= _TEN
-        exponent[z] += 1
-        length[z] -= 1
-        z = z[d[z] % _TEN == _U0]
+def _shorter(b):
+    """(digits, exponent, length) of the powers of two 2**52 2**(b - 1075) by
+    Dragonbox's shorter-interval case: their interval below is half as wide."""
+    e = b - 1075
+    minus_k = (e * 631_305 - 261_663) >> 21
+    hi = _PHI[0, -minus_k - _K_MIN]
+    shift = (11 - e - ((minus_k * -1_741_647) >> 19)).astype(_U)    # 11 - beta
+    # the interval's ends in units of 10**-k; both are in it (2**52 is even),
+    # and the lower one is an integer only for e = 2, 3
+    xi = ((hi - (hi >> _U(54))) >> shift) + ((e < 2) | (e > 3))
+    s = ((hi + (hi >> _U(53))) >> shift) // _TEN
+    big = s * _TEN >= xi
+    # else the float rounded to an integer, down to even on the one tie
+    y = ((hi >> (shift - _U1)) + _U1) >> _U1
+    y = np.where((e == -77) & ((y & _U1) == _U1), y - _U1, y + (y < xi))
+    d, exponent = np.where(big, s, y), minus_k + big
+    length = _digit_count(d)
+    _strip_zeros(d, exponent, length)
     return d, exponent, length
 
 
-def _keep_tables(width, digits_at, digits):
-    """Byte masks keeping a cell's fixed bytes and its last n digit slots,
-    as one ``uint64`` table per 8-byte word, indexed by n."""
-    keep = np.full((digits + 1, width), 255, dtype=np.uint8)
-    kept = np.arange(digits) >= digits - np.arange(digits + 1)[:, None]
-    keep[:, digits_at:digits_at + digits] *= kept
-    words = keep.view(_U)
-    return [np.ascontiguousarray(words[:, j]) for j in range(width // 8)]
+def shortest_digits(x):
+    """Shortest round-trip decimal of each finite nonzero float64 in ``x``:
+    ``uint64`` digits without trailing zeros, and ``int64`` decimal exponents
+    and digit counts, with |x| = digits 10**exponent."""
+    ab = np.ascontiguousarray(x, dtype=np.float64).view(_U) & _LOW63
+    b = (ab >> _U52).astype(np.intp)
+    b_lo, b_hi = b.min(), b.max()
+    if (b_lo < 1023 - 14 or b_hi > 1023 + 53) and not _PHI[0, 0]:
+        _fill_phi(range(_K_MIN, 327))
+        _PHI_BY_EXP[...] = _PHI[:, -_MINUS_K - _K_MIN]
+    fraction = ab & _FRACTION
+    two_fc = (fraction | _HIDDEN) << _U1
+    if b_lo == 0:           # subnormals: no hidden bit
+        sub = np.flatnonzero(b == 0)
+        two_fc[sub] = fraction[sub] << _U1
+    hi, lo, beta = _PHI_BY_EXP[0][b], _PHI_BY_EXP[1][b], _BETA[b]
+    # z: the interval's upper end (fc + 1/2) 2**e 10**k, truncated, from the
+    # top of a 192-bit product; low: the word below it
+    x = (two_fc | _U1) << beta
+    z, low = mul64(x, hi)
+    carry = mul64(x, lo)[0]
+    low += carry
+    z += low < carry
+    delta = hi >> (_63 - beta)          # the interval's width, 100..999
+    s = z // _THOUSAND
+    r = z - s * _THOUSAND
+    # s 10**(3 - k) is in the interval if r < delta; the upper end itself is
+    # not for an odd fc, and the lower end (r = delta) needs a parity product
+    at = np.flatnonzero(r == _U0)
+    at = at[(low[at] == _U0) & ((two_fc[at] & _U2) != _U0)]
+    s[at] -= _U1
+    r[at] = _THOUSAND
+    big = r < delta
+    lower = np.flatnonzero(r == delta)
+    # else one digit more, the one nearest the float, which a parity product
+    # settles when the remainder lands on a multiple of 100
+    dist = r - (delta >> _U1) + _FIFTY
+    q = dist // _HUNDRED
+    d = s * _TEN + q
+    tie = np.flatnonzero(dist == q * _HUNDRED)
+    tie = tie[~big[tie]]
+    if lower.size or tie.size:      # one parity product for both
+        at = np.concatenate((lower, tie))
+        two_f = two_fc[at]
+        two_f[:len(lower)] -= _U1
+        h, l = mul64(two_f, lo[at])
+        h += two_f * hi[at]
+        # the last integer bit of two_f phi_k 2**(beta - 128); a zero fraction
+        parity = ((h >> (_64 - beta[at])) & _U1) == _U1
+        exact = ((h << beta[at]) | (l >> (_64 - beta[at]))) == _U0
+        k = len(lower)
+        big[lower] = parity[:k] | (exact[:k] & ((two_fc[lower] & _U2) == _U0))
+        y = d[tie]
+        d[tie] = y - ((parity[k:] != (((dist[tie] ^ _FIFTY) & _U1) == _U1))
+                      | (exact[k:] & ((y & _U1) == _U1)))
+    d = np.where(big, s, d)
+    exponent = _MINUS_K[b] + 2 + big
+    # s has 15 or 16 digits, the longer candidate 16 or 17
+    length = np.add(d >= _TEN15, d >= _TEN16, dtype=np.int64) + 15
+    _strip_zeros(d, exponent, length)
+    if b_lo == 0:
+        length[sub] = _digit_count(d[sub])
+    at = np.flatnonzero(fraction == _U0)
+    if at.size:
+        d[at], exponent[at], length[at] = _shorter(b[at])
+    return d, exponent, length
 
 
-# A float cell is 48 bytes: separator at 0, sign at 7, integer digits at
-# 8-23, the point at 24, fraction digits at 28-47.  An int cell is 24 bytes:
-# separator at 0, sign at 3, digits at 4-23.  Both are whole uint32 and
-# uint64 words, so digits go in four at a time and masks eight at a time.
-_FLOAT_W, _INT_W = 48, 24
-_KEEP_INT_PART = _keep_tables(16, 0, 16)
-_KEEP_FRACTION = _keep_tables(24, 4, 20)
-_KEEP_INT = _keep_tables(_INT_W, 4, 20)
+def _digit_count(v):
+    return np.maximum(np.searchsorted(_POW10, v, side="right"), 1)
 
 
-def _put_digits(v, words):
-    """Write ``uint64`` values as zero-padded decimal text across the uint32
-    columns of ``words``, right-aligned."""
-    for j in range(words.shape[1] - 1, 0, -1):
-        q = v // _TEN4
-        words[:, j] = _DIGITS4[(v - q * _TEN4).astype(np.intp)]
+# _KEEP[r, n]: the bytes of uint32 word r, counted back from the end of a
+# digit field, that lie among its last n digits
+_KEEP = np.array([[sum(0xFF << 8 * i for i in range(4) if 4 * r + 4 - i <= n)
+                   for n in range(21)] for r in range(6)], dtype=np.uint32)
+# the point, first in a fraction field; the sign, second in an integer field
+_POINT = np.array([0] + [ord(".")] * 20, dtype=np.uint32)
+_SIGN = np.array([0, ord("-") << 8], dtype=np.uint32)
+# inf, nan and 0.0 as the last word of a fraction field
+_FIXED_TEXTS = np.frombuffer(b"\0inf\0nan\x000.0", dtype=np.uint32)
+_ONE, _MAX_FINITE = np.float64(1.0).view(_U), _U(0x7FEFFFFFFFFFFFFF)
+
+
+def _put_digits(v, counts, words):
+    """Write ``uint64`` values as decimal text right-aligned across the
+    word rows of ``words``, keeping each value's last ``counts`` digits."""
+    n = len(words)
+    whole = int(np.min(counts)) // 4    # the last words all values keep whole
+    for r in range(n - 1, -1, -1):
+        q = v // _TEN4 if r else _U0
+        np.take(_DIGITS4, v - q * _TEN4, out=words[r], mode="clip")
         v = q
-    words[:, 0] = _DIGITS4[v.astype(np.intp)]
+        if n - 1 - r >= whole:
+            words[r] &= _KEEP[n - 1 - r][counts]
 
 
-def _mask(words, tables, counts):
-    """Keep the bytes that ``_keep_tables`` keeps for each row's count."""
-    for j, table in enumerate(tables):
-        words[:, j] &= table[counts]
+# A chunk's cells go into a (words, rows) table, one row per uint32 word, so
+# that every write is contiguous.  A float cell is an integer field (the
+# separator, the sign, the digits right-aligned), a fraction field (the point,
+# the digits right-aligned) and two exponent words if the chunk needs them.
 
-
-def _positional(cells, negative, d, exponent, length):
-    """Fill 48-byte float cells from digits whose point falls in -3..16."""
-    point = exponent + length          # digits before the point
-    shift = length - point             # digits after it
-    up = _POW10[np.clip(shift, 0, 19)]
-    int_part = d // up
-    frac_part = d - int_part * up
-    int_part *= _POW10[np.clip(-shift, 0, 19)]
-    w32, w64 = cells.view(np.uint32), cells.view(_U)
-    _put_digits(int_part, w32[:, 2:6])
-    _put_digits(frac_part, w32[:, 7:12])
-    _mask(w64[:, 1:3], _KEEP_INT_PART, np.maximum(point, 1))
-    cells[:, 24] = ord(".")
-    _mask(w64[:, 3:6], _KEEP_FRACTION, np.maximum(shift, 1))
-    cells[:, 7] = negative * _U(ord("-"))
-
-
-def _repr_cells(values, width=None):
-    """Cells holding ``repr`` of each value from byte 1; by default as wide
-    as the longest text needs, in whole words."""
-    text = np.array([repr(v).encode() for v in values], dtype=bytes)
-    if width is None:
-        width = -(-(1 + text.itemsize) // 8) * 8
-    cells = np.zeros((len(text), width), dtype=np.uint8)
-    cells[:, 1:1 + text.itemsize] = text.view(np.uint8).reshape(len(text), text.itemsize)
-    return cells
-
-
-def _float_cells(cells, x):
+def _float_cells(x):
+    """(words, fill) for a float column: its cells' width in words, and a
+    function that writes them into a (words, rows) table after ``sep``."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    rows = np.flatnonzero(positional_range(x))
-    d, exponent, length = shortest_digits(x[rows])
-    point = exponent + length
-    ok = (point >= -3) & (point <= 16)
-    if len(rows) == len(x) and ok.all():
-        _positional(cells, x.view(_U) >> _63, d, exponent, length)
-        return
-    rows, d, exponent, length = rows[ok], d[ok], exponent[ok], length[ok]
-    fast = np.zeros((len(rows), _FLOAT_W), dtype=np.uint8)
-    _positional(fast, x.view(_U)[rows] >> _63, d, exponent, length)
-    cells[rows] = fast
-    slow = np.ones(len(x), dtype=bool)
-    slow[rows] = False
-    slow = np.flatnonzero(slow)
-    cells[slow] = _repr_cells(x[slow].tolist(), _FLOAT_W)
+    ab = x.view(_U) & _LOW63
+    fixed = np.flatnonzero(ab - _U1 >= _MAX_FINITE)      # +-0, +-inf, nan
+    ab[fixed] = _ONE
+    d, exponent, length = shortest_digits(ab.view(np.float64))
+    point = exponent + length           # digits before the point
+    wide = np.flatnonzero((point < -3) | (point > 16))   # exponent form
+    ab[wide] = _ONE                     # keeps the cast below in range
+    ints = ab.view(np.float64).astype(_U)
+    shift = -exponent                   # digits after the point
+    fracs = d - ints * _POW10.take(shift, mode="clip")
+    fracs[shift < 0] = _U0              # integers with trailing zeros
+    icount, fcount = np.maximum(point, 1), np.maximum(shift, 1)
+    suffix = np.zeros((2 if wide.size else 0, len(x)), dtype=np.uint32)
+    if wide.size:                       # d.ddd: one digit, the rest after the point
+        dw, fw = d[wide], length[wide] - 1
+        lead = dw // _POW10[fw]
+        ints[wide], fracs[wide] = lead, dw - lead * _POW10[fw]
+        icount[wide], fcount[wide] = 1, fw
+        e10 = point[wide] - 1
+        mag = np.abs(e10)
+        suffix[0, wide] = (e10 < 0) * (ord("-") - ord("+") << 8) + (ord("e") | ord("+") << 8)
+        suffix[1, wide] = np.take(_DIGITS4, mag) & _KEEP[0][2 + (mag >= 100)]
+    ni, nf = (int(icount.max()) + 5) // 4, (int(fcount.max()) + 4) // 4
+    negative = x.view(_U) >> _63
+
+    def fill(words, sep):
+        _put_digits(ints, icount, words[:ni])
+        words[0] |= np.take(_SIGN, negative) | np.uint32(sep)
+        _put_digits(fracs, fcount, words[ni:ni + nf])
+        words[ni] |= np.take(_POINT, fcount)
+        words[ni + nf:] = suffix
+        if fixed.size:
+            v = x[fixed]
+            nan = np.isnan(v)
+            words[:, fixed] = 0
+            words[0, fixed] = _SIGN[(np.signbit(v) & ~nan).view(np.uint8)] | np.uint32(sep)
+            words[ni + nf - 1, fixed] = _FIXED_TEXTS[nan + 2 * (v == 0)]
+
+    return ni + nf + len(suffix), fill
 
 
-def _int_cells(cells, v):
+def _int_cells(v):
+    """``_float_cells`` for an integer column."""
     if v.dtype == _U:
         magnitude, negative = v, _U0
     else:
         u = v.astype(np.int64).view(_U)
         negative = u >> _63
-        magnitude = np.where(negative == _U1, ~u + _U1, u)   # |int64 min| = 2**63
-    _put_digits(magnitude, cells.view(np.uint32)[:, 1:])
-    digits = np.maximum(np.searchsorted(_POW10, magnitude, side="right"), 1)
-    _mask(cells.view(_U), _KEEP_INT, digits)
-    cells[:, 3] = negative * _U(ord("-"))
+        magnitude = (u ^ (_U0 - negative)) + negative   # |int64 min| = 2**63
+    shortest, longest = (len(str(m)) for m in (magnitude.min(), magnitude.max()))
+    counts = longest if shortest == longest else _digit_count(magnitude)
+
+    def fill(words, sep):
+        _put_digits(magnitude, counts, words)
+        words[0] |= np.take(_SIGN, negative) | np.uint32(sep)
+
+    return (longest + 5) // 4, fill
+
+
+def _repr_cells(values):
+    """``_float_cells`` for ``repr`` of each value, from a cell's second byte."""
+    text = np.array([repr(v).encode() for v in values], dtype=bytes)
+    cells = np.zeros((len(text), (4 + text.itemsize) // 4), dtype=np.uint32)
+    cells.view(np.uint8)[:, 1:1 + text.itemsize] = \
+        text.view(np.uint8).reshape(len(text), text.itemsize)
+
+    def fill(words, sep):
+        words[...] = cells.T
+        words[0] |= np.uint32(sep)
+
+    return cells.shape[1], fill
 
 
 def csv_text(columns, rows):
-    """CSV rows for equal-length numpy columns, ``rows`` rows at a time:
-    cells as ``repr`` writes them, comma-separated, each row ending in a
-    newline.  The chunks share one byte table and mask: fresh ones, once past
-    what malloc serves from its heap, are page-faulted in anew every chunk."""
-    buf = keep = np.empty(0, dtype=np.uint8)
+    """The CSV rows of equal-length numpy columns as bytes, ``rows`` rows at
+    a time: cells as ``repr`` writes them, comma-separated, each row after a
+    newline, then one newline after the last row.  The chunks share one
+    table: fresh ones, once past what malloc serves from its heap, are
+    page-faulted in anew every chunk."""
+    buf = np.empty(0, dtype=np.uint32)
     for s in range(0, len(columns[0]), rows):
-        layout = []
-        for column in (c[s:s + rows] for c in columns):
-            if column.dtype.kind == "f" and column.dtype.itemsize <= 8:
-                layout.append((_FLOAT_W, _float_cells, column))
-            elif column.dtype.kind in "iu":
-                layout.append((_INT_W, _int_cells, column))
-            else:
-                cells = _repr_cells(column.tolist())
-                layout.append((cells.shape[1], np.copyto, cells))
-        width = sum(w for w, _, _ in layout) + 8
-        size = len(layout[0][2]) * width
-        if buf.size < size:
-            buf, keep = np.empty(size, dtype=np.uint8), np.empty(size, dtype=bool)
-        table = buf[:size].reshape(-1, width)
-        table.fill(0)
+        cells = [_float_cells(c) if c.dtype.kind == "f" and c.dtype.itemsize <= 8
+                 else _int_cells(c) if c.dtype.kind in "iu" else _repr_cells(c.tolist())
+                 for c in (c[s:s + rows] for c in columns)]
+        n = min(rows, len(columns[0]) - s)
+        width = sum(w for w, _ in cells)
+        if buf.size < n * width:
+            buf = np.empty(n * width, dtype=np.uint32)
+        table = buf[:n * width].reshape(width, n)
         at = 0
-        for width, fill, column in layout:
-            fill(table[:, at:at + width], column)
-            if at:
-                table[:, at] = ord(",")
-            at += width
-        table[:, at] = ord("\n")
-        yield buf[:size][np.not_equal(buf[:size], 0, out=keep[:size])].tobytes().decode()
+        for w, fill in cells:
+            fill(table[at:at + w], ord(",") if at else ord("\n"))
+            at += w
+        yield table.T.tobytes().translate(None, b"\0")
+    yield b"\n"
 
 
 # Reading.  A clean cell's digits are read as little-endian uint64 words
@@ -322,7 +365,7 @@ def _five_table():
 
 
 _FIVE_HI, _FIVE_LO, _FIVE_EXP = _five_table()
-_LOW9, _U3, _U9, _U52, _U1086 = _U(0x1FF), _U(3), _U(9), _U(52), _U(1086)
+_LOW9, _U3, _U9, _U1086 = _U(0x1FF), _U(3), _U(9), _U(1086)
 
 
 def _digit_values(words, end, length):

@@ -30,10 +30,9 @@ parser's message, the only one there is.
 
 ``write_csv`` emits ints as digits and floats as shortest round-trip text,
 so a load/write/load cycle reproduces the series bit for bit.  Its bytes
-are those of ``repr`` on every cell, but the text of int columns and of
-floats that ``repr`` writes positionally (1e-4 <= |x| < 1e16) is made in
-bulk by ``_floattext``; nan, inf, +-0, subnormals, exponent-form floats
-and columns of any other dtype go through ``repr`` cell by cell.
+are those of ``repr`` on every cell, made in bulk by ``_floattext`` for
+every int and float column (Dragonbox digits, one cell layout for every
+float); only columns of other dtypes go through ``repr`` cell by cell.
 """
 
 from __future__ import annotations
@@ -212,16 +211,14 @@ def write_csv(path, header: str, columns) -> None:
 
     Cells are the ``repr`` of each value as a Python scalar: integers as
     digits, floats as shortest round-trip text, so reading a written float
-    back reproduces it bit for bit.  Int columns and floats in ``repr``'s
-    positional range (1e-4 <= |x| < 1e16) are formatted in bulk with numpy
-    integer arithmetic; every other cell (nan, inf, +-0, subnormals,
-    exponent-form floats, columns of other dtypes) through ``repr`` itself.
-    Rows are formatted in chunks of 8,192, never as one string for the
-    whole file.
+    back reproduces it bit for bit.  Int and float columns are formatted in
+    bulk with numpy integer arithmetic, other dtypes through ``repr``.  Rows
+    are formatted in chunks of 8,192, never as one string for the whole
+    file, and written as bytes in binary mode, UTF-8 for the header.
     """
     # imported on the first write, so that runs which write no CSV do not
     # load the formatter and its tables
     from ._floattext import csv_text
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
         fh.writelines(csv_text([np.asarray(c) for c in columns], _WRITE_CHUNK_ROWS))

@@ -128,11 +128,13 @@ def test_criterion_03_segmentation_matches_brute_force():
 
         plan = segment_epochs(part, prices, tau)
 
-        # independent straightforward re-scan
-        s = part.bucket_of(float(prices[0]))
+        # independent straightforward re-scan of each row's bucket
+        # (bucket_indices is bucket_of row by row, as other tests pin)
+        buckets = part.bucket_indices(prices).tolist()
+        s = buckets[0]
         start, expect = 0, []
         for i in range(1, len(prices)):
-            b = part.bucket_of(float(prices[i]))
+            b = buckets[i]
             if abs(b - s) > tau:
                 expect.append((start, i, s))
                 start, s = i, b

@@ -13,6 +13,7 @@ of it, decimal ties included.
 
 import math
 import struct
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -76,10 +77,45 @@ def test_write_csv_matches_the_repr_writer(tmp_path_factory, columns):
     assert (out / "bulk.csv").read_bytes() == (out / "repr.csv").read_bytes()
 
 
+def every_exponent():
+    """Both signs of every biased exponent with fractions 0, 1, 2**52 - 1
+    and three drawn ones: zeros, subnormals, powers of two, the largest
+    floats, infinities and nans, and each exponent's row of phi."""
+    fractions = np.array([0, 1, 2**52 - 1, *np.random.default_rng(14).integers(2, 2**52 - 1, 3)],
+                         dtype=np.uint64)
+    bits = ((np.arange(2048, dtype=np.uint64) << np.uint64(52))[:, None] | fractions).ravel()
+    return np.concatenate([bits, bits | np.uint64(1 << 63)]).view(np.float64)
+
+
+# the fixed texts and the values either side of repr's switch to exponent form
+FIXED = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-4, -1e-4, 9.999999999999999e-05,
+                  1e16, -1e16, 9999999999999998.0, 2.0**53])
+
+
+def test_every_exponent_matches_the_repr_writer(tmp_path):
+    # FIXED twice over ends the first and second chunks and starts the next
+    x, parts, taken = every_exponent(), [], 0
+    for k in (1, 2):
+        upto = k * CHUNK - (2 * k - 1) * len(FIXED)
+        parts += [x[taken:upto], FIXED, FIXED]
+        taken = upto
+    x = np.concatenate(parts + [x[taken:]])
+    assert (x[CHUNK - len(FIXED):CHUNK + len(FIXED)].tobytes()
+            == x[2 * CHUNK - len(FIXED):2 * CHUNK + len(FIXED)].tobytes()
+            == np.tile(FIXED, 2).tobytes())
+    ints = np.arange(len(x), dtype=np.int64) * 7919 - 10**6
+    columns = (ints, x, x[::-1].copy())
+    write_csv(tmp_path / "bulk.csv", "t,a,b", columns)
+    oracle.write_csv(tmp_path / "repr.csv", "t,a,b", columns)
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "repr.csv").read_bytes()
+
+
 def test_digit_core_keeps_to_integer_dtypes(tmp_path, monkeypatch):
-    # 17-digit values and ints past 2**53: a float64 step would lose digits
+    # 17-digit values and ints past 2**53: a float64 step would lose digits;
+    # subnormals, powers of two and exponent-form values take the same path
     x = np.array([0.1, 1234.5678901234567, 2.0**53 + 2.0, 1e-4, 9999999999999998.0,
-                  -3.0, 0.00012345678901234567])
+                  -3.0, 0.00012345678901234567, 5e-324, -1e-310, 2.0**-1022, 2.0**-1074 * 3,
+                  1e23, -1.5e300, 1.7976931348623157e308, 9.999999999999999e-05, 2.0**1023])
     digits, exponent, length = _floattext.shortest_digits(x)
     assert (digits.dtype, exponent.dtype, length.dtype) == (np.uint64, np.int64, np.int64)
     for v, d, e, n in zip(x.tolist(), digits.tolist(), exponent.tolist(), length.tolist()):
@@ -88,12 +124,31 @@ def test_digit_core_keeps_to_integer_dtypes(tmp_path, monkeypatch):
     seen = []
     put = _floattext._put_digits
     monkeypatch.setattr(_floattext, "_put_digits",
-                        lambda v, words: seen.append(v.dtype) or put(v, words))
-    ints = np.array([INT64_MIN, INT64_MAX, 2**53 + 1, -7] + [0] * 3, dtype=np.int64)
+                        lambda v, counts, words: seen.append(v.dtype) or put(v, counts, words))
+    ints = np.resize(np.array([INT64_MIN, INT64_MAX, 2**53 + 1, -7, 0], dtype=np.int64), len(x))
     write_csv(tmp_path / "w.csv", "t,x", (ints, x))
     assert set(seen) == {np.dtype(np.uint64)}
     oracle.write_csv(tmp_path / "r.csv", "t,x", (ints, x))
     assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
+
+
+def test_write_peak_is_one_chunk_not_the_file(tmp_path):
+    # the writer holds one chunk's table and text at a time, so ten times
+    # the rows must not raise its peak
+    def peak(rows):
+        rng = np.random.default_rng(rows)
+        columns = (1_672_531_200 + 60 * np.arange(rows, dtype=np.int64),
+                   2000.0 + rng.normal(0.0, 0.4, rows).cumsum(),
+                   rng.uniform(9e5, 1.1e6, rows), rng.uniform(1e5, 2e5, rows))
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "w.csv", "t,price,lp_value,bh_value", columns)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)     # builds what the writer builds once
+    assert peak(200_000) <= peak(20_000) + 0.25 * 2**20
 
 
 def test_other_dtypes_match_the_repr_writer(tmp_path):
