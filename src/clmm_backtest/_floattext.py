@@ -16,7 +16,7 @@ digits, then an exponent suffix, as wide as the chunk of rows needs.  Cells
 that ``repr`` writes positionally (1e-4 <= |x| < 1e16) mask the suffix out;
 their integer part is trunc(|x|), exact there because an integer below 2**53
 is itself a float, and from 2**53 to 1e16 every float is an even integer
-whose odd neighbours would need 16 digits.  Other cells take ``repr``'s
+and the odd ends of its interval are no shorter.  Other cells take ``repr``'s
 ``d.ddde+XX`` form; nan, inf and +-0 are fixed texts.  Integer columns take
 the same digit path, other dtypes ``repr`` cell by cell.  Digits go in four
 at a time through a lookup table, masks turn unused slots into NULs, and
