@@ -24,7 +24,7 @@ import numpy as np
 from .allocation import ProfileParams
 from .calibration import calibrate_variance, fee_curve
 from .config import load_config
-from .engine import BacktestReport, run_backtest
+from .engine import BacktestReport, run_backtest, table_rows
 from .errors import (BacktestError, CalibrationUnreachableError, ConfigError,
                      DataError)
 from .prices import PriceSeries, load_prices, write_csv
@@ -86,30 +86,14 @@ def _write_report_files(report: BacktestReport, series: PriceSeries,
     write_csv(out_dir / "trajectory.csv", "t,price,lp_value,bh_value",
               (t_axis, series.prices, report.lp_trajectory, report.bh_trajectory))
 
-    led = report.ledger
-    epochs = report.plan.epochs
-    write_csv(out_dir / "fees_by_epoch.csv",
-              "epoch,start,end,benchmark_bucket,inflow_a,inflow_b,"
-              "fee_a,fee_b,end_price,fee_converted_b,volume_converted_b",
-              (np.arange(1, len(epochs) + 1), *epochs.T, led.inflow_a, led.inflow_b,
-               led.fee_a, led.fee_b, led.end_price, led.fee_converted,
-               led.volume_converted))
+    table = report.epoch_table
+    write_csv(out_dir / "fees_by_epoch.csv", ",".join(table), table.values())
 
-    summary = {
-        "series_length": len(series),
-        "epochs": [
-            {
-                "epoch": e + 1,
-                "start": ep.start,
-                "end": ep.end,
-                "benchmark_bucket": ep.benchmark,
-                "anchor_price": float(series.prices[ep.start]),
-                "deployed_capital": float(report.epoch_capital[e]),
-                "active_buckets": int(report.epoch_active[e]),
-            }
-            for e, ep in enumerate(report.plan)
-        ],
-    }
+    # the table's plan columns (epoch, start, end, benchmark_bucket), then
+    # each epoch's deployment
+    columns = dict([*table.items()][:4], anchor_price=series.prices[table["start"]],
+                   deployed_capital=report.epoch_capital, active_buckets=report.epoch_active)
+    summary = {"series_length": len(series), "epochs": table_rows(columns)}
     with open(out_dir / "states_summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

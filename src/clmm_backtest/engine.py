@@ -72,7 +72,7 @@ from .allocation import (ProfileParams, band_weights, band_width, custom_weights
                          deploy, normal_profile_weights)
 from .bucketing import BucketPartition, EpochPlan, check_integer, check_tau, segment_epochs
 from .errors import ConfigError, DataError
-from .prices import check_timestamps
+from .prices import PriceSeries
 
 # rows per kernel block; 2**13 rows keep a block's temporaries inside L2
 _BLOCK_ROWS = 1 << 13
@@ -550,6 +550,12 @@ def _months(timestamps):
     return labels, np.array(firsts, dtype=np.int64)
 
 
+def table_rows(columns: dict) -> list:
+    """One dict per row of a table of equal-length columns."""
+    return [dict(zip(columns, row))
+            for row in zip(*(np.asarray(c).tolist() for c in columns.values()))]
+
+
 @dataclass(frozen=True)
 class BacktestReport:
     """Everything a backtest run produces."""
@@ -568,27 +574,20 @@ class BacktestReport:
     epoch_active: np.ndarray = None    # active bucket count per epoch
     monthly_fees: Optional[list] = None
 
+    @property
+    def epoch_table(self) -> dict:
+        """Per-epoch output columns by name, in output order: the plan's
+        (epoch, start, end, benchmark_bucket), then the ledger's."""
+        led, epochs = self.ledger, self.plan.epochs
+        return {"epoch": np.arange(1, len(epochs) + 1), "start": epochs[:, 0],
+                "end": epochs[:, 1], "benchmark_bucket": epochs[:, 2],
+                "inflow_a": led.inflow_a, "inflow_b": led.inflow_b,
+                "fee_a": led.fee_a, "fee_b": led.fee_b, "end_price": led.end_price,
+                "fee_converted_b": led.fee_converted,
+                "volume_converted_b": led.volume_converted}
+
     def to_dict(self) -> dict:
         """JSON-ready summary; trajectories are exported separately as CSV."""
-        # each derived ledger column rebuilds its array per read: read once
-        fee_a, fee_b = self.ledger.fee_a.tolist(), self.ledger.fee_b.tolist()
-        fee_conv = self.ledger.fee_converted.tolist()
-        volume_conv = self.ledger.volume_converted.tolist()
-        epoch_rows = []
-        for e, ep in enumerate(self.plan):
-            epoch_rows.append({
-                "epoch": e + 1,
-                "start": ep.start,
-                "end": ep.end,
-                "benchmark_bucket": ep.benchmark,
-                "inflow_a": float(self.ledger.inflow_a[e]),
-                "inflow_b": float(self.ledger.inflow_b[e]),
-                "fee_a": fee_a[e],
-                "fee_b": fee_b[e],
-                "end_price": float(self.ledger.end_price[e]),
-                "fee_converted_b": fee_conv[e],
-                "volume_converted_b": volume_conv[e],
-            })
         out = {
             "initial_capital": float(self.config.capital),
             "final_value": float(self.lp_trajectory[-1]),
@@ -608,7 +607,7 @@ class BacktestReport:
             "bh_profit_rate": self.bh_profit_rate,
             "volume_cap_scale": self.volume_cap_scale,
             "reinvest_mode": self.config.reinvest_mode,
-            "epoch_fees": epoch_rows,
+            "epoch_fees": table_rows(self.epoch_table),
         }
         if self.monthly_fees is not None:
             out["monthly_fees"] = self.monthly_fees
@@ -617,28 +616,20 @@ class BacktestReport:
 
 def checked_prices(config: BacktestConfig, prices, timestamps=None):
     """(prices, timestamps or None, prices clamped to the partition) of a
-    series, or of an object with ``prices`` and ``timestamps``, after the
-    checks; DataError names the first bad value."""
-    if hasattr(prices, "prices"):
-        timestamps = getattr(prices, "timestamps", None)
-        prices = prices.prices
-    p = np.ascontiguousarray(prices, dtype=np.float64)
-    if p.ndim != 1 or len(p) < 2:
-        raise DataError("price series must be one-dimensional with at least 2 points")
-    if timestamps is not None:
-        timestamps = check_timestamps(timestamps, p)
-    # reductions scan the series without a full-length mask; NaN fails both
-    lo, hi = p.min(), p.max()
-    if not (lo > 0.0 and hi < np.inf):
-        i = int(np.argmax(~np.isfinite(p) | (p <= 0.0)))
-        raise DataError(f"price {p[i]} at index {i} is not a positive finite number")
-    part = config.partition
-    if config.price_mode == "strict" and (lo < part.lower or hi > part.upper):
+    ``PriceSeries`` as given, or of an array and timestamps, or an object
+    with ``prices`` and ``timestamps``, made into one; DataError names the
+    first bad value."""
+    if not isinstance(prices, PriceSeries):
+        if hasattr(prices, "prices"):
+            prices, timestamps = prices.prices, getattr(prices, "timestamps", None)
+        prices = PriceSeries(prices, timestamps)
+    p, part = prices.prices, config.partition
+    if config.price_mode == "strict" and (p.min() < part.lower or p.max() > part.upper):
         i = int(np.argmax((p < part.lower) | (p > part.upper)))
-        raise DataError(f"price {p[i]} at index {i} outside partition "
+        raise DataError(f"row {i + 1}: price {p[i]} at index {i} outside partition "
                         f"[{part.lower}, {part.upper}] (clamp mode would proceed)")
     clamped = p if config.price_mode == "strict" else np.clip(p, part.lower, part.upper)
-    return p, timestamps, clamped
+    return p, prices.timestamps, clamped
 
 
 def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestReport:

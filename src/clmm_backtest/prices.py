@@ -8,8 +8,13 @@ CSV is the only ingest format.  Accepted layouts:
   * headerless single column of prices
 
 Timestamps are integer unix seconds and must be strictly ascending;
-prices must be positive and finite.  Error messages name the offending
-data row (1-based, header excluded, blank rows not counted).
+prices must be positive and finite.  ``PriceSeries`` is the one validator
+of these series rules, whatever made the series: a loaded file, or an
+array or an object with ``prices`` and ``timestamps`` given to
+``run_backtest`` or the calibration functions.  Its messages name the offending data row
+(1-based, header excluded, blank rows not counted) and, for a price, its
+0-based index, as in ``row 8: price 0.0 at index 7 is not a positive
+finite number``.
 
 Loading decides the layout from the first non-blank row, then reads the
 rest of the file as bytes with ``_floattext``'s bulk parser if every row is
@@ -22,11 +27,11 @@ clean:
     (``5.`` and ``.5`` included).
 
 Any other row (signs, exponents, spaces, quotes, blank rows, a lone CR,
-longer cells, non-ASCII bytes, empty cells), or a series that fails the
-checks above, sends the whole file through the row-by-row ``csv`` parser
-instead, which accepts those quirks and names the first bad row.  A clean
-file therefore never pays for the row parser, and a bad one gets the row
-parser's message, the only one there is.
+longer cells, non-ASCII bytes, empty cells) sends the whole file through
+the row-by-row ``csv`` parser instead, which accepts those quirks and names
+the first bad row, with ``PriceSeries``' text for a bad price.  Either way
+the file is parsed once: a clean file that breaks a series rule gets
+``PriceSeries``' message straight away.
 
 ``write_csv`` emits ints as digits and floats as shortest round-trip text,
 so a load/write/load cycle reproduces the series bit for bit.  Its bytes
@@ -54,7 +59,11 @@ _WRITE_CHUNK_ROWS = 1 << 13
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """A positive price series with optional unix-second timestamps."""
+    """A positive price series with optional unix-second timestamps.
+
+    The series is checked once, when made, and holds read-only views of its
+    arrays, so code given a ``PriceSeries`` does not check it again.
+    """
 
     prices: np.ndarray
     timestamps: Optional[np.ndarray] = None
@@ -66,13 +75,14 @@ class PriceSeries:
             raise DataError("price series must be one-dimensional")
         if len(p) < 2:
             raise DataError(f"price series needs at least 2 rows, got {len(p)}")
-        bad = ~np.isfinite(p) | (p <= 0.0)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise DataError(f"row {i + 1}: price {p[i]} is not a positive finite number")
-        object.__setattr__(self, "prices", p)
+        # reductions scan the series without a full-length mask; NaN fails both
+        if not (p.min() > 0.0 and p.max() < np.inf):
+            i = int(np.argmax(~np.isfinite(p) | (p <= 0.0)))
+            raise _not_positive(i + 1, p[i])
+        object.__setattr__(self, "prices", _read_only(p))
         if self.timestamps is not None:
-            object.__setattr__(self, "timestamps", check_timestamps(self.timestamps, p))
+            object.__setattr__(self, "timestamps",
+                               _read_only(check_timestamps(self.timestamps, p)))
 
     def __len__(self) -> int:
         return len(self.prices)
@@ -92,13 +102,25 @@ def check_timestamps(timestamps, prices: np.ndarray) -> np.ndarray:
     return ts
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view; the array given stays writeable."""
+    a = a.view()
+    a.flags.writeable = False
+    return a
+
+
+def _not_positive(row: int, price) -> DataError:
+    return DataError(f"row {row}: price {float(price)} at index {row - 1} is not a "
+                     f"positive finite number")
+
+
 def _parse_price(text: str, row: int) -> float:
     try:
         v = float(text)
     except ValueError:
         raise DataError(f"row {row}: cannot parse price {text!r}") from None
     if not (np.isfinite(v) and v > 0.0):
-        raise DataError(f"row {row}: price {text} is not a positive finite number")
+        raise _not_positive(row, v)
     return v
 
 
@@ -195,15 +217,12 @@ def load_prices(path) -> PriceSeries:
         with open(path, newline="") as fh:
             layout = _read_layout(fh, path)
             parsed = _parse_bulk(fh, layout)
-            if parsed is not None:
-                try:
-                    return PriceSeries(*parsed, source=str(path))
-                except DataError:
-                    pass  # the row parser names the first bad row
-            fh.seek(layout.start)
-            return PriceSeries(*_parse_rows(fh, layout), source=str(path))
+            if parsed is None:
+                fh.seek(layout.start)
+                parsed = _parse_rows(fh, layout)
     except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read price file {path}: {err}") from None
+    return PriceSeries(*parsed, source=str(path))
 
 
 def write_csv(path, header: str, columns) -> None:

@@ -2,16 +2,20 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from clmm_backtest import engine
+from clmm_backtest import prices as prices_module
 from clmm_backtest.allocation import ProfileParams, custom_weights
 from clmm_backtest.bucketing import BucketPartition, segment_epochs
+from clmm_backtest.calibration import fee_curve, whole_pool_fee
 from clmm_backtest.engine import (BacktestConfig, GasParams, ReservePair, StrategyConfig,
                                   buy_and_hold, run_backtest)
 from clmm_backtest.errors import ConfigError, DataError
+from clmm_backtest.prices import PriceSeries
 from oracle import (band_row, bucket_range, build_state_tensor, compute_fees, deploy_row,
                     engine_gas_cost, liquidity_state, split_capital)
 
@@ -577,3 +581,61 @@ class TestRunBacktest:
         cfg, _ = self.config_and_walk()
         with pytest.raises(DataError):
             run_backtest(cfg, np.array([2000.0]))
+
+
+class TestOneSeriesValidator:
+    """``PriceSeries`` checks every series, whichever entry point took it."""
+
+    CONFIG = uniform_config(BucketPartition(1000.0, 4000.0, 30), 2)
+
+    @staticmethod
+    def message(call):
+        with pytest.raises(DataError) as err:
+            call()
+        return str(err.value)
+
+    @pytest.mark.parametrize("prices,timestamps,expect", [
+        ([2000.0, np.nan, 2100.0], None,
+         "row 2: price nan at index 1 is not a positive finite number"),
+        ([2000.0, 2100.0, 0.0], None,
+         "row 3: price 0.0 at index 2 is not a positive finite number"),
+        ([2000.0, -5.0, 2100.0], None,
+         "row 2: price -5.0 at index 1 is not a positive finite number"),
+        ([2000.0], None, "price series needs at least 2 rows, got 1"),
+        ([[2000.0, 2100.0], [2050.0, 2000.0]], None, "price series must be one-dimensional"),
+        ([2000.0, 2100.0, 2050.0], [1, 2], "2 timestamps for 3 prices"),
+        ([2000.0, 2100.0, 2050.0], [1, 3, 3], "row 3: timestamp 3 does not ascend past 3"),
+    ], ids=["nan", "zero", "negative", "one_row", "two_dimensional", "too_few_timestamps",
+            "not_ascending"])
+    def test_each_rule_has_one_message_at_every_entry_point(self, prices, timestamps,
+                                                            expect):
+        cfg = self.CONFIG
+        prices = np.array(prices)
+        ts = None if timestamps is None else np.array(timestamps)
+        series = SimpleNamespace(prices=prices, timestamps=ts)
+        assert self.message(lambda: PriceSeries(prices, ts)) == expect
+        assert self.message(lambda: run_backtest(cfg, prices, ts)) == expect
+        assert self.message(lambda: run_backtest(cfg, series)) == expect
+        assert self.message(lambda: whole_pool_fee(cfg, series, 0.0, 0.5)) == expect
+
+    def test_a_checked_series_is_not_checked_again(self, monkeypatch):
+        prices = walk_prices(seed=40, n=900)
+        series = PriceSeries(prices, 1610668800 + 3600 * np.arange(len(prices)))
+        calls, check = [], prices_module.check_timestamps
+        spy = lambda *args: calls.append(args) or check(*args)
+        monkeypatch.setattr(prices_module, "check_timestamps", spy)
+        monkeypatch.setattr(engine, "check_timestamps", spy, raising=False)
+        run_backtest(self.CONFIG, series)
+        fee_curve(self.CONFIG, series, 0.0, 3.0, [0.5, 1.0])
+        assert calls == []
+        # an array and its timestamps are checked, once
+        run_backtest(self.CONFIG, series.prices, series.timestamps)
+        assert len(calls) == 1
+
+    def test_a_series_cannot_be_changed_after_its_check(self):
+        prices, ts = walk_prices(seed=40, n=20), np.arange(20)
+        series = PriceSeries(prices, ts)
+        for column in (series.prices, series.timestamps):
+            with pytest.raises(ValueError):
+                column[0] = -1
+        prices[0], ts[0] = 2000.0, -1  # the caller's arrays stay writeable

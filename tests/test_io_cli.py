@@ -1,5 +1,6 @@
 """Price file ingestion, config parsing, and the command line surface."""
 
+import csv
 import importlib
 import importlib.util
 import json
@@ -176,6 +177,21 @@ class TestLoadPrices:
             with pytest.raises(DataError) as expect:
                 PriceSeries(*prices_module._parse_rows(fh, layout))
         assert str(got.value) == str(expect.value)
+
+    @pytest.mark.parametrize("text,expect", [
+        ("ts,price\n1,2000\n2,2500\n2,2600\n", "row 3: timestamp 2 does not ascend past 2"),
+        ("price\n2000\n2500\n0\n",
+         "row 3: price 0.0 at index 2 is not a positive finite number"),
+    ], ids=["repeated_timestamp", "zero_price"])
+    def test_clean_file_breaking_a_series_rule_is_parsed_once(self, tmp_path, monkeypatch,
+                                                             text, expect):
+        calls, parse_rows = [], prices_module._parse_rows
+        monkeypatch.setattr(prices_module, "_parse_rows",
+                            lambda *args: calls.append(args) or parse_rows(*args))
+        with pytest.raises(DataError) as err:
+            load_prices(write(tmp_path / "p.csv", text))
+        assert str(err.value) == expect
+        assert calls == []
 
     def test_csv_writer_matches_per_row_repr(self, tmp_path):
         # exponent-form reprs, subnormals and ints, across a chunk seam
@@ -404,6 +420,38 @@ class TestCliBacktest:
         prices = write(tmp_path / "p.csv", "price\n2000\n9000\n2100\n")
         assert self.run_main("backtest", "--config", cfg, "--prices", prices) == 3
         assert "index 1" in capsys.readouterr().err
+
+    def test_out_of_partition_price_names_its_data_row(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.cfg", BASE_CONFIG)
+        prices = write(tmp_path / "p.csv", "ts,price\n1,2000\n2,5000\n")
+        assert self.run_main("backtest", "--config", cfg, "--prices", prices) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: data: row 2: price 5000.0 at index 1 outside partition ")
+
+    def test_per_epoch_outputs_agree(self, tmp_path):
+        cfg = write(tmp_path / "run.cfg", BASE_CONFIG + "volume_cap = 1e5\n")
+        prices = walk_csv(tmp_path / "p.csv", with_ts=True)
+        out = tmp_path / "out"
+        assert self.run_main("backtest", "--config", cfg, "--prices", prices,
+                             "--out-dir", str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        rows = report["epoch_fees"]
+        assert len(rows) > 3 and report["volume_cap_scale"] < 1.0
+        assert "monthly_fees" in report
+
+        with open(out / "fees_by_epoch.csv", newline="") as fh:
+            header, *cells = csv.reader(fh)
+        assert header == ["epoch", "start", "end", "benchmark_bucket", "inflow_a",
+                          "inflow_b", "fee_a", "fee_b", "end_price", "fee_converted_b",
+                          "volume_converted_b"]
+        assert [dict(zip(header, map(float, c))) for c in cells] == rows
+        assert all(set(row) == set(header) for row in rows)
+
+        summary = json.loads((out / "states_summary.json").read_text())["epochs"]
+        shared = header[:4]
+        assert [{k: s[k] for k in shared} for s in summary] \
+            == [{k: r[k] for k in shared} for r in rows]
+        assert all(type(s[k]) is int for s in summary for k in shared)
 
     def test_clamp_flag_recovers_the_run(self, tmp_path):
         cfg = write(tmp_path / "run.cfg", BASE_CONFIG)
