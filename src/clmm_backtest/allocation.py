@@ -20,7 +20,8 @@ from math import isfinite
 
 import numpy as np
 
-from .bucketing import BucketPartition, check_integer, check_tau
+from .bucketing import BucketPartition, check_integer, check_positive
+from .errors import ConfigError
 
 # weights are renormalised on construction; this only guards against
 # callers handing in something that was never a distribution
@@ -32,7 +33,8 @@ class ProfileParams:
     """Bell-curve liquidity profile in standardised bucket coordinates.
 
     Bucket midpoints are mapped linearly from [lower, upper] onto
-    [-bound, +bound]; mu and variance are expressed on that axis.
+    [-bound, +bound]; mu and variance are expressed on that axis.  Each
+    value is checked when the profile is made, under its config key.
     """
 
     mu: float
@@ -40,29 +42,28 @@ class ProfileParams:
     bound: float = 3.0
 
     def __post_init__(self):
-        if not (isfinite(self.mu) and isfinite(self.variance) and isfinite(self.bound)):
-            raise ValueError("profile parameters must be finite")
-        if self.variance <= 0.0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
-        if self.bound <= 0.0:
-            raise ValueError(f"bound must be positive, got {self.bound}")
+        if not isfinite(self.mu):
+            raise ConfigError(f"mu must be finite, got {self.mu}", key="mu")
+        check_positive(self.variance, "variance")
+        check_positive(self.bound, "bound")
 
 
 @dataclass(frozen=True)
 class AllocationWeights:
-    """Per-bucket capital weights, non-negative, summing to one."""
+    """Per-bucket capital weights, non-negative, summing to one; a vector
+    that is not is a ConfigError under the ``weights`` key."""
 
     weights: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or len(w) == 0:
-            raise ValueError("weights must be a non-empty 1-d vector")
+            raise ConfigError("weights must be a non-empty 1-d vector", key="weights")
         if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-            raise ValueError("weights must be finite and non-negative")
+            raise ConfigError("weights must be finite and non-negative", key="weights")
         total = float(w.sum())
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must sum to 1, got {total}")
+            raise ConfigError(f"weights must sum to 1, got {total}", key="weights")
         object.__setattr__(self, "weights", w / total)
 
     @property
@@ -105,7 +106,7 @@ def band_weights(partition: BucketPartition, benchmarks, tau: int, seed=None,
     if s.size and not (1 <= s.min() and s.max() <= n):
         bad = s[(s < 1) | (s > n)][0]
         raise ValueError(f"benchmark bucket must be in 1..{n}, got {bad}")
-    check_tau(tau)
+    check_integer(tau, 0, "tau")
     width = band_width(partition, tau)
     offsets = np.clip(s - 1 - tau, 0, n - width)
     # band columns [a, b) inside each window
@@ -153,7 +154,8 @@ def custom_weights(partition: BucketPartition, weights) -> AllocationWeights:
     """Wrap a user-supplied weight vector after checking its length."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (partition.n,):
-        raise ValueError(f"expected {partition.n} weights, got shape {w.shape}")
+        raise ConfigError(f"expected {partition.n} weights, got shape {w.shape}",
+                          key="weights")
     return AllocationWeights(w)
 
 

@@ -24,18 +24,21 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .errors import ConfigError
 
-def check_integer(value, low: int, what: str) -> None:
-    """Raise ValueError unless value is an int or numpy integer of at least
-    low (0 or 1); a bool is not an integer here."""
+
+def check_integer(value, low: int, key: str) -> None:
+    """ConfigError under ``key`` unless value is an int or numpy integer of at
+    least low (0 or 1); a bool is not an integer here."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
         kind = "non-negative" if low == 0 else "positive"
-        raise ValueError(f"{what} must be a {kind} integer, got {value}")
+        raise ConfigError(f"{key} must be a {kind} integer, got {value}", key=key)
 
 
-def check_tau(tau) -> None:
-    """Raise ValueError unless tau, the reset half-width, is a non-negative integer."""
-    check_integer(tau, 0, "tau")
+def check_positive(value, key: str) -> None:
+    """ConfigError under ``key`` unless value is a positive finite number."""
+    if not (isfinite(value) and value > 0.0):
+        raise ConfigError(f"{key} must be positive and finite, got {value}", key=key)
 
 
 # prices per chunk of the bucket lookup, which bounds its temporaries
@@ -55,19 +58,21 @@ class BucketPartition:
     _scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (isfinite(self.lower) and isfinite(self.upper)):
-            raise ValueError(f"partition bounds must be finite, got [{self.lower}, {self.upper}]")
-        if not 0.0 < self.lower < self.upper:
-            raise ValueError(f"need 0 < lower < upper, got [{self.lower}, {self.upper}]")
-        check_integer(self.n, 1, "bucket count")
+        if not isfinite(self.upper):
+            raise ConfigError(f"upper bound must be finite, got {self.upper}", key="upper")
+        if not (isfinite(self.lower) and 0.0 < self.lower < self.upper):
+            raise ConfigError(f"need 0 < lower < upper, got [{self.lower}, {self.upper}]",
+                              key="lower")
+        check_integer(self.n, 1, "buckets")
         # edge k is lower + k * (upper - lower) / n, in that operation order
         edges = self.lower + np.arange(self.n + 1) * (self.upper - self.lower) / self.n
         edges[0], edges[-1] = self.lower, self.upper
         roots = np.sqrt(edges)
         # sqrt is monotone, so ascending roots imply ascending edges
         if not (roots[1:] > roots[:-1]).all():
-            raise ValueError(f"buckets too narrow, edges or their square roots collide: "
-                             f"[{self.lower}, {self.upper}] in {self.n} buckets")
+            raise ConfigError(f"buckets too narrow, edges or their square roots collide: "
+                              f"[{self.lower}, {self.upper}] in {self.n} buckets",
+                              key="lower")
         highs = np.append(edges[1:-1], np.inf)
         edges.flags.writeable = roots.flags.writeable = highs.flags.writeable = False
         object.__setattr__(self, "edges", edges)
@@ -244,7 +249,7 @@ def segment_epochs(partition: BucketPartition, prices: np.ndarray, tau: int) -> 
     Returns:
         EpochPlan covering the whole series, carrying its bucket column.
     """
-    check_tau(tau)
+    check_integer(tau, 0, "tau")
     p = np.asarray(prices, dtype=np.float64)
     m = len(p)
     if m == 0:

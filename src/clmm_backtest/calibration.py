@@ -22,15 +22,15 @@ refined by bisection.  Gas never enters the objective.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from math import isfinite
 from typing import Optional
 
 import numpy as np
 
 from .allocation import ProfileParams, deploy, normal_profile_weights
-from .engine import _BLOCK_ROWS, BacktestConfig, StrategyConfig, checked_prices
-from .errors import CalibrationUnreachableError
+from .engine import _BLOCK_ROWS, BacktestConfig, checked_prices
+from .errors import CalibrationUnreachableError, DataError
 
 _REL_TOL = 1e-3
 _MAX_BISECTIONS = 60
@@ -76,8 +76,6 @@ class CalibrationResult:
 def _bucket_volume(pool_config: BacktestConfig, prices) -> np.ndarray:
     """v: per bucket, the volume unit capital on it alone trades."""
     part = pool_config.partition
-    # the model's own tau and strategy replace the pool's; check the rest
-    replace(pool_config, tau=part.n, strategy=StrategyConfig("uniform")).validate()
     p, _, clamped = checked_prices(pool_config, prices)
     n, r = part.n, part.roots
     travel = np.zeros(2 * n)                            # U_b, then U_a
@@ -111,8 +109,11 @@ class _WholePool:
     def __init__(self, pool_config: BacktestConfig, prices):
         self.config, self.prices, self.bucket_volume = pool_config, prices, None
 
+    # float64 overflow, on a series spanning hundreds of decades, is let
+    # through without a warning and caught in the fees
+    @np.errstate(over="ignore", invalid="ignore")
     def fees(self, mu: float, bound: float, variances) -> np.ndarray:
-        """Fee totals at one mu, one per variance."""
+        """Fee totals at one mu, one per variance; DataError if one overflows."""
         cfg, part = self.config, self.config.partition
         grid = np.asarray(variances, dtype=np.float64).tolist()
         w = np.reshape([normal_profile_weights(part, ProfileParams(mu, v, bound)).weights
@@ -123,11 +124,16 @@ class _WholePool:
         volume = cfg.capital * (w * self.bucket_volume).sum(axis=1)
         if cfg.volume_cap is not None:
             np.minimum(volume, cfg.volume_cap, out=volume)
-        return cfg.fee_rate * volume
+        fee = cfg.fee_rate * volume
+        bad = ~np.isfinite(fee)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DataError(f"float64 overflow: the fee at variance {grid[i]} is {fee[i]}")
+        return fee
 
 
 def whole_pool_fee(pool_config: BacktestConfig, prices, mu: float, variance: float,
-                   bound: float = 3.0) -> float:
+                   bound: float = ProfileParams.bound) -> float:
     """Converted fee total of one single-deployment bell-curve backtest."""
     return float(_WholePool(pool_config, prices).fees(mu, bound, [variance])[0])
 

@@ -106,7 +106,6 @@ def cmd_backtest(args) -> int:
             raise ConfigError("--seed only applies to strategy=random", key="seed")
         config = dataclasses.replace(
             config, strategy=dataclasses.replace(config.strategy, seed=args.seed))
-        config.validate()
     if args.price_mode is not None:
         config = dataclasses.replace(config, price_mode=args.price_mode)
 
@@ -142,15 +141,12 @@ def cmd_calibrate(args) -> int:
         raise ConfigError("--mu is required unless the config strategy is normal",
                           key="mu")
     bound = args.bound if args.bound is not None \
-        else (profile.bound if profile else 3.0)
+        else (profile.bound if profile else ProfileParams.bound)
     if not (isfinite(args.target_fee) and args.target_fee > 0.0):
         raise ConfigError(f"target fee must be positive and finite, got {args.target_fee}",
                           key="target-fee")
     grid = _parse_grid(args.grid)
-    try:  # the profile's rule for mu and bound, at a valid variance
-        ProfileParams(mu, grid[0], bound)
-    except ValueError as err:
-        raise ConfigError(str(err), key="bound" if isfinite(mu) else "mu") from None
+    ProfileParams(mu, grid[0], bound)  # names a bad --mu or --bound before the prices load
 
     series = load_prices(args.prices)
     out_dir = Path(args.out_dir)

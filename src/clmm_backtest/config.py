@@ -12,19 +12,26 @@ tau                     reset half-width in buckets (required)
 strategy                uniform | random | custom | normal (required)
 weights                 comma-separated bucket weights (custom only)
 seed                    non-negative integer RNG seed (random only)
-mu, variance, bound     bell-curve profile (normal only; bound default 3)
+mu, variance, bound     bell-curve profile (normal only; bound optional)
 capital                 deployable capital in token B (required)
 fee_rate                pool fee rate in (0, 1) (required)
-mint_gas, burn_gas      gas units per position mint/burn (defaults 430000/215000)
-gas_price_gwei          gas price (default 100)
+mint_gas, burn_gas      gas units per position mint/burn (optional)
+gas_price_gwei          gas price (optional)
 gas_token_price         constant token-B price of the gas token; leave
                         unset when token A itself is the gas token
-reinvest                reinvest | exclude | fix-at-level (default exclude)
+reinvest                reinvest | exclude | fix-at-level (optional)
 volume_cap              cap on reported token-B volume (optional)
-price_mode              strict | clamp (default strict)
+price_mode              strict | clamp (optional)
+
+Parsing passes on only the keys a file sets, so an unset key takes the
+default of the dataclass field that holds it (``ProfileParams``,
+``GasParams``, ``BacktestConfig``).  Each value is checked by that
+dataclass when it is made, and its ConfigError names the key.
 """
 
 from __future__ import annotations
+
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -33,11 +40,10 @@ from .bucketing import BucketPartition
 from .engine import BacktestConfig, GasParams, StrategyConfig
 from .errors import ConfigError
 
-_KEYS = {
-    "lower", "upper", "buckets", "tau", "strategy", "weights", "seed",
-    "mu", "variance", "bound", "capital", "fee_rate", "mint_gas", "burn_gas",
-    "gas_price_gwei", "gas_token_price", "reinvest", "volume_cap", "price_mode",
-}
+_INTS = {"buckets", "tau", "seed", "mint_gas", "burn_gas"}
+_FLOATS = {"lower", "upper", "mu", "variance", "bound", "capital", "fee_rate",
+           "gas_price_gwei", "gas_token_price", "volume_cap"}
+_KEYS = _INTS | _FLOATS | {"strategy", "weights", "reinvest", "price_mode"}
 _REQUIRED = ("lower", "upper", "buckets", "tau", "strategy", "capital", "fee_rate")
 _STRATEGY_KEYS = {
     "uniform": set(),
@@ -45,6 +51,9 @@ _STRATEGY_KEYS = {
     "custom": {"weights"},
     "normal": {"mu", "variance", "bound"},
 }
+# BacktestConfig's optional fields, by config key
+_RUN_FIELDS = {"reinvest": "reinvest_mode", "volume_cap": "volume_cap",
+               "price_mode": "price_mode"}
 
 
 def _parse_pairs(text: str) -> dict:
@@ -67,108 +76,55 @@ def _parse_pairs(text: str) -> dict:
     return pairs
 
 
-def _get_float(pairs: dict, key: str) -> float:
+def _value(key: str, text: str):
+    """A key's value: an int, a float, a float vector for weights, else the text."""
     try:
-        return float(pairs[key])
+        if key in _INTS:
+            return int(text)
+        if key in _FLOATS:
+            return float(text)
+        if key == "weights":
+            return np.array([float(w) for w in text.split(",")])
     except ValueError:
-        raise ConfigError(f"cannot parse {key} = {pairs[key]!r} as a number",
-                          key=key) from None
-
-
-def _get_int(pairs: dict, key: str) -> int:
-    try:
-        return int(pairs[key])
-    except ValueError:
-        raise ConfigError(f"cannot parse {key} = {pairs[key]!r} as an integer",
-                          key=key) from None
-
-
-_VALID_PROFILE = {"mu": 0.0, "variance": 1.0, "bound": 3.0}
-
-
-def _profile(values: dict) -> ProfileParams:
-    """The bell-curve profile, or a ConfigError under the key of the first
-    value (mu, variance, bound) that ``ProfileParams`` rejects on its own."""
-    for key in _VALID_PROFILE:
-        try:
-            ProfileParams(**{**_VALID_PROFILE, key: values[key]})
-        except ValueError as err:
-            raise ConfigError(str(err), key=key) from None
-    return ProfileParams(**values)
+        kind = "an integer" if key in _INTS else "a number" if key in _FLOATS \
+            else "comma-separated numbers"
+        raise ConfigError(f"cannot parse {key} = {text!r} as {kind}", key=key) from None
+    return text
 
 
 def parse_config(text: str) -> BacktestConfig:
-    """Parse config text into a validated BacktestConfig."""
+    """Parse config text into a BacktestConfig, checked as it is made."""
     pairs = _parse_pairs(text)
     missing = [k for k in _REQUIRED if k not in pairs]
     if missing:
         raise ConfigError(f"missing required key(s): {', '.join(missing)}",
                           key=missing[0])
-
-    strategy_mode = pairs["strategy"]
-    if strategy_mode not in _STRATEGY_KEYS:
-        raise ConfigError(f"unknown strategy {strategy_mode!r}", key="strategy")
+    own = _STRATEGY_KEYS.get(pairs["strategy"], set())
     for mode, keys in _STRATEGY_KEYS.items():
-        if mode == strategy_mode:
-            continue
-        stray = sorted(keys & pairs.keys() - _STRATEGY_KEYS[strategy_mode])
+        stray = sorted(keys & pairs.keys() - own)
         if stray:
             raise ConfigError(f"key {stray[0]!r} only applies to strategy={mode}",
                               key=stray[0])
 
-    try:
-        partition = BucketPartition(_get_float(pairs, "lower"),
-                                    _get_float(pairs, "upper"),
-                                    _get_int(pairs, "buckets"))
-    except ValueError as err:
-        raise ConfigError(str(err), key="lower") from None
+    values = {key: _value(key, text) for key, text in pairs.items()}
 
-    weights = None
-    seed = None
-    profile = None
-    if strategy_mode == "custom":
-        if "weights" not in pairs:
-            raise ConfigError("strategy=custom needs a weights list", key="weights")
-        try:
-            weights = np.array([float(w) for w in pairs["weights"].split(",")])
-        except ValueError:
-            raise ConfigError("cannot parse weights as comma-separated numbers",
-                              key="weights") from None
-    elif strategy_mode == "random":
-        if "seed" not in pairs:
-            raise ConfigError("strategy=random needs a seed", key="seed")
-        seed = _get_int(pairs, "seed")
-    elif strategy_mode == "normal":
-        for k in ("mu", "variance"):
-            if k not in pairs:
-                raise ConfigError(f"strategy=normal needs {k}", key=k)
-        profile = _profile({"mu": _get_float(pairs, "mu"),
-                            "variance": _get_float(pairs, "variance"),
-                            "bound": _get_float(pairs, "bound") if "bound" in pairs else 3.0})
+    def given(*keys) -> dict:
+        return {k: values[k] for k in keys if k in values}
 
-    gas = GasParams(
-        mint_gas=_get_int(pairs, "mint_gas") if "mint_gas" in pairs else 430_000,
-        burn_gas=_get_int(pairs, "burn_gas") if "burn_gas" in pairs else 215_000,
-        gas_price_gwei=_get_float(pairs, "gas_price_gwei")
-        if "gas_price_gwei" in pairs else 100.0,
-        gas_token_price=_get_float(pairs, "gas_token_price")
-        if "gas_token_price" in pairs else None,
-    )
-
-    config = BacktestConfig(
-        partition=partition,
-        tau=_get_int(pairs, "tau"),
-        strategy=StrategyConfig(strategy_mode, weights=weights, seed=seed,
-                                profile=profile),
-        capital=_get_float(pairs, "capital"),
-        fee_rate=_get_float(pairs, "fee_rate"),
-        gas=gas,
-        reinvest_mode=pairs.get("reinvest", "exclude"),
-        volume_cap=_get_float(pairs, "volume_cap") if "volume_cap" in pairs else None,
-        price_mode=pairs.get("price_mode", "strict"),
-    )
-    config.validate()
-    return config
+    profile = given("mu", "variance", "bound")
+    if profile:
+        unset = [f.name for f in fields(ProfileParams)
+                 if f.default is MISSING and f.name not in profile]
+        if unset:
+            raise ConfigError(f"missing required key(s): {', '.join(unset)}", key=unset[0])
+    strategy = StrategyConfig(values["strategy"], weights=values.get("weights"),
+                              seed=values.get("seed"),
+                              profile=ProfileParams(**profile) if profile else None)
+    return BacktestConfig(
+        BucketPartition(values["lower"], values["upper"], values["buckets"]),
+        values["tau"], strategy, values["capital"], values["fee_rate"],
+        gas=GasParams(**given("mint_gas", "burn_gas", "gas_price_gwei", "gas_token_price")),
+        **{field: values[key] for key, field in _RUN_FIELDS.items() if key in values})
 
 
 def load_config(path) -> BacktestConfig:

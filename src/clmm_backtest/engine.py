@@ -68,9 +68,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .allocation import (ProfileParams, band_weights, band_width, custom_weights,
-                         deploy, normal_profile_weights)
-from .bucketing import BucketPartition, EpochPlan, check_integer, check_tau, segment_epochs
+from .allocation import (AllocationWeights, ProfileParams, band_weights, band_width,
+                         custom_weights, deploy, normal_profile_weights)
+from .bucketing import (BucketPartition, EpochPlan, check_integer, check_positive,
+                        segment_epochs)
 from .errors import ConfigError, DataError
 from .prices import PriceSeries
 
@@ -105,47 +106,41 @@ class GasParams:
     gas_token_price: Optional[float] = None
 
     def __post_init__(self):
-        for key in ("mint_gas", "burn_gas"):
-            try:
-                check_integer(getattr(self, key), 1, key)
-            except ValueError as err:
-                raise ConfigError(str(err), key=key) from None
-        if not (isfinite(self.gas_price_gwei) and self.gas_price_gwei > 0.0):
-            raise ConfigError(f"gas price must be positive, got {self.gas_price_gwei}",
-                              key="gas_price_gwei")
-        gp = self.gas_token_price
-        if gp is not None and not (isfinite(gp) and gp > 0.0):
-            raise ConfigError(f"gas token price must be positive, got {gp}",
-                              key="gas_token_price")
+        check_integer(self.mint_gas, 1, "mint_gas")
+        check_integer(self.burn_gas, 1, "burn_gas")
+        check_positive(self.gas_price_gwei, "gas_price_gwei")
+        if self.gas_token_price is not None:
+            check_positive(self.gas_token_price, "gas_token_price")
 
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    """Which weight rule rebuilds the allocation at each epoch start."""
+    """Which weight rule rebuilds the allocation at each epoch start.
+
+    Custom weights are held as a read-only copy, so the checked vector
+    cannot change after the config is made.
+    """
 
     mode: str
     weights: Optional[np.ndarray] = None   # custom mode
     seed: Optional[int] = None             # random mode
     profile: Optional[ProfileParams] = None  # normal mode
 
-    def validate(self, partition: BucketPartition) -> None:
+    def __post_init__(self):
         if self.mode not in STRATEGY_MODES:
             raise ConfigError(f"unknown strategy {self.mode!r}, expected one of "
                               f"{STRATEGY_MODES}", key="strategy")
-        if self.mode == "custom":
-            if self.weights is None:
-                raise ConfigError("custom strategy needs a weights vector", key="weights")
-            try:  # the length check and AllocationWeights' rule
-                custom_weights(partition, self.weights)
-            except ValueError as err:
-                raise ConfigError(str(err), key="weights") from None
-        if self.mode == "random":
-            if self.seed is None:
-                raise ConfigError("random strategy needs a seed", key="seed")
-            try:
-                check_integer(self.seed, 0, "seed")
-            except ValueError as err:
-                raise ConfigError(str(err), key="seed") from None
+        if self.weights is not None:
+            w = np.array(self.weights, dtype=np.float64)
+            AllocationWeights(w)  # finite, non-negative, summing to 1
+            w.flags.writeable = False
+            object.__setattr__(self, "weights", w)
+        elif self.mode == "custom":
+            raise ConfigError("custom strategy needs a weights vector", key="weights")
+        if self.seed is not None:
+            check_integer(self.seed, 0, "seed")
+        elif self.mode == "random":
+            raise ConfigError("random strategy needs a seed", key="seed")
         if self.mode == "normal" and self.profile is None:
             raise ConfigError("normal strategy needs profile parameters", key="mu")
 
@@ -153,6 +148,10 @@ class StrategyConfig:
 @dataclass(frozen=True)
 class BacktestConfig:
     """Everything run_backtest needs besides the price series.
+
+    Every value is checked when the config is made, ``dataclasses.replace``
+    included, and custom weights against the partition; a ConfigError names
+    the config key at fault.
 
     ``volume_cap`` caps the reported token-B volume: when the replayed
     total exceeds it, the ledger's inflows and fees are scaled down to
@@ -171,28 +170,22 @@ class BacktestConfig:
     volume_cap: Optional[float] = None
     price_mode: str = "strict"
 
-    def validate(self) -> None:
-        try:
-            check_tau(self.tau)
-        except ValueError as err:
-            raise ConfigError(str(err), key="tau") from None
-        if not (isfinite(self.capital) and self.capital > 0.0):
-            raise ConfigError(f"capital must be positive, got {self.capital}",
-                              key="capital")
+    def __post_init__(self):
+        check_integer(self.tau, 0, "tau")
+        check_positive(self.capital, "capital")
         if not (isfinite(self.fee_rate) and 0.0 < self.fee_rate < 1.0):
             raise ConfigError(f"fee rate must lie in (0, 1), got {self.fee_rate}",
                               key="fee_rate")
         if self.reinvest_mode not in REINVEST_MODES:
             raise ConfigError(f"unknown reinvest mode {self.reinvest_mode!r}, expected "
                               f"one of {REINVEST_MODES}", key="reinvest")
-        if self.volume_cap is not None and not (isfinite(self.volume_cap)
-                                                and self.volume_cap > 0.0):
-            raise ConfigError(f"volume cap must be positive, got {self.volume_cap}",
-                              key="volume_cap")
+        if self.volume_cap is not None:
+            check_positive(self.volume_cap, "volume_cap")
         if self.price_mode not in PRICE_MODES:
             raise ConfigError(f"unknown price mode {self.price_mode!r}, expected one "
                               f"of {PRICE_MODES}", key="price_mode")
-        self.strategy.validate(self.partition)
+        if self.strategy.weights is not None:  # one weight per bucket
+            custom_weights(self.partition, self.strategy.weights)
 
 
 @dataclass(frozen=True)
@@ -632,6 +625,9 @@ def checked_prices(config: BacktestConfig, prices, timestamps=None):
     return p, prices.timestamps, clamped
 
 
+# float64 overflow, on a series spanning hundreds of decades, is let through
+# without a warning and caught where the run reduces its results
+@np.errstate(over="ignore", invalid="ignore")
 def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestReport:
     """Replay a price series against the configured liquidity strategy.
 
@@ -644,7 +640,7 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
     enters the trajectory.
 
     Args:
-        config: validated run configuration.
+        config: run configuration, checked when it was made.
         prices: 1-d positive price series, or any object with ``prices``
             and ``timestamps`` attributes.
         timestamps: optional ascending unix-second timestamps, one per
@@ -653,8 +649,10 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
 
     Returns:
         BacktestReport with ledger, gas, trajectories and summary rates.
+
+    Raises:
+        DataError: a price is bad, or a result overflows float64.
     """
-    config.validate()
     p, timestamps, bucket_prices = checked_prices(config, prices, timestamps)
     part = config.partition
     plan = segment_epochs(part, bucket_prices, config.tau)
@@ -728,6 +726,13 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
     split0 = ReservePair(float((first_liq * (1.0 / c0 - inv_b)).sum()),
                          float((first_liq * (c0 - sa)).sum()))
     bh = buy_and_hold(p, split0)
+    # a non-finite value anywhere in the capital chain or the ledger carries
+    # through to its last value or total
+    for name, value in (("final capital", capital), ("total volume", ledger.total_volume_b),
+                        ("gas cost", gas.total_b), ("final value", trajectory[-1]),
+                        ("final buy-and-hold value", bh[-1])):
+        if not isfinite(value):
+            raise DataError(f"float64 overflow: {name} is {value}")
 
     monthly = None
     if timestamps is not None:

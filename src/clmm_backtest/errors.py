@@ -9,11 +9,13 @@ class BacktestError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ConfigError(BacktestError):
+class ConfigError(BacktestError, ValueError):
     """Invalid or inconsistent run configuration.
 
     ``key`` names the offending config key (or flag) when known, so error
-    output stays machine-parsable.
+    output stays machine-parsable.  The config dataclasses raise it where
+    each rule is checked, and it is a ``ValueError`` for callers that
+    expect one.
     """
 
     def __init__(self, message: str, key: str | None = None):

@@ -12,9 +12,9 @@ prices must be positive and finite.  ``PriceSeries`` is the one validator
 of these series rules, whatever made the series: a loaded file, or an
 array or an object with ``prices`` and ``timestamps`` given to
 ``run_backtest`` or the calibration functions.  Its messages name the offending data row
-(1-based, header excluded, blank rows not counted) and, for a price, its
-0-based index, as in ``row 8: price 0.0 at index 7 is not a positive
-finite number``.
+(1-based, header excluded, blank rows not counted) and the value's 0-based
+index, as in ``row 8: price 0.0 at index 7 is not a positive finite
+number``.
 
 Loading decides the layout from the first non-blank row, then reads the
 rest of the file as bytes with ``_floattext``'s bulk parser if every row is
@@ -97,8 +97,8 @@ def check_timestamps(timestamps, prices: np.ndarray) -> np.ndarray:
     stalled = ts[1:] <= ts[:-1]
     if stalled.any():
         i = int(np.argmax(stalled))
-        raise DataError(f"row {i + 2}: timestamp {ts[i + 1]} does not ascend "
-                        f"past {ts[i]}")
+        raise DataError(f"row {i + 2}: timestamp {ts[i + 1]} at index {i + 1} does not "
+                        f"ascend past {ts[i]}")
     return ts
 
 

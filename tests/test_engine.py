@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -458,8 +459,8 @@ class TestRunBacktest:
         # reversed, a series' months would be sliced as if contiguous
         cfg, prices = self.config_and_walk()
         ts = 1610668800 + 3600 * np.arange(len(prices))
-        with pytest.raises(DataError, match=f"^row 2: timestamp {ts[-2]} does not "
-                                            f"ascend past {ts[-1]}$"):
+        with pytest.raises(DataError, match=f"^row 2: timestamp {ts[-2]} at index 1 does "
+                                            f"not ascend past {ts[-1]}$"):
             run_backtest(cfg, prices, timestamps=ts[::-1])
         ts[5] = ts[4]
         with pytest.raises(DataError, match="^row 6: "):
@@ -509,18 +510,33 @@ class TestRunBacktest:
 
     @pytest.mark.parametrize("seed", [True, False, -1, 2.5, "7"])
     def test_random_seed_must_be_a_non_negative_integer(self, seed):
-        cfg = BacktestConfig(BucketPartition(1000.0, 4000.0, 30), 2,
-                             StrategyConfig("random", seed=seed), 1e6, 0.003)
         with pytest.raises(ConfigError) as exc:
-            cfg.validate()
+            BacktestConfig(BucketPartition(1000.0, 4000.0, 30), 2,
+                           StrategyConfig("random", seed=seed), 1e6, 0.003)
         assert exc.value.key == "seed"
 
     @pytest.mark.parametrize("tau", [True, False, -1, 2.0])
     def test_tau_must_be_a_non_negative_integer(self, tau):
-        cfg = uniform_config(BucketPartition(1000.0, 4000.0, 30), tau)
         with pytest.raises(ConfigError) as exc:
-            cfg.validate()
+            uniform_config(BucketPartition(1000.0, 4000.0, 30), tau)
         assert exc.value.key == "tau"
+
+    def test_replace_checks_the_config_again(self):
+        cfg = uniform_config(BucketPartition(1000.0, 4000.0, 30), 2)
+        with pytest.raises(ConfigError) as exc:
+            replace(cfg, capital=-1.0)
+        assert exc.value.key == "capital"
+        with pytest.raises(ConfigError) as exc:
+            replace(cfg, strategy=replace(cfg.strategy, mode="random"))
+        assert exc.value.key == "seed"
+
+    def test_custom_weights_cannot_change_after_their_check(self):
+        given = np.full(30, 1 / 30)
+        strategy = StrategyConfig("custom", weights=given)
+        given[0] = -1.0  # the config holds its own copy
+        assert strategy.weights[0] == 1 / 30
+        with pytest.raises(ValueError):
+            strategy.weights[0] = -1.0
 
     def test_numpy_integer_seeds_draw_their_int_stream(self):
         part = BucketPartition(1000.0, 4000.0, 30)
@@ -604,7 +620,8 @@ class TestOneSeriesValidator:
         ([2000.0], None, "price series needs at least 2 rows, got 1"),
         ([[2000.0, 2100.0], [2050.0, 2000.0]], None, "price series must be one-dimensional"),
         ([2000.0, 2100.0, 2050.0], [1, 2], "2 timestamps for 3 prices"),
-        ([2000.0, 2100.0, 2050.0], [1, 3, 3], "row 3: timestamp 3 does not ascend past 3"),
+        ([2000.0, 2100.0, 2050.0], [1, 3, 3],
+         "row 3: timestamp 3 at index 2 does not ascend past 3"),
     ], ids=["nan", "zero", "negative", "one_row", "two_dimensional", "too_few_timestamps",
             "not_ascending"])
     def test_each_rule_has_one_message_at_every_entry_point(self, prices, timestamps,

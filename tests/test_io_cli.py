@@ -13,10 +13,13 @@ import jsonschema
 import numpy as np
 import pytest
 
-from clmm_backtest import calibration
+from clmm_backtest import calibration, config
 from clmm_backtest import prices as prices_module
+from clmm_backtest.allocation import ProfileParams
+from clmm_backtest.bucketing import BucketPartition
 from clmm_backtest.cli import main
 from clmm_backtest.config import load_config, parse_config
+from clmm_backtest.engine import BacktestConfig, GasParams, StrategyConfig
 from clmm_backtest.errors import ConfigError, DataError
 from clmm_backtest.prices import PriceSeries, load_prices, write_csv
 from oracle import write_prices
@@ -31,6 +34,67 @@ strategy = uniform
 capital = 1e6
 fee_rate = 0.003
 """
+
+
+# a partition of [1e-300, 1e300] whose deployed liquidity exceeds float64
+OVERFLOW_CONFIG = """
+lower = 1e-300
+upper = 1e300
+buckets = 30
+tau = 1
+strategy = uniform
+capital = 1e6
+fee_rate = 0.003
+"""
+OVERFLOW_PRICES = "price\n1e-300\n1e300\n5\n"
+
+PART30 = BucketPartition(1000.0, 4000.0, 30)
+UNIFORM = StrategyConfig("uniform")
+
+
+def run_config(**kw):
+    return BacktestConfig(PART30, 2, UNIFORM, 1e6, 0.003, **kw)
+
+
+# one invalid value per config key: the lines that set it, and the same value
+# given to the dataclass that holds it
+BAD_KEYS = [
+    ("lower", "lower = -1", lambda: BucketPartition(-1.0, 4000.0, 30)),
+    ("upper", "upper = inf", lambda: BucketPartition(1000.0, float("inf"), 30)),
+    ("buckets", "buckets = 0", lambda: BucketPartition(1000.0, 4000.0, 0)),
+    ("tau", "tau = -1", lambda: BacktestConfig(PART30, -1, UNIFORM, 1e6, 0.003)),
+    ("strategy", "strategy = martingale", lambda: StrategyConfig("martingale")),
+    ("weights", "strategy = custom\nweights = 0.5,0.5",
+     lambda: BacktestConfig(PART30, 2, StrategyConfig("custom", weights=[0.5, 0.5]),
+                            1e6, 0.003)),
+    ("seed", "strategy = random\nseed = -1", lambda: StrategyConfig("random", seed=-1)),
+    ("mu", "strategy = normal\nmu = nan\nvariance = 1",
+     lambda: ProfileParams(float("nan"), 1.0)),
+    ("variance", "strategy = normal\nmu = 0\nvariance = 0", lambda: ProfileParams(0.0, 0.0)),
+    ("bound", "strategy = normal\nmu = 0\nvariance = 1\nbound = -3",
+     lambda: ProfileParams(0.0, 1.0, -3.0)),
+    ("capital", "capital = 0", lambda: BacktestConfig(PART30, 2, UNIFORM, 0.0, 0.003)),
+    ("fee_rate", "fee_rate = 1", lambda: BacktestConfig(PART30, 2, UNIFORM, 1e6, 1.0)),
+    ("mint_gas", "mint_gas = 0", lambda: GasParams(mint_gas=0)),
+    ("burn_gas", "burn_gas = -5", lambda: GasParams(burn_gas=-5)),
+    ("gas_price_gwei", "gas_price_gwei = 0", lambda: GasParams(gas_price_gwei=0.0)),
+    ("gas_token_price", "gas_token_price = -1", lambda: GasParams(gas_token_price=-1.0)),
+    ("reinvest", "reinvest = sometimes", lambda: run_config(reinvest_mode="sometimes")),
+    ("volume_cap", "volume_cap = 0", lambda: run_config(volume_cap=0.0)),
+    ("price_mode", "price_mode = loose", lambda: run_config(price_mode="loose")),
+]
+
+
+def bad_config(lines):
+    """BASE_CONFIG with ``lines`` set, replacing the base's line of any key they set."""
+    keys = {line.split("=")[0].strip() for line in lines.splitlines()}
+    kept = [line for line in BASE_CONFIG.splitlines()
+            if line.split("=")[0].strip() not in keys]
+    return "\n".join(kept) + "\n" + lines + "\n"
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def write(path, text):
@@ -179,7 +243,8 @@ class TestLoadPrices:
         assert str(got.value) == str(expect.value)
 
     @pytest.mark.parametrize("text,expect", [
-        ("ts,price\n1,2000\n2,2500\n2,2600\n", "row 3: timestamp 2 does not ascend past 2"),
+        ("ts,price\n1,2000\n2,2500\n2,2600\n",
+         "row 3: timestamp 2 at index 2 does not ascend past 2"),
         ("price\n2000\n2500\n0\n",
          "row 3: price 0.0 at index 2 is not a positive finite number"),
     ], ids=["repeated_timestamp", "zero_price"])
@@ -290,7 +355,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("field,value,key", [
         ("lower = 1000", "lower = 5000", "lower"),       # lower above upper
-        ("buckets = 30", "buckets = 0", "lower"),        # partition rejects
+        ("buckets = 30", "buckets = 0", "buckets"),      # partition rejects
         ("fee_rate = 0.003", "fee_rate = 1.5", "fee_rate"),
         ("capital = 1e6", "capital = -5", "capital"),
         ("strategy = uniform", "strategy = martingale", "strategy"),
@@ -337,6 +402,34 @@ class TestParseConfig:
             load_config(tmp_path / "absent.cfg")
 
 
+class TestConfigKeys:
+    """Each config value is checked once, by the dataclass holding it, under its key."""
+
+    def test_the_table_has_one_row_per_key(self):
+        assert sorted(key for key, _, _ in BAD_KEYS) == sorted(config._KEYS)
+
+    @pytest.mark.parametrize("key,lines,make", BAD_KEYS, ids=[k for k, _, _ in BAD_KEYS])
+    def test_parse_config_names_the_key(self, key, lines, make):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(bad_config(lines))
+        assert exc.value.key == key
+
+    @pytest.mark.parametrize("key,lines,make", BAD_KEYS, ids=[k for k, _, _ in BAD_KEYS])
+    def test_backtest_exits_2_naming_the_key(self, tmp_path, capsys, key, lines, make):
+        cfg = write(tmp_path / "run.cfg", bad_config(lines))
+        prices = walk_csv(tmp_path / "p.csv")
+        assert main(["backtest", "--config", cfg, "--prices", prices,
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config: [{key}] ")
+
+    @pytest.mark.parametrize("key,lines,make", BAD_KEYS, ids=[k for k, _, _ in BAD_KEYS])
+    def test_a_config_made_in_code_is_checked_when_made(self, key, lines, make):
+        with pytest.raises(ConfigError) as exc:
+            make()
+        assert exc.value.key == key
+        assert isinstance(exc.value, ValueError)
+
+
 class TestCliBacktest:
 
     def run_main(self, *argv):
@@ -352,7 +445,9 @@ class TestCliBacktest:
                      "states_summary.json"):
             assert (out / name).is_file()
 
-        report = json.loads((out / "report.json").read_text())
+        # NaN and Infinity are not JSON, though Python's encoder writes them
+        report = json.loads((out / "report.json").read_text(),
+                            parse_constant=reject_constant)
         schema = json.loads(
             resources.files("clmm_backtest").joinpath("report_schema.json")
             .read_text())
@@ -502,6 +597,17 @@ class TestCliBacktest:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_overflowing_run_exits_3(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.cfg", OVERFLOW_CONFIG)
+        prices = write(tmp_path / "p.csv", OVERFLOW_PRICES)
+        out = tmp_path / "out"
+        assert self.run_main("backtest", "--config", cfg, "--prices", prices,
+                             "--out-dir", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: float64 overflow: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             self.run_main()
@@ -583,6 +689,17 @@ class TestCliCalibrate:
         assert code == 0
         assert json.loads((out / "calibration.json").read_text())["iterations"] > 0
         assert len(passes) == 1
+
+    def test_overflowing_fee_curve_exits_3(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.cfg", OVERFLOW_CONFIG)
+        prices = write(tmp_path / "p.csv", OVERFLOW_PRICES)
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--config", cfg, "--prices", prices, "--mu", "0.0",
+                     "--target-fee", "5", "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: float64 overflow: ")
+        assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
 
     def test_unreachable_target_exits_4_but_leaves_curve(self, tmp_path, capsys):
         cfg, prices = self.setup_run(tmp_path)
