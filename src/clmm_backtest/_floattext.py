@@ -17,8 +17,8 @@ that ``repr`` writes positionally (1e-4 <= |x| < 1e16) mask the suffix out;
 their integer part is trunc(|x|), exact there because an integer below 2**53
 is itself a float, and from 2**53 to 1e16 every float is an even integer
 and the odd ends of its interval are no shorter.  Other cells take ``repr``'s
-``d.ddde+XX`` form; nan, inf and +-0 are fixed texts.  Integer columns take
-the same digit path, other dtypes ``repr`` cell by cell.  Digits go in four
+``d.ddde+XX`` form; nan, inf and +-0 are fixed texts.  Signed-integer
+columns take the same digit path; other dtypes are refused.  Digits go in four
 at a time through a lookup table, masks turn unused slots into NULs, and
 dropping the NULs from the chunk's bytes leaves the CSV text.
 
@@ -268,13 +268,10 @@ def _float_cells(x):
 
 
 def _int_cells(v):
-    """``_float_cells`` for an integer column."""
-    if v.dtype == _U:
-        magnitude, negative = v, _U0
-    else:
-        u = v.astype(np.int64).view(_U)
-        negative = u >> _63
-        magnitude = (u ^ (_U0 - negative)) + negative   # |int64 min| = 2**63
+    """``_float_cells`` for a signed-integer column."""
+    u = v.astype(np.int64).view(_U)
+    negative = u >> _63
+    magnitude = (u ^ (_U0 - negative)) + negative   # |int64 min| = 2**63
     shortest, longest = (len(str(m)) for m in (magnitude.min(), magnitude.max()))
     counts = longest if shortest == longest else _digit_count(magnitude)
 
@@ -285,30 +282,19 @@ def _int_cells(v):
     return (longest + 5) // 4, fill
 
 
-def _repr_cells(values):
-    """``_float_cells`` for ``repr`` of each value, from a cell's second byte."""
-    text = np.array([repr(v).encode() for v in values], dtype=bytes)
-    cells = np.zeros((len(text), (4 + text.itemsize) // 4), dtype=np.uint32)
-    cells.view(np.uint8)[:, 1:1 + text.itemsize] = \
-        text.view(np.uint8).reshape(len(text), text.itemsize)
-
-    def fill(words, sep):
-        words[...] = cells.T
-        words[0] |= np.uint32(sep)
-
-    return cells.shape[1], fill
-
-
 def csv_text(columns, rows):
     """The CSV rows of equal-length numpy columns as bytes, ``rows`` rows at
     a time: cells as ``repr`` writes them, comma-separated, each row after a
-    newline, then one newline after the last row.  The chunks share one
-    table: fresh ones, once past what malloc serves from its heap, are
-    page-faulted in anew every chunk."""
+    newline, then one newline after the last row.  Columns are signed
+    integers or floats of at most 8 bytes; any other dtype is a TypeError.
+    The chunks share one table: fresh ones, once past what malloc serves
+    from its heap, are page-faulted in anew every chunk."""
+    for c in columns:
+        if not (c.dtype.kind == "i" or c.dtype.kind == "f" and c.dtype.itemsize <= 8):
+            raise TypeError(f"cannot write a {c.dtype} column as CSV text")
     buf = np.empty(0, dtype=np.uint32)
     for s in range(0, len(columns[0]), rows):
-        cells = [_float_cells(c) if c.dtype.kind == "f" and c.dtype.itemsize <= 8
-                 else _int_cells(c) if c.dtype.kind in "iu" else _repr_cells(c.tolist())
+        cells = [_float_cells(c) if c.dtype.kind == "f" else _int_cells(c)
                  for c in (c[s:s + rows] for c in columns)]
         n = min(rows, len(columns[0]) - s)
         width = sum(w for w, _ in cells)

@@ -66,10 +66,6 @@ class AllocationWeights:
             raise ConfigError(f"weights must sum to 1, got {total}", key="weights")
         object.__setattr__(self, "weights", w / total)
 
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
     def active_buckets(self) -> np.ndarray:
         """1-based indices of buckets carrying positive weight."""
         return np.flatnonzero(self.weights > 0.0) + 1
@@ -142,7 +138,7 @@ def normal_profile_weights(partition: BucketPartition,
     weights are then normalised over all n buckets.  Large variance
     flattens the profile towards uniform.
     """
-    mids = partition.midpoints()
+    mids = 0.5 * (partition.edges[:-1] + partition.edges[1:])
     u = -params.bound + 2.0 * params.bound * (mids - partition.lower) \
         / (partition.upper - partition.lower)
     z = -((u - params.mu) ** 2) / (2.0 * params.variance)

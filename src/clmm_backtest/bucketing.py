@@ -81,27 +81,6 @@ class BucketPartition:
         scale = self.n / float(self.upper - self.lower)
         object.__setattr__(self, "_scale", scale if isfinite(scale) else 0.0)
 
-    @property
-    def width(self) -> float:
-        return (self.upper - self.lower) / self.n
-
-    def edge(self, k: int) -> float:
-        """k-th bucket edge, k in 0..n; edge(0) and edge(n) are exact bounds."""
-        if not 0 <= k <= self.n:
-            raise ValueError(f"edge index must be in 0..{self.n}, got {k}")
-        return float(self.edges[k])
-
-    def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
-
-    def bucket_of(self, p: float) -> int:
-        """1-based bucket of price p, ValueError outside [lower, upper]."""
-        return int(self.bucket_column([p])[0]) + 1
-
-    def bucket_indices(self, prices: np.ndarray) -> np.ndarray:
-        """Vectorised bucket_of over a price array."""
-        return self.bucket_column(prices).astype(np.int64) + 1
-
     def bucket_column(self, prices) -> np.ndarray:
         """0-based buckets of a 1-d price array, read-only, in int16 if n fits
         it, else int32; ValueError names a price outside [lower, upper].
@@ -149,7 +128,7 @@ class EpochPlan:
 
     ``epochs`` is a read-only int64 table with one (start, end, benchmark)
     row per epoch; it may be given as any sequence of such rows, ``Epoch``s
-    included.  Iterating or indexing a plan gives ``Epoch``s.  ``buckets`` is
+    included.  Iterating a plan gives ``Epoch``s.  ``buckets`` is
     the series' ``bucket_column`` if ``segment_epochs`` made the plan.
     """
 
@@ -180,9 +159,6 @@ class EpochPlan:
 
     def __len__(self) -> int:
         return len(self.epochs)
-
-    def __getitem__(self, k: int) -> Epoch:
-        return Epoch._make(self.epochs[k].tolist())
 
     def __iter__(self):
         return map(Epoch._make, self.epochs.tolist())

@@ -201,6 +201,7 @@ def _calibrate(pool: _WholePool, mu, bound, target_fee, variance_grid,
                curve) -> CalibrationResult:
     if not (isfinite(target_fee) and target_fee > 0.0):
         raise ValueError(f"target fee must be positive, got {target_fee}")
+    target_fee = float(target_fee)
     if curve is None:
         grid = np.asarray(variance_grid, dtype=np.float64)
         curve = FeeCurve(mu, bound, grid, pool.fees(mu, bound, grid))
@@ -208,19 +209,20 @@ def _calibrate(pool: _WholePool, mu, bound, target_fee, variance_grid,
     if len(grid) < 2:
         raise ValueError("variance grid needs at least two points")
 
-    def rel(fee):
-        return abs(fee - target_fee) / target_fee
+    def rel(fee):  # in Python floats: numpy warns where the quotient overflows
+        return abs(float(fee) - target_fee) / target_fee
 
     def result(variance, fee, iterations):
         # Python floats and bools, so that to_dict() stays JSON-ready
-        err = rel(float(fee))
+        err = rel(fee)
         return CalibrationResult(mu, float(variance), bound, float(fee), target_fee,
                                  err, iterations, err < _REL_TOL)
 
     if rel(fees[0]) < _REL_TOL:
         return result(grid[0], fees[0], 0)
     for k in range(1, len(grid)):
-        if (fees[k - 1] - target_fee) * (fees[k] - target_fee) < 0.0:
+        # not a product of two differences, which overflows past fees of 1e154
+        if fees[k - 1] < target_fee < fees[k] or fees[k - 1] > target_fee > fees[k]:
             break  # the first crossing: bisect it
         if rel(fees[k]) < _REL_TOL:
             return result(grid[k], fees[k], 0)
@@ -230,9 +232,9 @@ def _calibrate(pool: _WholePool, mu, bound, target_fee, variance_grid,
             f"[{grid[0]}, {grid[-1]}]: curve spans [{fees.min()}, {fees.max()}]",
             fee_min=float(fees.min()), fee_max=float(fees.max()))
 
-    lo, hi, sign_lo = grid[k - 1], grid[k], fees[k - 1] - target_fee
-    best_v, best_fee = (lo, fees[k - 1]) if abs(sign_lo) <= abs(fees[k] - target_fee) \
-        else (hi, fees[k])
+    lo, hi, lo_above = grid[k - 1], grid[k], fees[k - 1] > target_fee
+    best_v, best_fee = (lo, fees[k - 1]) \
+        if abs(fees[k - 1] - target_fee) <= abs(fees[k] - target_fee) else (hi, fees[k])
     for iterations in range(1, _MAX_BISECTIONS + 1):
         mid = 0.5 * (lo + hi)
         fee_mid = pool.fees(mu, bound, [mid])[0]
@@ -240,7 +242,7 @@ def _calibrate(pool: _WholePool, mu, bound, target_fee, variance_grid,
             best_v, best_fee = mid, fee_mid
         if rel(fee_mid) < _REL_TOL:
             break
-        if (fee_mid - target_fee) * sign_lo > 0.0:
+        if (fee_mid > target_fee) == lo_above:  # fee_mid is not the target
             lo = mid
         else:
             hi = mid

@@ -149,10 +149,9 @@ def cmd_calibrate(args) -> int:
     ProfileParams(mu, grid[0], bound)  # names a bad --mu or --bound before the prices load
 
     series = load_prices(args.prices)
+    curve = fee_curve(config, series, mu, bound, grid)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    curve = fee_curve(config, series, mu, bound, grid)
     write_csv(out_dir / "fee_curve.csv", "variance,model_fee",
               (curve.variance_grid, curve.fees))
 

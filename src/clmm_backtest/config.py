@@ -33,8 +33,6 @@ from __future__ import annotations
 
 from dataclasses import MISSING, fields
 
-import numpy as np
-
 from .allocation import ProfileParams
 from .bucketing import BucketPartition
 from .engine import BacktestConfig, GasParams, StrategyConfig
@@ -84,7 +82,7 @@ def _value(key: str, text: str):
         if key in _FLOATS:
             return float(text)
         if key == "weights":
-            return np.array([float(w) for w in text.split(",")])
+            return [float(w) for w in text.split(",")]
     except ValueError:
         kind = "an integer" if key in _INTS else "a number" if key in _FLOATS \
             else "comma-separated numbers"

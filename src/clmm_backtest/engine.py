@@ -62,7 +62,7 @@ never subtracted from the capital trajectory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import isfinite
+from math import isfinite, isinf
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -117,12 +117,13 @@ class GasParams:
 class StrategyConfig:
     """Which weight rule rebuilds the allocation at each epoch start.
 
-    Custom weights are held as a read-only copy, so the checked vector
-    cannot change after the config is made.
+    Custom weights are held as a tuple of floats, so the checked vector
+    cannot change after the config is made, and configs compare and hash
+    by value.
     """
 
     mode: str
-    weights: Optional[np.ndarray] = None   # custom mode
+    weights: Optional[tuple] = None        # custom mode
     seed: Optional[int] = None             # random mode
     profile: Optional[ProfileParams] = None  # normal mode
 
@@ -132,9 +133,8 @@ class StrategyConfig:
                               f"{STRATEGY_MODES}", key="strategy")
         if self.weights is not None:
             w = np.array(self.weights, dtype=np.float64)
-            AllocationWeights(w)  # finite, non-negative, summing to 1
-            w.flags.writeable = False
-            object.__setattr__(self, "weights", w)
+            AllocationWeights(w)  # a 1-d vector, finite, non-negative, summing to 1
+            object.__setattr__(self, "weights", tuple(w.tolist()))
         elif self.mode == "custom":
             raise ConfigError("custom strategy needs a weights vector", key="weights")
         if self.seed is not None:
@@ -225,11 +225,6 @@ class FeeLedger:
     @property
     def total_volume_b(self) -> float:
         return float(self.volume_converted.sum())
-
-    def scaled(self, factor: float) -> "FeeLedger":
-        """Ledger with all inflows (hence fees) scaled by a factor."""
-        return FeeLedger(self.fee_rate, self.inflow_a * factor,
-                         self.inflow_b * factor, self.end_price)
 
 
 @dataclass(frozen=True)
@@ -625,9 +620,10 @@ def checked_prices(config: BacktestConfig, prices, timestamps=None):
     return p, prices.timestamps, clamped
 
 
-# float64 overflow, on a series spanning hundreds of decades, is let through
-# without a warning and caught where the run reduces its results
-@np.errstate(over="ignore", invalid="ignore")
+# float64 overflow, on a series spanning hundreds of decades, and a profit
+# rate over a start value that underflowed to 0 are let through without a
+# warning and caught where the run reduces its results
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestReport:
     """Replay a price series against the configured liquidity strategy.
 
@@ -716,7 +712,8 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
     scale = 1.0
     if config.volume_cap is not None and ledger.total_volume_b > config.volume_cap:
         scale = config.volume_cap / ledger.total_volume_b
-        ledger = ledger.scaled(scale)
+        ledger = FeeLedger(config.fee_rate, ledger.inflow_a * scale, ledger.inflow_b * scale,
+                           ledger.end_price)
 
     gas = _gas_breakdown(epoch_active, unchanged, starts, ends[-1], config.gas, p)
 
@@ -726,23 +723,30 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
     split0 = ReservePair(float((first_liq * (1.0 / c0 - inv_b)).sum()),
                          float((first_liq * (c0 - sa)).sum()))
     bh = buy_and_hold(p, split0)
-    # a non-finite value anywhere in the capital chain or the ledger carries
-    # through to its last value or total
-    for name, value in (("final capital", capital), ("total volume", ledger.total_volume_b),
-                        ("gas cost", gas.total_b), ("final value", trajectory[-1]),
-                        ("final buy-and-hold value", bh[-1])):
-        if not isfinite(value):
-            raise DataError(f"float64 overflow: {name} is {value}")
-
+    profit_rate = float((trajectory[-1] - trajectory[0]) / trajectory[0])
+    bh_profit_rate = float((bh[-1] - bh[0]) / bh[0])
+    # a non-finite value anywhere in the capital chain, the ledger or a
+    # trajectory carries through to its last value, total or largest value;
+    # a position that underflows to nothing makes its profit rate NaN
+    results = [("final capital", capital), ("total volume", ledger.total_volume_b),
+               ("gas cost", gas.total_b), ("largest value", trajectory.max()),
+               ("largest buy-and-hold value", bh.max()), ("profit rate", profit_rate),
+               ("buy-and-hold profit rate", bh_profit_rate)]
     monthly = None
     if timestamps is not None:
         # token-A fees convert at each month's last price, so the months'
         # sum can differ slightly from the ledger's, converted per epoch
         sums = np.add.reduceat(segments, cuts.searchsorted(month_first), axis=1)
-        fee_b, fee_a = (config.fee_rate * (sums * scale)).tolist()
-        last_price = p[np.append(month_first[1:], m - 1)].tolist()
-        monthly = [{"month": label, "fee_a": fa, "fee_b": fb, "fee_converted_b": fb + fa * pe}
-                   for label, fa, fb, pe in zip(months, fee_a, fee_b, last_price)]
+        fee_b, fee_a = config.fee_rate * (sums * scale)
+        converted = fee_b + fee_a * p[np.append(month_first[1:], m - 1)]
+        results.append(("largest monthly fee", converted.max()))
+        monthly = [{"month": label, "fee_a": fa, "fee_b": fb, "fee_converted_b": fc}
+                   for label, fa, fb, fc in zip(months, fee_a.tolist(), fee_b.tolist(),
+                                                converted.tolist())]
+    for name, value in results:
+        if not isfinite(value):
+            kind = "overflow" if isinf(value) else "overflow or underflow"
+            raise DataError(f"float64 {kind}: {name} is {value}")
 
     return BacktestReport(
         config=config,
@@ -752,8 +756,8 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
         lp_trajectory=trajectory,
         bh_trajectory=bh,
         initial_split=split0,
-        profit_rate=float((trajectory[-1] - trajectory[0]) / trajectory[0]),
-        bh_profit_rate=float((bh[-1] - bh[0]) / bh[0]),
+        profit_rate=profit_rate,
+        bh_profit_rate=bh_profit_rate,
         volume_cap_scale=scale,
         epoch_capital=epoch_capital,
         epoch_active=epoch_active,

@@ -35,9 +35,9 @@ the file is parsed once: a clean file that breaks a series rule gets
 
 ``write_csv`` emits ints as digits and floats as shortest round-trip text,
 so a load/write/load cycle reproduces the series bit for bit.  Its bytes
-are those of ``repr`` on every cell, made in bulk by ``_floattext`` for
-every int and float column (Dragonbox digits, one cell layout for every
-float); only columns of other dtypes go through ``repr`` cell by cell.
+are those of ``repr`` on every cell, made in bulk by ``_floattext``
+(Dragonbox digits, one cell layout for every float); it writes signed-integer
+and float columns only.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ class PriceSeries:
 
     prices: np.ndarray
     timestamps: Optional[np.ndarray] = None
-    source: str = ""
 
     def __post_init__(self):
         p = np.ascontiguousarray(self.prices, dtype=np.float64)
@@ -222,7 +221,7 @@ def load_prices(path) -> PriceSeries:
                 parsed = _parse_rows(fh, layout)
     except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read price file {path}: {err}") from None
-    return PriceSeries(*parsed, source=str(path))
+    return PriceSeries(*parsed)
 
 
 def write_csv(path, header: str, columns) -> None:
@@ -230,10 +229,11 @@ def write_csv(path, header: str, columns) -> None:
 
     Cells are the ``repr`` of each value as a Python scalar: integers as
     digits, floats as shortest round-trip text, so reading a written float
-    back reproduces it bit for bit.  Int and float columns are formatted in
-    bulk with numpy integer arithmetic, other dtypes through ``repr``.  Rows
-    are formatted in chunks of 8,192, never as one string for the whole
-    file, and written as bytes in binary mode, UTF-8 for the header.
+    back reproduces it bit for bit.  Columns are signed integers or floats
+    of at most 8 bytes, formatted in bulk with numpy integer arithmetic; any
+    other dtype is a TypeError.  Rows are formatted in chunks of 8,192, never
+    as one string for the whole file, and written as bytes in binary mode,
+    UTF-8 for the header.
     """
     # imported on the first write, so that runs which write no CSV do not
     # load the formatter and its tables

@@ -201,7 +201,7 @@ def invariant_residual(reserves: ReservePair, l: float, rng: PriceRange) -> floa
 
 def bucket_range(partition: BucketPartition, i: int) -> PriceRange:
     """Price range of bucket i (1-based): its two edges from the table."""
-    return PriceRange(partition.edge(i - 1), partition.edge(i))
+    return PriceRange(float(partition.edges[i - 1]), float(partition.edges[i]))
 
 
 def band_row(partition: BucketPartition, benchmark: int, tau: int, seed=None,
@@ -233,7 +233,7 @@ class PoolStateTensor:
 
     ``states[e]`` has shape (epoch length, buckets, 2) with token-A
     reserves in channel 0 and token-B in channel 1.  Row t of epoch e is
-    the state at series index ``plan[e].start + t``.
+    the state at series index ``plan.epochs[e, 0] + t``.
     """
 
     plan: EpochPlan
@@ -368,7 +368,7 @@ def gas_cost(plan: EpochPlan, liquidity: list, params: GasParams,
     first = liquidity[0] > 0.0
     n0 = int(first.sum())
     mints += n0
-    initial_b = n0 * params.mint_gas * eth_per_gas * token_price(plan[0].start)
+    initial_b = n0 * params.mint_gas * eth_per_gas * token_price(plan.epochs[0, 0])
 
     for e in range(1, len(plan)):
         old = liquidity[e - 1]
@@ -379,14 +379,14 @@ def gas_cost(plan: EpochPlan, liquidity: list, params: GasParams,
         mint_here = int(((new > 0.0) & ~unchanged).sum())
         burns += burn_here
         mints += mint_here
-        price = token_price(plan[e].start)
+        price = token_price(plan.epochs[e, 0])
         transition_b += (burn_here * params.burn_gas
                          + mint_here * params.mint_gas) * eth_per_gas * price
 
     last = liquidity[-1] > 0.0
     nl = int(last.sum())
     burns += nl
-    final_b = nl * params.burn_gas * eth_per_gas * token_price(plan[-1].end)
+    final_b = nl * params.burn_gas * eth_per_gas * token_price(plan.epochs[-1, 1])
 
     return GasBreakdown(initial_b, transition_b, final_b, mints, burns)
 

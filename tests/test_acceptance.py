@@ -128,9 +128,8 @@ def test_criterion_03_segmentation_matches_brute_force():
 
         plan = segment_epochs(part, prices, tau)
 
-        # independent straightforward re-scan of each row's bucket
-        # (bucket_indices is bucket_of row by row, as other tests pin)
-        buckets = part.bucket_indices(prices).tolist()
+        # independent straightforward re-scan of each row's 1-based bucket
+        buckets = [k + 1 for k in part.bucket_column(prices).tolist()]
         s = buckets[0]
         start, expect = 0, []
         for i in range(1, len(prices)):

@@ -93,7 +93,8 @@ class TestNormalProfile:
         w = normal_profile_weights(part, params)
         peak = int(np.argmax(w.weights))
         # midpoint u-coordinates run linearly from -3 to 3; find the closest
-        mids_u = (part.midpoints() - 6.0) * 6.0 / 10.0
+        mids = 0.5 * (part.edges[:-1] + part.edges[1:])
+        mids_u = (mids - 6.0) * 6.0 / 10.0
         assert peak == int(np.argmin(np.abs(mids_u - 0.9)))
 
     def test_symmetric_for_centred_mean(self):
@@ -165,7 +166,7 @@ class TestAllocateEpoch:
 
     def anchors(self, part):
         return [part.lower + 1e-9, 2.4, 5.0, 7.3, part.upper - 1e-9,
-                part.edge(3), part.edge(7)]
+                float(part.edges[3]), float(part.edges[7])]
 
     def test_capital_fully_deployed_at_anchor(self):
         rng = np.random.default_rng(21)

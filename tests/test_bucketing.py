@@ -11,12 +11,13 @@ P1_11 = BucketPartition(1.0, 11.0, 10)
 
 
 def segment_by_rescan(partition, prices, tau):
-    """Independent re-scan: walk the series with scalar bucket lookups."""
-    s = partition.bucket_of(float(prices[0]))
+    """Independent re-scan: walk the series' 1-based buckets one by one."""
+    buckets = [k + 1 for k in partition.bucket_column(prices).tolist()]
+    s = buckets[0]
     start = 0
     out = []
     for i in range(1, len(prices)):
-        b = partition.bucket_of(float(prices[i]))
+        b = buckets[i]
         if abs(b - s) > tau:
             out.append((start, i, s))
             start, s = i, b
@@ -33,24 +34,20 @@ def random_partition(rng):
 class TestBucketPartition:
 
     def test_reference_layout(self):
-        assert P1_11.width == pytest.approx(1.0, rel=1e-12)
-        assert P1_11.edge(2) == pytest.approx(3.0, rel=1e-12)
-        assert P1_11.edge(3) == pytest.approx(4.0, rel=1e-12)
+        # width 1: edge k is k + 1
+        assert P1_11.edges == pytest.approx(np.arange(1.0, 12.0), rel=1e-12)
 
     def test_interior_edge_belongs_to_higher_bucket(self):
-        assert P1_11.bucket_of(4.0) == 4
-        assert P1_11.bucket_of(3.0) == 3
-        assert P1_11.bucket_of(3.5) == 3
+        # 0-based: bucket 3 is [4, 5)
+        assert P1_11.bucket_column([4.0, 3.0, 3.5]).tolist() == [3, 2, 2]
 
     def test_bounds_ownership(self):
-        assert P1_11.bucket_of(1.0) == 1
-        assert P1_11.bucket_of(11.0) == 10
+        assert P1_11.bucket_column([1.0, 11.0]).tolist() == [0, 9]
 
     def test_single_bucket_near_infinite_range(self):
         wide = BucketPartition(1e-14, 1e15, 1)
-        assert wide.bucket_of(2000.0) == 1
-        assert wide.edge(0) == 1e-14
-        assert wide.edge(1) == 1e15
+        assert wide.bucket_column([2000.0]).tolist() == [0]
+        assert wide.edges.tolist() == [1e-14, 1e15]
 
     @pytest.mark.parametrize("lower,upper,n", [
         (1.0, 11.0, 0), (1.0, 11.0, -3), (1.0, 11.0, 2.5), (1.0, 11.0, True),
@@ -65,8 +62,8 @@ class TestBucketPartition:
         rng = np.random.default_rng(7)
         for _ in range(100):
             part = random_partition(rng)
-            assert part.edge(0) == part.lower
-            assert part.edge(part.n) == part.upper
+            assert part.edges[0] == part.lower
+            assert part.edges[part.n] == part.upper
 
     def test_adjacent_buckets_share_the_edge_float(self):
         rng = np.random.default_rng(8)
@@ -76,33 +73,29 @@ class TestBucketPartition:
                 # every bucket is a valid range for the scalar oracle
                 assert bucket_range(part, i).p_b == bucket_range(part, i + 1).p_a
 
-    def test_bucket_of_lands_between_its_edges(self):
+    def test_bucket_lands_between_its_edges(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             part = random_partition(rng)
-            for p in rng.uniform(part.lower, part.upper, 40):
-                b = part.bucket_of(float(p))
-                assert part.edge(b - 1) <= p
-                assert p < part.edge(b) or b == part.n
+            prices = rng.uniform(part.lower, part.upper, 40)
+            for p, k in zip(prices.tolist(), part.bucket_column(prices).tolist()):
+                assert part.edges[k] <= p
+                assert p < part.edges[k + 1] or k == part.n - 1
 
     def test_vectorised_lookup_matches_scalar(self):
         rng = np.random.default_rng(10)
         part = random_partition(rng)
         prices = rng.uniform(part.lower, part.upper, 500)
-        vec = part.bucket_indices(prices)
-        assert all(int(v) == part.bucket_of(float(p)) for v, p in zip(vec, prices))
+        column = part.bucket_column(prices)
+        assert all(k == part.bucket_column([p])[0] for k, p in zip(column, prices))
 
     def test_out_of_partition_price_raises(self):
         with pytest.raises(ValueError):
-            P1_11.bucket_of(0.5)
+            P1_11.bucket_column([0.5])
         with pytest.raises(ValueError):
-            P1_11.bucket_of(11.5)
+            P1_11.bucket_column([11.5])
         with pytest.raises(ValueError, match="index 2"):
-            P1_11.bucket_indices(np.array([2.0, 3.0, 12.0]))
-
-    def test_midpoints_centre_each_bucket(self):
-        mids = P1_11.midpoints()
-        assert mids == pytest.approx(np.arange(1.5, 11.5), rel=1e-12)
+            P1_11.bucket_column(np.array([2.0, 3.0, 12.0]))
 
 
 def guess(part, p):
@@ -128,7 +121,6 @@ class TestBucketColumn:
         p = float(np.nextafter(part.edges[3], -np.inf))  # 13.6, edge 3 rounds up
         assert guess(part, p) == 3
         assert part.bucket_column([p]).tolist() == [2]
-        assert part.bucket_of(p) == 3
         assert searches == []
 
     def test_guess_one_bucket_too_low_moves_up(self, searches):
@@ -136,7 +128,6 @@ class TestBucketColumn:
         p = float(part.edges[1])  # 0.3, edge 1 rounds down
         assert guess(part, p) == 0
         assert part.bucket_column([p]).tolist() == [1]
-        assert part.bucket_of(p) == 2
         assert searches == []
 
     def test_rows_beyond_one_bucket_are_searched(self, searches):
@@ -150,7 +141,7 @@ class TestBucketColumn:
         want = part.edges[1:-1].searchsorted(prices, side="right")
         assert part.bucket_column(prices).tolist() == want.tolist()
         assert searches == prices[want >= 2].tolist()
-        assert [part.bucket_of(p) for p in prices.tolist()] == (want + 1).tolist()
+        assert [part.bucket_column([p])[0] for p in prices.tolist()] == want.tolist()
 
     @pytest.mark.parametrize("n,dtype", [(32_767, np.int16), (32_768, np.int32)])
     def test_int16_holds_up_to_32767_buckets(self, n, dtype):
@@ -159,8 +150,7 @@ class TestBucketColumn:
         column = part.bucket_column(prices)
         assert column.dtype == dtype
         assert column.tolist() == [0, n - 1, n - 1]
-        # the 1-based buckets are formed in int64, so bucket n never wraps
-        assert part.bucket_indices(prices).tolist() == [1, n, n]
+        # the plan's 1-based benchmarks are formed in int64, so bucket n never wraps
         plan = segment_epochs(part, np.array([1.0, 9.0]), 0)
         assert list(plan) == [Epoch(0, 1, 1), Epoch(1, 1, n)]
 
@@ -175,7 +165,7 @@ class TestSegmentEpochs:
     def test_reference_trace(self):
         part = BucketPartition(0.5, 10.5, 10)
         prices = np.array([2.5, 3.2, 4.7, 4.1, 6.3])
-        assert list(part.bucket_indices(prices)) == [3, 3, 5, 4, 6]
+        assert (part.bucket_column(prices) + 1).tolist() == [3, 3, 5, 4, 6]
         # after the reset at index 2 the benchmark is 5; |6 - 5| = 1 <= tau,
         # so the tail stays in the second epoch
         plan = segment_epochs(part, prices, tau=1)
@@ -193,7 +183,7 @@ class TestSegmentEpochs:
         part = BucketPartition(0.5, 10.5, 10)
         prices = np.array([2.5, 3.2, 4.7, 4.1, 6.3])
         plan = segment_epochs(part, prices, tau=1)
-        assert plan.buckets.tolist() == (part.bucket_indices(prices) - 1).tolist()
+        assert plan.buckets.tolist() == part.bucket_column(prices).tolist()
         assert not plan.buckets.flags.writeable
         # not shown, and absent from plans built from rows
         assert "buckets" not in repr(plan)
@@ -226,7 +216,7 @@ class TestSegmentEpochs:
             prices = rng.uniform(part.lower, part.upper, int(rng.integers(2, 400)))
             tau = int(rng.integers(0, 6))
             plan = segment_epochs(part, prices, tau)
-            buckets = part.bucket_indices(prices)
+            buckets = part.bucket_column(prices) + 1
             eps = list(plan)
             for k, ep in enumerate(eps):
                 assert buckets[ep.start] == ep.benchmark or k > 0
@@ -276,7 +266,7 @@ class TestSegmentEpochs:
         runs = [np.clip(c + rng.integers(-spread, spread + 1, length), 1, n)
                 for c, length in zip(centres, [700, 1, 300, 129, 2000, 5])]
         b = np.concatenate(runs) - 1
-        prices = part.edges[b] + rng.random(len(b)) * part.width * 0.99
+        prices = part.edges[b] + rng.random(len(b)) * ((part.upper - part.lower) / n) * 0.99
         plan = segment_epochs(part, prices, tau)
         assert [(e.start, e.end, e.benchmark) for e in plan] \
             == segment_by_rescan(part, prices, tau)
@@ -298,7 +288,7 @@ class TestEpochPlanInvariants:
         assert plan.epochs.dtype == np.int64
         assert plan.epochs.tolist() == [[0, 2, 3], [2, 4, 5]]
         assert not plan.epochs.flags.writeable
-        assert plan[1] == Epoch(2, 4, 5) and plan[-1] == Epoch(2, 4, 5)
+        assert list(plan)[1] == Epoch(2, 4, 5)
         assert all(type(x) is int for ep in plan for x in ep)
         assert len(plan) == 2
 

@@ -154,6 +154,30 @@ class TestCalibrateVariance:
         with pytest.raises(ValueError):
             calibrate_variance(cfg, None, 0.0, 3.0, 99.0, grid, curve=curve)
 
+    def test_fees_past_1e154_bisect_as_at_any_scale(self):
+        # the fee is linear in the capital; the scan and the bisection
+        # compare signs, so a product of two differences cannot overflow
+        prices = 2000.0 + 300.0 * np.sin(np.arange(50) / 5.0)
+        grid = np.linspace(0.05, 2.0, 5)
+        results = []
+        for capital in (1e6, 1e300):
+            cfg = pool_config(BucketPartition(1000.0, 4000.0, 10), capital)
+            curve = fee_curve(cfg, prices, 0.5, 3.0, grid)
+            target = float(0.5 * (curve.fees[1] + curve.fees[2]))
+            results.append(calibrate_variance(cfg, prices, 0.5, 3.0, target, grid,
+                                              curve=curve))
+        assert results[1].model_fee > 1e296
+        assert results[1].iterations == results[0].iterations > 0
+        assert results[1].variance == results[0].variance
+        assert results[1].converged
+
+    def test_tiny_target_is_unreachable_without_a_warning(self):
+        # every fee's relative error over the target overflows float64
+        prices = oscillating_prices(n=800)
+        with pytest.raises(CalibrationUnreachableError):
+            calibrate_variance(pool_config(PART40), prices, 0.0, 3.0, np.float64(1e-320),
+                               np.linspace(0.1, 2.0, 5))
+
     def test_result_dict_round_trips_fields(self):
         res = CalibrationResult(0.1, 0.5, 3.0, 99.0, 100.0, 0.01, 4, False)
         d = res.to_dict()

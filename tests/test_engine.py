@@ -162,7 +162,7 @@ class SevenBuckets:
 
     def plan_and_alloc(self):
         plan = segment_epochs(self.part, self.prices, tau=6)
-        liq = deploy_row(self.part, band_row(self.part, plan[0].benchmark, 6), 1e6, 2300.0)
+        liq = deploy_row(self.part, band_row(self.part, int(plan.epochs[0, 2]), 6), 1e6, 2300.0)
         assert np.count_nonzero(liq) == 7
         return plan, [liq]
 
@@ -297,7 +297,7 @@ class TestRunBacktest:
         cfg_re, _ = self.config_and_walk(reinvest_mode="reinvest")
         rep_ex = run_backtest(cfg_ex, prices)
         rep_re = run_backtest(cfg_re, prices)
-        b1 = rep_ex.plan[0].end
+        b1 = rep_ex.plan.epochs[0, 1]
         jump = rep_re.lp_trajectory[b1] - rep_ex.lp_trajectory[b1]
         assert jump == pytest.approx(rep_ex.ledger.fee_converted[0], rel=1e-9)
 
@@ -535,8 +535,17 @@ class TestRunBacktest:
         strategy = StrategyConfig("custom", weights=given)
         given[0] = -1.0  # the config holds its own copy
         assert strategy.weights[0] == 1 / 30
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             strategy.weights[0] = -1.0
+
+    def test_configs_with_custom_weights_compare_and_hash_by_value(self):
+        part = BucketPartition(1000.0, 4000.0, 30)
+        a, b = (BacktestConfig(part, 2, StrategyConfig("custom", weights=w), 1e6, 0.003)
+                for w in (np.full(30, 1 / 30), [1 / 30] * 30))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, a.strategy, b.strategy}) == 2
+        other = StrategyConfig("custom", weights=[1.0] + [0.0] * 29)
+        assert a != BacktestConfig(part, 2, other, 1e6, 0.003)
 
     def test_numpy_integer_seeds_draw_their_int_stream(self):
         part = BucketPartition(1000.0, 4000.0, 30)

@@ -4,6 +4,7 @@ import csv
 import importlib
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -47,6 +48,25 @@ capital = 1e6
 fee_rate = 0.003
 """
 OVERFLOW_PRICES = "price\n1e-300\n1e300\n5\n"
+# runs whose last values and totals are finite: a mid-series buy-and-hold
+# value that overflows, a buy-and-hold bag that underflows to (0, 0), one
+# worth 0 at the first price only, and a month whose token-A fees overflow
+# at its last price
+MID_SERIES_OVERFLOW = (OVERFLOW_CONFIG.replace("capital = 1e6", "capital = 1e10"),
+                       "price\n5\n1e300\n5\n", "largest buy-and-hold value is inf")
+EMPTY_BAG = ("lower = 1\nupper = 1e300\nbuckets = 2\ntau = 100\nstrategy = uniform\n"
+             "capital = 1e-200\nfee_rate = 0.003\n", "price\n1e299\n2e299\n",
+             "buy-and-hold profit rate is nan")
+BAG_WORTH_0 = ("lower = 1e-6\nupper = 10\nbuckets = 2\ntau = 100\nstrategy = uniform\n"
+               "capital = 5e-324\nfee_rate = 0.003\n", "price\n0.4\n10\n",
+               "buy-and-hold profit rate is inf")
+MONTHLY_OVERFLOW = (
+    "lower = 1.0533925278185327e-62\nupper = 5.4398124264155114e+138\nbuckets = 2\n"
+    "tau = 100\nstrategy = uniform\ncapital = 9.344413313310727e+277\nfee_rate = 0.003\n",
+    "ts,price\n23114,4.5540298124927875e+87\n2430901,5.898077015915007e+53\n"
+    "3264748,4.806982520366707e+54\n3856198,1.1096112749741462e+19\n"
+    "4450630,1.9478787869374596e+109\n6951044,4.329210047330506e+57\n",
+    "largest monthly fee is inf")
 
 PART30 = BucketPartition(1000.0, 4000.0, 30)
 UNIFORM = StrategyConfig("uniform")
@@ -608,6 +628,21 @@ class TestCliBacktest:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("config,prices,result",
+                             [MID_SERIES_OVERFLOW, EMPTY_BAG, BAG_WORTH_0, MONTHLY_OVERFLOW],
+                             ids=["mid_series_overflow", "empty_bag", "bag_worth_0",
+                                  "monthly_overflow"])
+    def test_non_finite_result_exits_3(self, tmp_path, capsys, config, prices, result):
+        cfg = write(tmp_path / "run.cfg", config)
+        prices = write(tmp_path / "p.csv", prices)
+        out = tmp_path / "out"
+        assert self.run_main("backtest", "--config", cfg, "--prices", prices,
+                             "--out-dir", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: float64 ") and err.endswith(f": {result}\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             self.run_main()
@@ -699,7 +734,24 @@ class TestCliCalibrate:
         err = capsys.readouterr().err
         assert err.startswith("error: data: float64 overflow: ")
         assert err.count("\n") == 1
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_fees_past_1e154_exit_4_without_a_warning(self, tmp_path, capsys):
+        # the scan compares the fees' signs against the target: the product
+        # of two differences overflows
+        cfg = write(tmp_path / "run.cfg", (
+            "lower = 1.7589552541126282e-132\nupper = 1.301921080189521e-09\n"
+            "buckets = 1\ntau = 100\nstrategy = normal\nmu = 0\nvariance = 0.5\n"
+            "capital = 7.481082845048587e+134\nfee_rate = 0.003\n"))
+        prices = write(tmp_path / "p.csv", "price\n5.564624185043338e-66\n"
+                       "1.847955372070533e-98\n9.648492235033772e-113\n"
+                       "2.626275817862387e-13\n")
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--config", cfg, "--prices", prices, "--mu", "0",
+                     "--target-fee", "1.0", "--grid", "0.05:2:5", "--out-dir", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: calibration-unreachable: ")
+        assert err.count("\n") == 1
 
     def test_unreachable_target_exits_4_but_leaves_curve(self, tmp_path, capsys):
         cfg, prices = self.setup_run(tmp_path)
@@ -711,6 +763,16 @@ class TestCliCalibrate:
         assert capsys.readouterr().err.startswith("error: calibration-unreachable:")
         assert (out / "fee_curve.csv").is_file()
         assert not (out / "calibration.json").exists()
+
+    def test_target_far_below_the_curve_exits_4_without_a_warning(self, tmp_path, capsys):
+        # the relative error of every fee, over a target of 1e-320, overflows
+        cfg, prices = self.setup_run(tmp_path)
+        assert main(["calibrate", "--config", cfg, "--prices", prices, "--target-fee",
+                     "1e-320", "--mu", "0.0", "--grid", "0.05:2.0:6",
+                     "--out-dir", str(tmp_path / "cal")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: calibration-unreachable:")
+        assert err.count("\n") == 1
 
     def test_curve_bytes_are_reproducible(self, tmp_path):
         cfg, prices = self.setup_run(tmp_path)
@@ -836,6 +898,18 @@ class TestCliReport:
         assert capsys.readouterr().err.startswith(f"error: config: [{flag[2:]}] ")
 
 
+def test_readme_library_use_runs(capsys):
+    # README's Python block, with ``prices`` bound to a short walk
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    prices = np.clip(2500.0 + np.cumsum(np.random.default_rng(8).normal(0.0, 60.0, 300)),
+                     1000.0, 4000.0)
+    exec(block, {"prices": prices.tolist()})
+    totals, *epochs = capsys.readouterr().out.splitlines()
+    assert len(totals.split()) == 3
+    assert len(epochs) > 1 and epochs[0].startswith("0 ")
+
+
 def test_module_entry_point(tmp_path):
     cfg = write(tmp_path / "run.cfg", BASE_CONFIG)
     prices = walk_csv(tmp_path / "p.csv", n=120)
@@ -885,5 +959,5 @@ def test_traced_segmentation_returns_the_epochs_and_the_bucket_column(monkeypatc
     report = engine.run_backtest(config, prices)
     (plan,) = plans
     assert len(plan) == len(report.plan) == len(report.ledger.inflow_b) > 10
-    assert plan.buckets.tolist() == (config.partition.bucket_indices(prices) - 1).tolist()
+    assert plan.buckets.tolist() == config.partition.bucket_column(prices).tolist()
     assert report.plan.buckets is None  # the report does not keep the column

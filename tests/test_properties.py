@@ -8,14 +8,21 @@ capital chain, and against itself run to run; the galloping epoch scan
 against a per-row re-scan, ``deploy`` against a per-bucket
 ``split_capital`` loop, the engine's gas count over moving windows
 against the oracle's whole-vector count, and the calibration's whole-pool
-fee against the oracle, its exact rational form and the replay.  Bulk
-data comes from numpy generators seeded by hypothesis, so that series can
-be long while cases stay shrinkable in their shape parameters.
+fee against the oracle, its exact rational form and the replay; the
+``backtest`` command on extreme inputs ends in finite artifacts or in one
+error line.  Bulk data comes from numpy generators seeded by hypothesis, so
+that series can be long while cases stay shrinkable in their shape
+parameters.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import re
+import shutil
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -29,9 +36,10 @@ from clmm_backtest.allocation import (ProfileParams, band_weights, custom_weight
                                       normal_profile_weights)
 from clmm_backtest.bucketing import BucketPartition, Epoch, EpochPlan, segment_epochs
 from clmm_backtest.calibration import fee_curve, whole_pool_fee
-from clmm_backtest import calibration, engine
+from clmm_backtest import calibration, cli, engine
 from clmm_backtest import prices as prices_module
-from clmm_backtest.engine import BacktestConfig, GasParams, StrategyConfig, run_backtest
+from clmm_backtest.engine import (REINVEST_MODES, BacktestConfig, GasParams, StrategyConfig,
+                                  run_backtest)
 from clmm_backtest.errors import DataError
 from clmm_backtest.prices import PriceSeries, load_prices
 from oracle import build_state_tensor, compute_fees
@@ -39,6 +47,8 @@ from oracle import build_state_tensor, compute_fees
 REL = 1e-12
 EPS = np.finfo(float).eps
 BLOCK = 1 << 13  # the kernel's block length
+# what a non-finite float looks like in a CSV cell or in Python's JSON
+NON_FINITE = re.compile(r"\b(nan|inf|NaN|Infinity)\b")
 # lengths around the kernel's one-row block overlaps, and past two blocks
 LENGTHS = st.one_of(st.integers(2, 400),
                     st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1,
@@ -388,7 +398,7 @@ def root_edge_walk(part, m, seed):
     rng = np.random.default_rng(seed)
     j = np.clip(part.n // 2 + np.cumsum(rng.integers(-2, 3, m)), 1, part.n - 1)
     kind = rng.integers(0, 3, m)
-    near = e[j] + rng.uniform(-0.3, 0.3, m) * part.width
+    near = e[j] + rng.uniform(-0.3, 0.3, m) * ((part.upper - part.lower) / part.n)
     prices = np.where(kind == 0, below[j], np.where(kind == 1, above[j], near))
     # where no float next to the edge has its root, take the edge itself
     rounded = np.sqrt(prices) == r[j]
@@ -545,7 +555,8 @@ def test_bucket_volume_is_exact_on_narrow_buckets():
     # 0.62 ulps), with prices on edges whose roots the lookup must place
     part = BucketPartition(2.0, 2.0078125, 140)
     rng = np.random.default_rng(3)
-    prices = 2.00390625 + np.cumsum(rng.normal(0.0, 0.05 * part.width, 60))
+    width = (part.upper - part.lower) / part.n
+    prices = 2.00390625 + np.cumsum(rng.normal(0.0, 0.05 * width, 60))
     prices[::7] = part.edges[60 + rng.integers(0, 20, 9)]
     config = BacktestConfig(part, 0, StrategyConfig("uniform"), 1e6, 0.003)
     v = calibration._bucket_volume(config, prices)
@@ -577,10 +588,11 @@ def test_fee_curve_points_equal_single_fees(case, steps):
 
 
 def rescan(part, prices, tau):
-    s = part.bucket_of(float(prices[0]))
+    buckets = [k + 1 for k in part.bucket_column(prices).tolist()]
+    s = buckets[0]
     start, out = 0, []
     for i in range(1, len(prices)):
-        b = part.bucket_of(float(prices[i]))
+        b = buckets[i]
         if abs(b - s) > tau:
             out.append((start, i, s))
             start, s = i, b
@@ -695,12 +707,12 @@ def test_interior_edges_belong_to_the_higher_bucket(part, seed):
     k = np.arange(1, n)
     interior = part.edges[1:-1]
     below = np.nextafter(interior, -np.inf)
-    assert part.bucket_indices(interior).tolist() == (k + 1).tolist()
-    assert part.bucket_indices(below).tolist() == k.tolist()
+    assert part.bucket_column(interior).tolist() == k.tolist()
+    assert part.bucket_column(below).tolist() == (k - 1).tolist()
     prices = np.concatenate([interior, below, [lo, hi],
                              np.random.default_rng(seed).uniform(lo, hi, 50)])
-    assert part.bucket_indices(prices).tolist() \
-        == [part.bucket_of(p) for p in prices.tolist()]
+    assert part.bucket_column(prices).tolist() \
+        == [int(part.bucket_column([p])[0]) for p in prices.tolist()]
 
 
 @st.composite
@@ -735,7 +747,7 @@ def test_bucket_column_is_the_right_sided_search(part, seed):
     column = part.bucket_column(prices)
     assert column.dtype == (np.int16 if part.n <= 32_767 else np.int32)
     assert column.tolist() == want.tolist()
-    assert [part.bucket_of(p) for p in prices.tolist()] == (want + 1).tolist()
+    assert [int(part.bucket_column([p])[0]) for p in prices.tolist()] == want.tolist()
 
 
 @st.composite
@@ -895,7 +907,7 @@ def load_by_rows(path):
     """The row-by-row parser alone, as ``load_prices`` falls back to it."""
     with open(path, newline="") as fh:
         layout = prices_module._read_layout(fh, path)
-        return PriceSeries(*prices_module._parse_rows(fh, layout), source=str(path))
+        return PriceSeries(*prices_module._parse_rows(fh, layout))
 
 
 @pytest.fixture(scope="module")
@@ -926,3 +938,66 @@ def test_bulk_ingest_agrees_with_row_parser(csv_path, file):
     else:
         assert got.timestamps.dtype == np.int64
         assert got.timestamps.tobytes() == expect.timestamps.tobytes()
+
+
+@st.composite
+def extreme_runs(draw):
+    """Config and price file texts for ``backtest`` over float64's whole
+    range: partitions and prices from 1e-300 to 1e300, capitals from 1e300
+    down to subnormals and 0."""
+    decades = st.floats(-300.0, 300.0)
+    a, b = sorted(draw(st.tuples(decades, decades)))
+    lower, upper = 10.0 ** a, 10.0 ** b
+    strategy = draw(st.sampled_from(["uniform", "random\nseed = 3",
+                                     "normal\nmu = 0.5\nvariance = 0.3"]))
+    config = (f"lower = {lower!r}\nupper = {upper!r}\n"
+              f"buckets = {draw(st.integers(1, 40))}\ntau = {draw(st.integers(0, 100))}\n"
+              f"strategy = {strategy}\n"
+              f"capital = {10.0 ** draw(st.floats(-324.0, 300.0))!r}\n"
+              f"fee_rate = 0.003\n"
+              f"reinvest = {draw(st.sampled_from(REINVEST_MODES))}\n"
+              f"price_mode = {draw(st.sampled_from(['strict', 'clamp']))}\n")
+    # prices spread over the partition in log space, its bounds, or anywhere
+    inside = st.floats(0.0, 1.0).map(lambda f: min(max(10.0 ** (a + f * (b - a)), lower),
+                                                   upper))
+    prices = draw(st.lists(st.one_of(inside, st.sampled_from([lower, upper]),
+                                     decades.map(lambda d: 10.0 ** d)),
+                           min_size=2, max_size=8))
+    if draw(st.booleans()):   # monthly rows
+        ts = np.cumsum(draw(st.lists(st.integers(1, 10**8), min_size=len(prices),
+                                     max_size=len(prices))))
+        rows = "ts,price\n" + "".join(f"{t},{p!r}\n" for t, p in zip(ts.tolist(), prices))
+    else:
+        rows = "price\n" + "".join(f"{p!r}\n" for p in prices)
+    return config, rows
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("extreme")
+
+
+@settings(max_examples=150)
+@given(run=extreme_runs())
+def test_backtest_output_is_finite_or_one_error_line(cli_dir, run):
+    # every run exits 0 with finite artifacts, or 2, 3 or 4 with one line
+    # on stderr; none exits 1, raises or warns
+    cfg, prices, out = cli_dir / "run.cfg", cli_dir / "p.csv", cli_dir / "out"
+    cfg.write_text(run[0])
+    prices.write_text(run[1])
+    shutil.rmtree(out, ignore_errors=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = cli.main(["backtest", "--config", str(cfg), "--prices", str(prices),
+                         "--out-dir", str(out)])
+    assert caught == []
+    if code == 0:
+        assert stderr.getvalue() == ""
+        for path in out.iterdir():
+            assert NON_FINITE.search(path.read_text()) is None, path.name
+    else:
+        assert code in (2, 3, 4)
+        assert stderr.getvalue().startswith("error: ")
+        assert stderr.getvalue().count("\n") == 1
