@@ -22,9 +22,9 @@ columns take the same digit path; other dtypes are refused.  Digits go in four
 at a time through a lookup table, masks turn unused slots into NULs, and
 dropping the NULs from the chunk's bytes leaves the CSV text.
 
-Reading.  ``parse_columns`` counts a price file's rows, then reads its body
-in blocks of 64 KiB, each cut after its last newline, finds the separators
-by byte comparison and checks that every row is clean (see ``prices``).  Each cell's digits
+Reading.  ``parse_columns`` reads a price file's body once, in blocks of
+64 KiB, each cut after its last newline, finds the separators by byte
+comparison and checks that every row is clean (see ``prices``).  Each cell's digits
 are read as little-endian ``uint64`` words from a stride-1 view of the
 block and combined eight at a time within the word (SWAR).  A price with
 significand w < 10**19 and f fraction digits becomes the float64 nearest
@@ -455,18 +455,6 @@ def _parse_block(block, price_col, ts_col):
     return prices, _digit_values(words, ts_end, ts_len).view(np.int64)
 
 
-def _count_rows(raw):
-    """Rows in the rest of binary file ``raw``, its position left as it was:
-    the newlines, and one more if the last row has none."""
-    start, rows, last = raw.tell(), 0, b"\n"
-    buf = bytearray(_BLOCK_BYTES)
-    while n := raw.readinto(buf):
-        rows += buf.count(b"\n", 0, n)
-        last = buf[n - 1:n]
-    raw.seek(start)
-    return rows + (last != b"\n")
-
-
 def _blocks(raw):
     """The rest of binary file ``raw`` in blocks of rows read about
     ``_BLOCK_BYTES`` at a time, each after ``_PAD`` digits and cut after its
@@ -500,22 +488,17 @@ def parse_columns(raw, price_col, ts_col):
     holds the price cell, or with ``ts_col`` set the price and timestamp
     cells in column order joined by one comma.  A timestamp cell is 1-18
     ASCII digits; a price cell is 1-19 ASCII digits with at most one point
-    anywhere among them.  No rows at all is not clean either.  The rows are
-    counted first, so that the columns are filled in place.
+    anywhere among them.  No rows at all is not clean either.  The body is
+    read once, each block's columns appended to the file's as bytes: kept
+    block arrays, freed once joined, would stay resident in the heap.
     """
-    rows = _count_rows(raw)
-    if not rows:
-        return None
-    prices = np.empty(rows)
-    stamps = np.empty(rows, dtype=np.int64) if ts_col is not None else None
-    at = 0
+    prices, stamps = bytearray(), bytearray()
     for block in _blocks(raw):
-        parsed = _parse_block(block, price_col, ts_col)
-        if parsed is None or at + len(parsed[0]) > rows:
+        if (columns := _parse_block(block, price_col, ts_col)) is None:
             return None
-        n = len(parsed[0])
-        prices[at:at + n] = parsed[0]
-        if stamps is not None:
-            stamps[at:at + n] = parsed[1]
-        at += n
-    return (prices, stamps) if at == rows else None
+        prices += columns[0].data
+        if ts_col is not None:
+            stamps += columns[1].data
+    if not prices:
+        return None
+    return np.frombuffer(prices), (np.frombuffer(stamps, np.int64) if ts_col is not None else None)

@@ -114,7 +114,7 @@ def band_weights(partition: BucketPartition, benchmarks, tau: int, seed=None,
         return offsets, band / (b - a)[:, None]
     check_integer(seed, 0, "seed")
     # imported on the first random draw, so that other runs do not load
-    # the generator and the formatter tables it shares
+    # the generator
     from ._pcg import epoch_draws
     # row r's band takes the first b - a draws of its stream
     draws = epoch_draws(seed, first_epoch + np.arange(len(s)), width)

@@ -23,12 +23,12 @@ refined by bisection.  Gas never enters the objective.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from math import isfinite
 from typing import Optional
 
 import numpy as np
 
 from .allocation import ProfileParams, deploy, normal_profile_weights
+from .bucketing import check_positive
 from .engine import _BLOCK_ROWS, BacktestConfig, checked_prices
 from .errors import CalibrationUnreachableError, DataError
 
@@ -199,8 +199,7 @@ def calibrate_variance(pool_config: BacktestConfig, prices, mu: float, bound: fl
 
 def _calibrate(pool: _WholePool, mu, bound, target_fee, variance_grid,
                curve) -> CalibrationResult:
-    if not (isfinite(target_fee) and target_fee > 0.0):
-        raise ValueError(f"target fee must be positive, got {target_fee}")
+    check_positive(target_fee, "target_fee")
     target_fee = float(target_fee)
     if curve is None:
         grid = np.asarray(variance_grid, dtype=np.float64)

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import ProfileParams
+from .bucketing import check_positive
 from .calibration import calibrate_variance, fee_curve
 from .config import load_config
 from .engine import BacktestReport, run_backtest, table_rows
@@ -142,9 +143,7 @@ def cmd_calibrate(args) -> int:
                           key="mu")
     bound = args.bound if args.bound is not None \
         else (profile.bound if profile else ProfileParams.bound)
-    if not (isfinite(args.target_fee) and args.target_fee > 0.0):
-        raise ConfigError(f"target fee must be positive and finite, got {args.target_fee}",
-                          key="target-fee")
+    check_positive(args.target_fee, "target-fee")
     grid = _parse_grid(args.grid)
     ProfileParams(mu, grid[0], bound)  # names a bad --mu or --bound before the prices load
 
@@ -189,13 +188,12 @@ _SUMMARY = (
 
 def cmd_report(args) -> int:
     for flag, fact in (("fact-fee", args.fact_fee), ("fact-volume", args.fact_volume)):
-        if fact is not None and not (isfinite(fact) and fact > 0.0):
-            raise ConfigError(f"--{flag} must be positive and finite, got {fact}",
-                              key=flag)
+        if fact is not None:
+            check_positive(fact, flag)
     try:
         with open(args.report_path) as fh:
             report = json.load(fh)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read report {args.report_path}: {err}") from None
     except json.JSONDecodeError as err:
         raise DataError(f"malformed report {args.report_path}: {err}") from None

@@ -130,6 +130,6 @@ def load_config(path) -> BacktestConfig:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from None
     return parse_config(text)

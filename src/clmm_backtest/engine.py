@@ -61,7 +61,7 @@ never subtracted from the capital trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from math import isfinite, isinf
 from typing import NamedTuple, Optional
 
@@ -349,7 +349,7 @@ def _window_columns(table, offsets, width):
 
 
 def _kernel_table(liquidity, roots, depth, first_root, first_col):
-    """Kernel table of a group of epochs, shape (9, epochs * (W + 1)).
+    """Kernel table of a group of epochs, shape (9, epochs * W).
 
     ``liquidity`` (epochs, W) is each epoch's window, ``roots`` and
     ``depth`` (4, epochs, W) the ``_bucket_tables`` rows gathered for it
@@ -360,19 +360,17 @@ def _kernel_table(liquidity, roots, depth, first_root, first_col):
       5-6  token B held by the buckets below, token A by those above
       7-8  anchored token B and token A of the buckets in between
     Empty buckets hold nothing, and since neighbours share edges a price
-    clipped to the window lies inside the bucket holding it.  Each epoch
-    has one more, empty column above its window: a price clipped to the
-    window's upper edge may look it up, and reads there what the top
-    bucket holds at that edge.
+    clipped to the window lies inside the bucket holding it; a price above
+    the window reads the top bucket at its upper edge, where the bucket
+    holds its full token-B depth and no token A.
     """
     n_epochs, width = liquidity.shape
     depth *= liquidity
-    tab = np.zeros((9, n_epochs, width + 1))
-    win = tab[:, :, :width]
-    win[0] = liquidity
-    win[1:3] = roots[1:3]
-    np.cumsum(depth[0], axis=1, out=tab[5, :, 1:])
-    np.cumsum(depth[3, :, :0:-1], axis=1, out=win[6, :, :-1][:, ::-1])
+    tab = np.zeros((9, n_epochs, width))
+    tab[0] = liquidity
+    tab[1:3] = roots[1:3]
+    np.cumsum(depth[0, :, :-1], axis=1, out=tab[5, :, 1:])
+    np.cumsum(depth[3, :, :0:-1], axis=1, out=tab[6, :, :-1][:, ::-1])
 
     # anchor at the first price, clipped root c0 in column k0: a bucket
     # below counts from its upper edge, one above from its lower edge, so
@@ -380,20 +378,20 @@ def _kernel_table(liquidity, roots, depth, first_root, first_col):
     e, k0 = np.arange(n_epochs), first_col
     cols = np.arange(width)
     below = cols < k0[:, None]
-    win[3:5] = roots[1::2]
-    np.copyto(win[3:5], roots[0::2], where=below)
+    tab[3:5] = roots[1::2]
+    np.copyto(tab[3:5], roots[0::2], where=below)
     c0 = np.minimum(np.maximum(first_root, roots[1, :, 0]), roots[0, :, -1])
     inv_c0 = 1.0 / c0
-    win[3, e, k0], win[4, e, k0] = c0, inv_c0
+    tab[3, e, k0], tab[4, e, k0] = c0, inv_c0
     depth[:, e, k0] = liquidity[e, k0] * (roots[0, e, k0] - c0, roots[2, e, k0] - inv_c0,
                                           roots[1, e, k0] - c0, roots[3, e, k0] - inv_c0)
     # columns above k0 sum the anchored depths from k0 up, those below
     # from k0 down; the zeros masked in ahead of k0 leave each sum exact
     np.copyto(depth[:2], 0.0, where=below)
-    np.cumsum(depth[:2], axis=2, out=tab[7:, :, 1:])
+    np.cumsum(depth[:2, :, :-1], axis=2, out=tab[7:, :, 1:])
     below[e, k0] = True
     np.copyto(depth[2:], 0.0, where=~below)
-    win[7:, :, :-1][..., ::-1] += np.cumsum(depth[2:, :, :0:-1], axis=2)
+    tab[7:, :, :-1][..., ::-1] += np.cumsum(depth[2:, :, :0:-1], axis=2)
     return tab.reshape(9, -1)
 
 
@@ -425,9 +423,9 @@ def _blocks(starts, first, last, overlap):
 
 
 def _columns(buckets, offset, base, width):
-    """Table columns of rows in 0-based ``buckets`` under epochs whose
-    windows start at bucket ``offset`` and whose columns at ``base``."""
-    return np.clip(np.subtract(buckets, offset, dtype=np.intp), 0, width) + base
+    """Table columns of rows in 0-based ``buckets``, clipped into windows of
+    ``width`` buckets that start at bucket ``offset`` and at column ``base``."""
+    return np.clip(np.subtract(buckets, offset, dtype=np.intp), 0, width - 1) + base
 
 
 def _reserves(tab, col, price, low, high, value):
@@ -465,7 +463,7 @@ def _replay(tab, width, offsets, starts, cuts, last, prices, buckets, roots, tra
     shape (2, segments), and end values).
     """
     # each epoch's table columns follow those of the group's earlier ones
-    base = np.arange(len(starts)) * (width + 1)
+    base = np.arange(len(starts)) * width
     low, high = roots[offsets], roots[offsets + width]
     inflow = np.zeros((2, len(cuts)))
     end_value = np.empty(len(starts))
@@ -502,7 +500,7 @@ def _deploy_group(weights, offsets, width, anchors, buckets, tables):
     window_roots = _window_columns(roots, offsets, width)
     unit = deploy(weights, anchors, window_roots[1], window_roots[0])
     return unit, _kernel_table(unit, window_roots, _window_columns(depth, offsets, width),
-                               np.sqrt(anchors), _columns(buckets, offsets, 0, width - 1))
+                               np.sqrt(anchors), _columns(buckets, offsets, 0, width))
 
 
 def _growth(config: BacktestConfig, unit_end, unit_inflow, end_price) -> np.ndarray:
@@ -583,13 +581,7 @@ class BacktestReport:
             "volume_total_b": self.ledger.total_volume_b,
             "fee_rate": self.ledger.fee_rate,
             "gas_cost_b": self.gas.total_b,
-            "gas_breakdown": {
-                "initial_mint_b": self.gas.initial_mint_b,
-                "transition_b": self.gas.transition_b,
-                "final_burn_b": self.gas.final_burn_b,
-                "mint_events": self.gas.mint_events,
-                "burn_events": self.gas.burn_events,
-            },
+            "gas_breakdown": asdict(self.gas),
             "epochs": len(self.plan),
             "profit_rate": self.profit_rate,
             "bh_profit_rate": self.bh_profit_rate,
@@ -665,8 +657,7 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
     cuts = starts
     if timestamps is not None:
         months, month_first = _months(timestamps)
-        cuts = np.sort(np.concatenate([starts, month_first]))
-        cuts = cuts[np.append(True, cuts[1:] != cuts[:-1])]
+        cuts = np.union1d(starts, month_first)
     first = np.append(cuts.searchsorted(starts), len(cuts))
 
     trajectory = np.empty(m)

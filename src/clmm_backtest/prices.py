@@ -238,6 +238,8 @@ def write_csv(path, header: str, columns) -> None:
     # imported on the first write, so that runs which write no CSV do not
     # load the formatter and its tables
     from ._floattext import csv_text
+    text = csv_text([np.asarray(c) for c in columns], _WRITE_CHUNK_ROWS)
+    first = next(text)  # refuses a column before the file is truncated
     with open(path, "wb") as fh:
-        fh.write(header.encode())
-        fh.writelines(csv_text([np.asarray(c) for c in columns], _WRITE_CHUNK_ROWS))
+        fh.writelines((header.encode(), first))
+        fh.writelines(text)

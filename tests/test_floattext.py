@@ -8,9 +8,10 @@ stay shrinkable, and cells that ``repr`` writes itself sit on both sides
 of every seam.  Reading, every clean file must parse in bulk to exactly
 the row parser's columns, with rows tiled across the parser's block seams
 in the same way, and each decimal must become the float ``float`` makes
-of it, decimal ties included.
+of it, decimal ties included.  The bulk parser reads a body once.
 """
 
+import io
 import math
 import struct
 import tracemalloc
@@ -166,6 +167,14 @@ def test_other_dtypes_match_the_repr_writer(tmp_path):
             b"".join(_floattext.csv_text([np.arange(2), bad], 8))
 
 
+def test_refused_column_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "keep.csv"
+    path.write_bytes(b"t,x\n1,2.5\n")
+    with pytest.raises(TypeError, match="bool"):
+        write_csv(path, "a,b", (np.arange(3), np.array([True, False, True])))
+    assert path.read_bytes() == b"t,x\n1,2.5\n"
+
+
 def tie(e, m, nudge):
     """(w, f) with w 10**-f the midpoint of the float (2**52 + m) 2**(e - 52)
     and the next one up, then ``nudge`` units of its last digit away."""
@@ -265,6 +274,36 @@ def test_clean_files_parse_in_bulk_as_the_row_parser_reads_them(tmp_path_factory
     else:
         assert bulk[1].dtype == np.int64
         assert bulk[1].tobytes() == rows[1].tobytes()
+
+
+class CountingBytes(io.BytesIO):
+    """An in-memory binary file that counts the bytes it hands out."""
+
+    handed = 0
+
+    def readinto(self, buffer):
+        n = super().readinto(buffer)
+        self.handed += n
+        return n
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.handed += len(data)
+        return data
+
+
+def test_bulk_path_reads_the_body_once():
+    rng = np.random.default_rng(18)
+    stamps = 1_672_531_200 + 60 * np.arange(12_000)
+    walk = 2000.0 + rng.normal(0.0, 0.4, len(stamps)).cumsum()
+    text = "".join(f"{t},{p!r}\n" for t, p in zip(stamps.tolist(), walk.tolist()))
+    assert len(text) > 3 * _floattext._BLOCK_BYTES
+    raw = CountingBytes(text.encode())
+    bulk = _floattext.parse_columns(raw, 1, 0)
+    assert raw.handed == len(text)
+    rows = prices._parse_rows(io.StringIO(text), prices._Layout(2, 1, 0, 0))
+    assert bulk[0].tobytes() == rows[0].tobytes()
+    assert bulk[1].tobytes() == rows[1].tobytes()
 
 
 def test_parse_core_keeps_to_integer_dtypes(tmp_path, monkeypatch):

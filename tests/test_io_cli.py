@@ -648,6 +648,16 @@ class TestCliBacktest:
             self.run_main()
         assert exc.value.code == 2
 
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"lower = 1000\nupper = 4000\xff\n")
+        prices = walk_csv(tmp_path / "p.csv")
+        assert self.run_main("backtest", "--config", str(cfg), "--prices", prices,
+                             "--out-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: cannot read config file {cfg}: ")
+        assert err.count("\n") == 1
+
 
 class TestCliCalibrate:
 
@@ -868,6 +878,14 @@ class TestCliReport:
 
     def test_missing_report_exits_3(self, tmp_path):
         assert main(["report", str(tmp_path / "absent.json")]) == 3
+
+    def test_report_that_is_not_utf8_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"initial_capital": 1\xff}')
+        assert main(["report", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data: cannot read report {bad}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("text,key", [
         ('{"a": 1}', "initial_capital"), ("[1]", "initial_capital"),

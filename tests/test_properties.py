@@ -977,21 +977,32 @@ def cli_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("extreme")
 
 
-@settings(max_examples=150)
-@given(run=extreme_runs())
-def test_backtest_output_is_finite_or_one_error_line(cli_dir, run):
-    # every run exits 0 with finite artifacts, or 2, 3 or 4 with one line
-    # on stderr; none exits 1, raises or warns
+@st.composite
+def extreme_calibrations(draw):
+    """An extreme run's config and price texts, and ``calibrate`` flags: mu
+    in [-3, 3], a target fee from 1e-320 to 1e300 and one of a few grids.
+    Values are joined to their flags, as argparse reads a separate ``-1e-05``
+    as an option."""
+    config, rows = draw(extreme_runs())
+    grid = draw(st.sampled_from(["0.05:2.0:40", "0.05:2.0:6", "0.5:0.6:2", "1e-6:1e6:9"]))
+    return config, rows, [f"--mu={draw(st.floats(-3.0, 3.0))!r}",
+                          f"--target-fee={10.0 ** draw(st.floats(-320.0, 300.0))!r}",
+                          f"--grid={grid}"]
+
+
+def assert_finite_or_one_error_line(cli_dir, command, config, rows, flags=()):
+    """Every run exits 0 with finite artifacts, or 2, 3 or 4 with one line
+    on stderr; none exits 1, raises or warns."""
     cfg, prices, out = cli_dir / "run.cfg", cli_dir / "p.csv", cli_dir / "out"
-    cfg.write_text(run[0])
-    prices.write_text(run[1])
+    cfg.write_text(config)
+    prices.write_text(rows)
     shutil.rmtree(out, ignore_errors=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         warnings.simplefilter("always")
-        code = cli.main(["backtest", "--config", str(cfg), "--prices", str(prices),
-                         "--out-dir", str(out)])
+        code = cli.main([command, "--config", str(cfg), "--prices", str(prices),
+                         "--out-dir", str(out), *flags])
     assert caught == []
     if code == 0:
         assert stderr.getvalue() == ""
@@ -1001,3 +1012,15 @@ def test_backtest_output_is_finite_or_one_error_line(cli_dir, run):
         assert code in (2, 3, 4)
         assert stderr.getvalue().startswith("error: ")
         assert stderr.getvalue().count("\n") == 1
+
+
+@settings(max_examples=150)
+@given(run=extreme_runs())
+def test_backtest_output_is_finite_or_one_error_line(cli_dir, run):
+    assert_finite_or_one_error_line(cli_dir, "backtest", *run)
+
+
+@settings(max_examples=400)
+@given(run=extreme_calibrations())
+def test_calibrate_output_is_finite_or_one_error_line(cli_dir, run):
+    assert_finite_or_one_error_line(cli_dir, "calibrate", *run)
