@@ -305,6 +305,7 @@ def csv_text(columns, rows):
         for w, fill in cells:
             fill(table[at:at + w], ord(",") if at else ord("\n"))
             at += w
+        del cells, fill     # the cells' digit arrays, before the text is made
         yield table.T.tobytes().translate(None, b"\0")
     yield b"\n"
 

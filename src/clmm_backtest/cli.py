@@ -25,7 +25,7 @@ from .allocation import ProfileParams
 from .bucketing import check_positive
 from .calibration import calibrate_variance, fee_curve
 from .config import load_config
-from .engine import BacktestReport, run_backtest, table_rows
+from .engine import BacktestReport, buy_and_hold, run_backtest, table_rows
 from .errors import (BacktestError, CalibrationUnreachableError, ConfigError,
                      DataError)
 from .prices import PriceSeries, load_prices, write_csv
@@ -74,6 +74,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _BuyAndHoldColumn:
+    """The report's buy-and-hold values as a ``write_csv`` column: each
+    chunk is made from the prices' chunk, so the series is never held whole."""
+
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, report: BacktestReport):
+        self.prices, self.split = report.prices, report.initial_split
+
+    def __len__(self) -> int:
+        return len(self.prices)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return buy_and_hold(self.prices[rows], self.split)
+
+
 def _write_report_files(report: BacktestReport, series: PriceSeries,
                         out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -85,7 +101,7 @@ def _write_report_files(report: BacktestReport, series: PriceSeries,
     t_axis = series.timestamps if series.timestamps is not None \
         else np.arange(len(series))
     write_csv(out_dir / "trajectory.csv", "t,price,lp_value,bh_value",
-              (t_axis, series.prices, report.lp_trajectory, report.bh_trajectory))
+              (t_axis, series.prices, report.lp_trajectory, _BuyAndHoldColumn(report)))
 
     table = report.epoch_table
     write_csv(out_dir / "fees_by_epoch.csv", ",".join(table), table.values())
@@ -216,9 +232,34 @@ def cmd_report(args) -> int:
     return 0
 
 
+# options that take a float: argparse reads a separate value such as
+# "-1e-05" as an option, as its negative-number pattern has no exponent
+_FLOAT_OPTIONS = ("--target-fee", "--mu", "--bound", "--fact-fee", "--fact-volume")
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list) -> list:
+    """``argv`` with each negative value that follows a float option joined
+    to it, ``--mu -1e-05`` as ``--mu=-1e-05``."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _FLOAT_OPTIONS and arg.startswith("-") and _is_float(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ConfigError as err:

@@ -62,6 +62,7 @@ never subtracted from the capital trajectory.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from math import isfinite, isinf
 from typing import NamedTuple, Optional
 
@@ -313,9 +314,14 @@ class ReservePair(NamedTuple):
 
 
 def buy_and_hold(prices: np.ndarray, initial_split: ReservePair) -> np.ndarray:
-    """Token-B value of holding a fixed (x, y) bag along the price series."""
+    """Token-B value x * p + y of holding a fixed (x, y) bag at each price.
+
+    Each value is the product rounded, then the sum rounded, so a slice of
+    the prices gives the same bytes as the slice of the whole result, and a
+    float64 scalar computed the same way gives the same value.
+    """
     value = np.multiply(initial_split.x, np.asarray(prices, dtype=np.float64))
-    value += initial_split.y  # in place: one full-length array, not two
+    value += initial_split.y  # in place: one array, not two
     return value
 
 
@@ -544,14 +550,19 @@ def table_rows(columns: dict) -> list:
 
 @dataclass(frozen=True)
 class BacktestReport:
-    """Everything a backtest run produces."""
+    """Everything a backtest run produces.
+
+    ``prices`` is the replayed series, unclamped: a read-only view, of the
+    caller's own array when that was contiguous float64, so writing to that
+    array changes the buy-and-hold values not yet read.
+    """
 
     config: BacktestConfig
     plan: EpochPlan
     ledger: FeeLedger
     gas: GasBreakdown
     lp_trajectory: np.ndarray
-    bh_trajectory: np.ndarray
+    prices: np.ndarray
     initial_split: ReservePair
     profit_rate: float
     bh_profit_rate: float
@@ -559,6 +570,12 @@ class BacktestReport:
     epoch_capital: np.ndarray = None   # deployable capital per epoch
     epoch_active: np.ndarray = None    # active bucket count per epoch
     monthly_fees: Optional[list] = None
+
+    @cached_property
+    def bh_trajectory(self) -> np.ndarray:
+        """Buy-and-hold value of the first deployment's bag along the
+        series, computed on first read, then kept."""
+        return buy_and_hold(self.prices, self.initial_split)
 
     @property
     def epoch_table(self) -> dict:
@@ -713,15 +730,18 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
     c0 = np.clip(np.sqrt(p[0]), sa, sb)
     split0 = ReservePair(float((first_liq * (1.0 / c0 - inv_b)).sum()),
                          float((first_liq * (c0 - sa)).sum()))
-    bh = buy_and_hold(p, split0)
+    # the bag's value at the points the checks read, as float64 scalars in
+    # buy_and_hold's operations; x >= 0 and rounding is monotone, so the
+    # value at the largest price is the largest value
+    bh_first, bh_last, bh_max = (split0.x * v + split0.y for v in (p[0], p[-1], p.max()))
     profit_rate = float((trajectory[-1] - trajectory[0]) / trajectory[0])
-    bh_profit_rate = float((bh[-1] - bh[0]) / bh[0])
+    bh_profit_rate = float((bh_last - bh_first) / bh_first)
     # a non-finite value anywhere in the capital chain, the ledger or a
     # trajectory carries through to its last value, total or largest value;
     # a position that underflows to nothing makes its profit rate NaN
     results = [("final capital", capital), ("total volume", ledger.total_volume_b),
                ("gas cost", gas.total_b), ("largest value", trajectory.max()),
-               ("largest buy-and-hold value", bh.max()), ("profit rate", profit_rate),
+               ("largest buy-and-hold value", bh_max), ("profit rate", profit_rate),
                ("buy-and-hold profit rate", bh_profit_rate)]
     monthly = None
     if timestamps is not None:
@@ -745,7 +765,7 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
         ledger=ledger,
         gas=gas,
         lp_trajectory=trajectory,
-        bh_trajectory=bh,
+        prices=p,
         initial_split=split0,
         profit_rate=profit_rate,
         bh_profit_rate=bh_profit_rate,

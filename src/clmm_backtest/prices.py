@@ -233,12 +233,14 @@ def write_csv(path, header: str, columns) -> None:
     of at most 8 bytes, formatted in bulk with numpy integer arithmetic; any
     other dtype is a TypeError.  Rows are formatted in chunks of 8,192, never
     as one string for the whole file, and written as bytes in binary mode,
-    UTF-8 for the header.
+    UTF-8 for the header.  A column with a ``dtype`` is used as it is, only
+    its length and its row slices read, so it may make each chunk on demand.
     """
     # imported on the first write, so that runs which write no CSV do not
     # load the formatter and its tables
     from ._floattext import csv_text
-    text = csv_text([np.asarray(c) for c in columns], _WRITE_CHUNK_ROWS)
+    text = csv_text([c if hasattr(c, "dtype") else np.asarray(c) for c in columns],
+                    _WRITE_CHUNK_ROWS)
     first = next(text)  # refuses a column before the file is truncated
     with open(path, "wb") as fh:
         fh.writelines((header.encode(), first))

@@ -492,6 +492,18 @@ class TestRunBacktest:
         clamp = uniform_config(cfg.partition, 2, price_mode="clamp")
         assert self.traced_peak(clamp, prices) <= self.traced_peak(cfg, prices) + 2**19
 
+    def test_buy_and_hold_is_computed_on_first_read(self):
+        # the run allocates no buy-and-hold series: the report makes it from
+        # its prices when first read, with the bytes buy_and_hold gives
+        cfg = uniform_config(BucketPartition(1000.0, 4000.0, 30), 2)
+        prices = walk_prices(seed=43, n=20_000)
+        report = run_backtest(cfg, prices)
+        assert "bh_trajectory" not in vars(report)
+        bh = report.bh_trajectory
+        assert bh.tobytes() == buy_and_hold(prices, report.initial_split).tobytes()
+        assert report.bh_trajectory is bh
+        assert report.bh_profit_rate == float((bh[-1] - bh[0]) / bh[0])
+
     def test_no_timestamps_no_monthly_rows(self):
         cfg, prices = self.config_and_walk()
         assert run_backtest(cfg, prices).monthly_fees is None

@@ -20,7 +20,7 @@ from clmm_backtest.allocation import ProfileParams
 from clmm_backtest.bucketing import BucketPartition
 from clmm_backtest.cli import main
 from clmm_backtest.config import load_config, parse_config
-from clmm_backtest.engine import BacktestConfig, GasParams, StrategyConfig
+from clmm_backtest.engine import BacktestConfig, GasParams, StrategyConfig, run_backtest
 from clmm_backtest.errors import ConfigError, DataError
 from clmm_backtest.prices import PriceSeries, load_prices, write_csv
 from oracle import write_prices
@@ -495,6 +495,24 @@ class TestCliBacktest:
                      "states_summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_trajectory_equals_the_materialised_columns(self, tmp_path):
+        # the write makes bh_value one 8,192-row chunk at a time; here the
+        # chunk boundaries fall inside epochs
+        cfg = write(tmp_path / "run.cfg", BASE_CONFIG)
+        prices = walk_csv(tmp_path / "p.csv", seed=53, n=20_000, with_ts=True)
+        out = tmp_path / "out"
+        assert self.run_main("backtest", "--config", cfg, "--prices", prices,
+                             "--out-dir", str(out)) == 0
+        series = load_prices(prices)
+        report = run_backtest(load_config(cfg), series)
+        epochs = report.plan.epochs
+        for row in (8192, 16384):
+            assert ((epochs[:, 0] < row) & (row < epochs[:, 1])).any()
+        write_csv(tmp_path / "whole.csv", "t,price,lp_value,bh_value",
+                  (series.timestamps, series.prices, report.lp_trajectory,
+                   report.bh_trajectory))
+        assert (out / "trajectory.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.cfg", BASE_CONFIG + "boguskey = 1\n")
         prices = walk_csv(tmp_path / "p.csv")
@@ -799,6 +817,18 @@ class TestCliCalibrate:
                      "--target-fee", "5000"]) == 2
         assert "--mu" in capsys.readouterr().err
 
+    def test_separate_negative_mu_in_exponent_form(self, tmp_path):
+        # argparse alone reads "-1e-05" as an option, not as the value
+        cfg, prices = self.setup_run(tmp_path)
+        curves = []
+        for mu in (["--mu", "-1e-05"], ["--mu=-1e-05"]):
+            out = tmp_path / str(len(curves))
+            assert main(["calibrate", "--config", cfg, "--prices", prices, *mu,
+                         "--target-fee", "1e18", "--grid", "0.05:2.0:4",
+                         "--out-dir", str(out)]) == 4
+            curves.append((out / "fee_curve.csv").read_bytes())
+        assert curves[0] == curves[1]
+
     def test_mu_defaults_to_config_profile(self, tmp_path):
         text = self.CAL_CONFIG.replace("strategy = uniform", "strategy = normal")
         text += "mu = 0.2\nvariance = 0.5\n"
@@ -827,6 +857,9 @@ class TestCliCalibrate:
         ("--target-fee", "nan", "target-fee"), ("--target-fee", "inf", "target-fee"),
         ("--mu", "nan", "mu"), ("--bound", "0", "bound"), ("--bound", "-1", "bound"),
         ("--bound", "nan", "bound"), ("--grid", "0.05:inf:5", "grid"),
+        # separate negative values in exponent form, which argparse alone
+        # reads as options
+        ("--target-fee", "-1e-05", "target-fee"), ("--bound", "-1e-05", "bound"),
     ])
     def test_bad_numbers_exit_2_before_any_work(self, tmp_path, capsys, flag, value, key):
         cfg, prices = self.setup_run(tmp_path)
@@ -908,7 +941,7 @@ class TestCliReport:
         assert "'gas_cost_b'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--fact-fee", "--fact-volume"])
-    @pytest.mark.parametrize("value", ["0", "-2", "nan", "inf"])
+    @pytest.mark.parametrize("value", ["0", "-2", "nan", "inf", "-1e-05"])
     def test_bad_fact_exits_2(self, tmp_path, capsys, flag, value):
         path = self.write_report(tmp_path)
         capsys.readouterr()

@@ -36,11 +36,12 @@ from clmm_backtest.allocation import (ProfileParams, band_weights, custom_weight
                                       normal_profile_weights)
 from clmm_backtest.bucketing import BucketPartition, Epoch, EpochPlan, segment_epochs
 from clmm_backtest.calibration import fee_curve, whole_pool_fee
+from clmm_backtest.config import parse_config
 from clmm_backtest import calibration, cli, engine
 from clmm_backtest import prices as prices_module
 from clmm_backtest.engine import (REINVEST_MODES, BacktestConfig, GasParams, StrategyConfig,
                                   run_backtest)
-from clmm_backtest.errors import DataError
+from clmm_backtest.errors import ConfigError, DataError
 from clmm_backtest.prices import PriceSeries, load_prices
 from oracle import build_state_tensor, compute_fees
 
@@ -980,14 +981,26 @@ def cli_dir(tmp_path_factory):
 @st.composite
 def extreme_calibrations(draw):
     """An extreme run's config and price texts, and ``calibrate`` flags: mu
-    in [-3, 3], a target fee from 1e-320 to 1e300 and one of a few grids.
-    Values are joined to their flags, as argparse reads a separate ``-1e-05``
-    as an option."""
+    in [-3, 3], one of a few grids and a target fee.  In most draws whose
+    fee curve can be made the target lies between its least and largest
+    fee, so that the command succeeds; otherwise it is from 1e-320 to
+    1e300.  Values follow their flags as separate arguments."""
     config, rows = draw(extreme_runs())
     grid = draw(st.sampled_from(["0.05:2.0:40", "0.05:2.0:6", "0.5:0.6:2", "1e-6:1e6:9"]))
-    return config, rows, [f"--mu={draw(st.floats(-3.0, 3.0))!r}",
-                          f"--target-fee={10.0 ** draw(st.floats(-320.0, 300.0))!r}",
-                          f"--grid={grid}"]
+    mu = draw(st.floats(-3.0, 3.0))
+    target = 10.0 ** draw(st.floats(-320.0, 300.0))
+    if draw(st.integers(0, 3)) < 3:
+        prices = [float(row.rsplit(",", 1)[-1]) for row in rows.splitlines()[1:]]
+        lo, hi, steps = grid.split(":")
+        try:
+            fees = fee_curve(parse_config(config), PriceSeries(prices), mu, ProfileParams.bound,
+                             np.linspace(float(lo), float(hi), int(steps))).fees
+        except (ConfigError, DataError):
+            pass
+        else:
+            target = float(fees.min() + draw(st.floats(0.0, 1.0, exclude_min=True))
+                           * (fees.max() - fees.min()))
+    return config, rows, ["--mu", repr(mu), "--target-fee", repr(target), f"--grid={grid}"]
 
 
 def assert_finite_or_one_error_line(cli_dir, command, config, rows, flags=()):
