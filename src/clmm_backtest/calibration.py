@@ -17,7 +17,8 @@ crossed whole.
 
 Fixing the profile centre mu, the fee is evaluated on an ascending
 variance grid and the smallest variance whose fee crosses the target is
-refined by bisection.  Gas never enters the objective.
+refined by bisection, which reads v from the curve's ``bucket_volume``.
+Gas never enters the objective.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ class FeeCurve:
     bound: float
     variance_grid: np.ndarray
     fees: np.ndarray
+    bucket_volume: Optional[np.ndarray] = None  # v, read-only; None for given fees
 
     def __post_init__(self):
         g = np.asarray(self.variance_grid, dtype=np.float64)
@@ -73,6 +75,9 @@ class CalibrationResult:
         return asdict(self)
 
 
+# float64 overflow, on a series spanning hundreds of decades, is let
+# through without a warning and caught in the fees
+@np.errstate(over="ignore", invalid="ignore")
 def _bucket_volume(pool_config: BacktestConfig, prices) -> np.ndarray:
     """v: per bucket, the volume unit capital on it alone trades."""
     part = pool_config.partition
@@ -103,39 +108,30 @@ def _bucket_volume(pool_config: BacktestConfig, prices) -> np.ndarray:
     return deploy(np.ones((1, n)), p[:1], sa[None], sb[None])[0] * (u[0] + p[-1] * u[1])
 
 
-class _WholePool:
-    """Whole-pool fee totals; one travel pass, on first use, serves them all."""
-
-    def __init__(self, pool_config: BacktestConfig, prices):
-        self.config, self.prices, self.bucket_volume = pool_config, prices, None
-
-    # float64 overflow, on a series spanning hundreds of decades, is let
-    # through without a warning and caught in the fees
-    @np.errstate(over="ignore", invalid="ignore")
-    def fees(self, mu: float, bound: float, variances) -> np.ndarray:
-        """Fee totals at one mu, one per variance; DataError if one overflows."""
-        cfg, part = self.config, self.config.partition
-        grid = np.asarray(variances, dtype=np.float64).tolist()
-        w = np.reshape([normal_profile_weights(part, ProfileParams(mu, v, bound)).weights
-                        for v in grid], (-1, part.n))  # the (grid x n) weight table
-        if self.bucket_volume is None:
-            self.bucket_volume = _bucket_volume(cfg, self.prices)
-        # one pairwise sum per row, the same for any number of rows
-        volume = cfg.capital * (w * self.bucket_volume).sum(axis=1)
-        if cfg.volume_cap is not None:
-            np.minimum(volume, cfg.volume_cap, out=volume)
-        fee = cfg.fee_rate * volume
-        bad = ~np.isfinite(fee)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise DataError(f"float64 overflow: the fee at variance {grid[i]} is {fee[i]}")
-        return fee
+@np.errstate(over="ignore", invalid="ignore")
+def _fees(pool_config: BacktestConfig, v, mu: float, bound: float, variances) -> np.ndarray:
+    """Fee totals at one mu, one per variance; DataError if one overflows."""
+    part = pool_config.partition
+    grid = np.asarray(variances, dtype=np.float64).tolist()
+    w = np.reshape([normal_profile_weights(part, ProfileParams(mu, g, bound)).weights
+                    for g in grid], (-1, part.n))  # the (grid x n) weight table
+    # one pairwise sum per row, the same for any number of rows
+    volume = pool_config.capital * (w * v).sum(axis=1)
+    if pool_config.volume_cap is not None:
+        np.minimum(volume, pool_config.volume_cap, out=volume)
+    fee = pool_config.fee_rate * volume
+    bad = ~np.isfinite(fee)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(f"float64 overflow: the fee at variance {grid[i]} is {fee[i]}")
+    return fee
 
 
 def whole_pool_fee(pool_config: BacktestConfig, prices, mu: float, variance: float,
                    bound: float = ProfileParams.bound) -> float:
     """Converted fee total of one single-deployment bell-curve backtest."""
-    return float(_WholePool(pool_config, prices).fees(mu, bound, [variance])[0])
+    return float(_fees(pool_config, _bucket_volume(pool_config, prices), mu, bound,
+                       [variance])[0])
 
 
 def fee_curve(pool_config: BacktestConfig, prices, mu: float, bound: float,
@@ -151,16 +147,13 @@ def fee_curve(pool_config: BacktestConfig, prices, mu: float, bound: float,
         variance_grid: positive, strictly ascending variances to evaluate.
 
     Returns:
-        FeeCurve over the grid; evaluation is deterministic, so equal
-        inputs always reproduce the identical curve.
+        FeeCurve over the grid with its bucket_volume; evaluation is
+        deterministic, so equal inputs always reproduce the identical curve.
     """
     grid = np.asarray(variance_grid, dtype=np.float64)
-    pool = _WholePool(pool_config, prices)
-    curve = FeeCurve(mu, bound, grid, pool.fees(mu, bound, grid))
-    # calibrate_variance given this curve and the same inputs searches over
-    # the same pool, so the travel pass is not made again
-    object.__setattr__(curve, "_pool", pool)
-    return curve
+    v = _bucket_volume(pool_config, prices)
+    v.flags.writeable = False
+    return FeeCurve(mu, bound, grid, _fees(pool_config, v, mu, bound, grid), v)
 
 
 def calibrate_variance(pool_config: BacktestConfig, prices, mu: float, bound: float,
@@ -180,9 +173,10 @@ def calibrate_variance(pool_config: BacktestConfig, prices, mu: float, bound: fl
         bound: standardised axis half-width.
         target_fee: observed fee total to match, positive.
         variance_grid: search grid, at least two ascending positive points.
-        curve: optionally a precomputed FeeCurve for this exact grid; one
-            that ``fee_curve`` made from these same config and price
-            objects also lends its travel pass to the bisection.
+        curve: optionally a precomputed FeeCurve made at this mu, bound and
+            grid (ValueError naming the field otherwise); the bisection
+            uses its bucket_volume, and makes the travel pass over the
+            prices only for a curve without one.
 
     Returns:
         CalibrationResult for the best variance found.
@@ -191,20 +185,15 @@ def calibrate_variance(pool_config: BacktestConfig, prices, mu: float, bound: fl
         CalibrationUnreachableError: the target lies outside everything
             the curve reaches on the grid.
     """
-    pool = getattr(curve, "_pool", None)
-    if pool is None or pool.config is not pool_config or pool.prices is not prices:
-        pool = _WholePool(pool_config, prices)
-    return _calibrate(pool, mu, bound, target_fee, variance_grid, curve)
-
-
-def _calibrate(pool: _WholePool, mu, bound, target_fee, variance_grid,
-               curve) -> CalibrationResult:
     check_positive(target_fee, "target_fee")
     target_fee = float(target_fee)
     if curve is None:
-        grid = np.asarray(variance_grid, dtype=np.float64)
-        curve = FeeCurve(mu, bound, grid, pool.fees(mu, bound, grid))
-    grid, fees = curve.variance_grid, curve.fees
+        curve = fee_curve(pool_config, prices, mu, bound, variance_grid)
+    for name, same in (("mu", curve.mu == mu), ("bound", curve.bound == bound),
+                       ("variance_grid", np.array_equal(curve.variance_grid, variance_grid))):
+        if not same:
+            raise ValueError(f"the curve was made at another {name} than the one given")
+    grid, fees, v = curve.variance_grid, curve.fees, curve.bucket_volume
     if len(grid) < 2:
         raise ValueError("variance grid needs at least two points")
 
@@ -234,9 +223,11 @@ def _calibrate(pool: _WholePool, mu, bound, target_fee, variance_grid,
     lo, hi, lo_above = grid[k - 1], grid[k], fees[k - 1] > target_fee
     best_v, best_fee = (lo, fees[k - 1]) \
         if abs(fees[k - 1] - target_fee) <= abs(fees[k] - target_fee) else (hi, fees[k])
+    if v is None:  # a curve of given fees: the bisection needs the travel pass
+        v = _bucket_volume(pool_config, prices)
     for iterations in range(1, _MAX_BISECTIONS + 1):
         mid = 0.5 * (lo + hi)
-        fee_mid = pool.fees(mu, bound, [mid])[0]
+        fee_mid = _fees(pool_config, v, mu, bound, [mid])[0]
         if abs(fee_mid - target_fee) < abs(best_fee - target_fee):
             best_v, best_fee = mid, fee_mid
         if rel(fee_mid) < _REL_TOL:

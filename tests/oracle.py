@@ -34,7 +34,8 @@ import numpy as np
 from clmm_backtest import prices as price_io
 from clmm_backtest.allocation import band_weights, deploy
 from clmm_backtest.bucketing import BucketPartition, EpochPlan
-from clmm_backtest.calibration import CalibrationResult, _calibrate, _WholePool
+from clmm_backtest import calibration
+from clmm_backtest.calibration import CalibrationResult, FeeCurve, calibrate_variance
 from clmm_backtest import engine
 from clmm_backtest.errors import CalibrationUnreachableError
 from clmm_backtest.engine import (_LIQ_EQUAL_RTOL, FeeLedger, GasBreakdown, GasParams,
@@ -472,12 +473,16 @@ def calibrate_over_mu(pool_config, prices, mu_values, bound: float, target_fee: 
     unreachable the last such error is re-raised.  One travel pass over the
     series serves every mu.
     """
-    pool = _WholePool(pool_config, prices)
+    grid = np.asarray(variance_grid, dtype=np.float64)
+    v = None
     best = None
     last_err = None
-    for mu in mu_values:
+    for mu in map(float, mu_values):
+        if v is None:
+            v = calibration._bucket_volume(pool_config, prices)
+        curve = FeeCurve(mu, bound, grid, calibration._fees(pool_config, v, mu, bound, grid), v)
         try:
-            res = _calibrate(pool, float(mu), bound, target_fee, variance_grid, None)
+            res = calibrate_variance(pool_config, prices, mu, bound, target_fee, grid, curve)
         except CalibrationUnreachableError as err:
             last_err = err
             continue

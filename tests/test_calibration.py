@@ -154,6 +154,40 @@ class TestCalibrateVariance:
         with pytest.raises(ValueError):
             calibrate_variance(cfg, None, 0.0, 3.0, 99.0, grid, curve=curve)
 
+    def test_curve_made_at_other_arguments_is_refused_by_name(self):
+        # scanning the mu=0 curve for a target made at mu=0.6 would report
+        # the target unreachable, though without the curve it converges
+        prices = oscillating_prices(n=1200)
+        cfg = pool_config(PART40)
+        target = whole_pool_fee(cfg, prices, mu=0.6, variance=0.5)
+        grid = np.linspace(0.05, 2.0, 24)
+        assert calibrate_variance(cfg, prices, 0.6, 3.0, target, grid).converged
+        curve = fee_curve(cfg, prices, 0.0, 3.0, grid)
+        for name, mu, bound, g in (("mu", 0.6, 3.0, grid), ("bound", 0.0, 2.5, grid),
+                                   ("variance_grid", 0.0, 3.0, grid[:-1])):
+            with pytest.raises(ValueError, match=f"another {name} ") as exc:
+                calibrate_variance(cfg, prices, mu, bound, target, g, curve=curve)
+            assert not isinstance(exc.value, CalibrationUnreachableError)
+
+    def test_curve_from_equal_prices_lends_its_travel_pass(self, monkeypatch):
+        prices = oscillating_prices(n=1200)
+        cfg = pool_config(PART40)
+        grid = np.linspace(0.05, 2.0, 24)
+        target = whole_pool_fee(cfg, prices, mu=0.6, variance=0.5)
+        passes = []
+        travel = calibration._bucket_volume
+        monkeypatch.setattr(calibration, "_bucket_volume",
+                            lambda *args: passes.append(args) or travel(*args))
+        curve = fee_curve(cfg, prices.copy(), 0.6, 3.0, grid)
+        res = calibrate_variance(cfg, prices, 0.6, 3.0, target, grid, curve=curve)
+        assert res.iterations > 0
+        assert len(passes) == 1
+        assert not curve.bucket_volume.flags.writeable
+        # a curve of given fees has no vector: its bisection makes the pass
+        bare = FeeCurve(0.6, 3.0, grid, curve.fees)
+        assert calibrate_variance(cfg, prices, 0.6, 3.0, target, grid, curve=bare) == res
+        assert len(passes) == 2
+
     def test_fees_past_1e154_bisect_as_at_any_scale(self):
         # the fee is linear in the capital; the scan and the bisection
         # compare signs, so a product of two differences cannot overflow
