@@ -23,17 +23,21 @@ at a time through a lookup table, masks turn unused slots into NULs, and
 dropping the NULs from the chunk's bytes leaves the CSV text.
 
 Reading.  ``parse_columns`` reads a price file's body once, in blocks of
-64 KiB, each cut after its last newline, finds the separators by byte
-comparison and checks that every row is clean (see ``prices``).  Each cell's digits
-are read as little-endian ``uint64`` words from a stride-1 view of the
-block and combined eight at a time within the word (SWAR).  A price with
-significand w < 10**19 and f fraction digits becomes the float64 nearest
-w 10**-f by Eisel-Lemire (D. Lemire, "Number Parsing at a Gigabyte per
-Second", Software: Practice and Experience, 2021): one 64 x 128-bit product
-with a truncated power of five, from a 20-row table built at import from
-Python ints.  For significands below 2**64 the product is always precise
-enough, so no fallback is needed (N. Mushtak and D. Lemire, "Fast Number
-Parsing Without Fallback", Software: Practice and Experience, 2023).
+64 KiB, each cut after its last newline, and checks that every row is clean
+(see ``prices``).  Byte comparisons find the newlines, the points and, for
+two columns, the commas; one count of the bytes that are no digit proves
+that there is nothing else but CRs before newlines.  Each point finds its
+row by a search of the newlines and must lie in that row's price cell, at
+most one to a row.  Each cell's digits are read as little-endian ``uint64``
+words from a stride-1 view of the block and combined eight at a time within
+the word (SWAR).  A price with significand w < 10**19 and f fraction digits
+becomes the float64 nearest w 10**-f by Eisel-Lemire (D. Lemire, "Number
+Parsing at a Gigabyte per Second", Software: Practice and Experience,
+2021): one 64 x 128-bit product with a truncated power of five, from a
+20-row table built at import from Python ints.  For significands below
+2**64 the product is always precise enough, so no fallback is needed (N.
+Mushtak and D. Lemire, "Fast Number Parsing Without Fallback", Software:
+Practice and Experience, 2023).
 
 Nothing here depends on numpy's promotion rules for Python scalars (NEP 50):
 ``uint64`` words only ever meet ``uint64`` scalars and arrays, and signed
@@ -322,8 +326,10 @@ _ZERO, _NINE = np.uint8(ord("0")), np.uint8(9)
 _DIGIT_MASKS = np.array([[(0x0F0F0F0F0F0F0F0F << 8 * (8 - min(max(n - 8 * j, 0), 8)))
                           & 0xFFFFFFFFFFFFFFFF for n in range(20)] for j in range(3)], _U)
 _WORD_ENDS = np.array([8, 16, 24], dtype=np.intp)   # word j starts 8 (j + 1) bytes back
-_SWAR_STEPS = ((_U(8), _TEN, _U(0x00FF00FF00FF00FF)), (_U(16), _U(100), _U(0x0000FFFF0000FFFF)),
-               (_32, _TEN4, _LOW32))
+# SWAR steps (shift, s 2**shift + 1, lanes kept) for lane scales s = 10, 100, 10**4
+_SWAR_STEPS = ((_U(8), _U(10 << 8 | 1), _U(0x00FF00FF00FF00FF)),
+               (_U(16), _U(100 << 16 | 1), _U(0x0000FFFF0000FFFF)),
+               (_32, _U(10_000 << 32 | 1), _LOW32))
 _TEN8 = _U(10 ** 8)
 # a block's working arrays take about ten times its bytes: at 64 KiB a load
 # peaks near the size of the columns it fills
@@ -363,11 +369,12 @@ def _digit_values(words, end, length):
         return np.zeros(len(end), dtype=_U)
     w = words[end - _WORD_ENDS[:k, None]]       # (k, rows): word j ends 8 j bytes back
     w &= np.take(_DIGIT_MASKS[:k], length, axis=1)
-    # SWAR: digit pairs in 16-bit lanes, then fours in 32-bit lanes, then eight
+    # SWAR: digit pairs in 16-bit lanes, then fours in 32-bit lanes, then
+    # eight; one product adds each lane times s to the lane above it and the
+    # shift moves the sums down (fast_float's eight-digit parse)
     for shift, scale, lanes in _SWAR_STEPS:
-        low = w >> shift
         w *= scale
-        w += low
+        w >>= shift
         w &= lanes
     v = w[k - 1]
     for j in range(k - 2, -1, -1):
@@ -412,19 +419,18 @@ def _parse_block(block, price_col, ts_col):
     """(prices, timestamps) of one block of clean rows after ``_PAD`` digits,
     or None if any row is not clean."""
     u = np.frombuffer(block, dtype=np.uint8)
-    at = np.flatnonzero(u - _ZERO > _NINE)      # every byte that is no digit
-    sep = u[at]
-    is_nl = sep == _NL
-    nl, cr = at[is_nl], at[sep == _CR]
-    is_dot = sep == _DOT
-    commas, dots = at[sep == _COMMA], at[is_dot]
+    nl, dots = np.flatnonzero(u == _NL), np.flatnonzero(u == _DOT)
+    commas = np.flatnonzero(u == _COMMA) if ts_col is not None else ()
     if (not len(nl) or nl[-1] != len(u) - 1
-            or len(nl) + len(cr) + len(commas) + len(dots) != len(at)
-            or len(commas) != (len(nl) if ts_col is not None else 0)
-            or (u[cr + 1] != _NL).any()):
+            or (ts_col is not None and len(commas) != len(nl))):
+        return None
+    is_cr = u[nl - 1] == _CR
+    end = nl - is_cr
+    # every byte is a digit but the separators found, and CRs before a newline
+    if np.count_nonzero(u - _ZERO > _NINE) \
+            != len(nl) + len(dots) + len(commas) + np.count_nonzero(is_cr):
         return None
     start = np.concatenate(([_PAD], nl[:-1] + 1))
-    end = nl - (u[nl - 1] == _CR)
     if ts_col is None:
         price_start, price_end = start, end
     elif price_col == 0:
@@ -432,12 +438,11 @@ def _parse_block(block, price_col, ts_col):
     else:
         ts_start, ts_end, price_start, price_end = start, commas, commas + 1, end
     point = price_end.copy()
-    if len(dots):
-        row = np.cumsum(is_nl)[is_dot]         # newlines before each point
-        if ((row[1:] <= row[:-1]).any() or (dots < price_start[row]).any()
-                or (dots >= price_end[row]).any()):
-            return None
-        point[row] = dots
+    row = nl.searchsorted(dots)                 # newlines before each point
+    if ((row[1:] <= row[:-1]).any() or (dots < price_start[row]).any()
+            or (dots >= price_end[row]).any()):
+        return None
+    point[row] = dots
     int_len = point - price_start
     frac_len = price_end - point - (point < price_end)
     digits = int_len + frac_len

@@ -59,12 +59,7 @@ class AllocationWeights:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or len(w) == 0:
             raise ConfigError("weights must be a non-empty 1-d vector", key="weights")
-        if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-            raise ConfigError("weights must be finite and non-negative", key="weights")
-        total = float(w.sum())
-        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-            raise ConfigError(f"weights must sum to 1, got {total}", key="weights")
-        object.__setattr__(self, "weights", w / total)
+        object.__setattr__(self, "weights", renormalised(w))
 
     def active_buckets(self) -> np.ndarray:
         """1-based indices of buckets carrying positive weight."""
@@ -129,21 +124,41 @@ def band_weights(partition: BucketPartition, benchmarks, tau: int, seed=None,
     return offsets, w
 
 
-def normal_profile_weights(partition: BucketPartition,
-                           params: ProfileParams) -> AllocationWeights:
-    """Bell-curve weights over the whole partition.
+def renormalised(w: np.ndarray) -> np.ndarray:
+    """Weight rows (the last axis) over their sums, as ``AllocationWeights``
+    holds them; ConfigError under ``weights`` unless every row is finite,
+    non-negative and sums to one."""
+    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
+        raise ConfigError("weights must be finite and non-negative", key="weights")
+    total = w.sum(axis=-1, keepdims=True)
+    off = np.abs(total - 1.0) > _WEIGHT_SUM_TOL
+    if off.any():
+        raise ConfigError(f"weights must sum to 1, got {float(total[off][0])}", key="weights")
+    return w / total
+
+
+def normal_profile_table(partition: BucketPartition, mu: float, variances,
+                         bound: float) -> np.ndarray:
+    """Bell-curve weights over the whole partition, one row per variance.
 
     Each bucket midpoint is mapped onto [-bound, +bound] and weighted by
     the unnormalised normal density exp(-(u - mu)^2 / (2 * variance));
-    weights are then normalised over all n buckets.  Large variance
-    flattens the profile towards uniform.
+    each row is then normalised over all n buckets.  Large variance
+    flattens the profile towards uniform.  mu, bound and each variance are
+    values ``ProfileParams`` admits; callers check them there.
     """
     mids = 0.5 * (partition.edges[:-1] + partition.edges[1:])
-    u = -params.bound + 2.0 * params.bound * (mids - partition.lower) \
-        / (partition.upper - partition.lower)
-    z = -((u - params.mu) ** 2) / (2.0 * params.variance)
-    w = np.exp(z - z.max())  # shift so the peak never underflows
-    return AllocationWeights(w / w.sum())
+    u = -bound + 2.0 * bound * (mids - partition.lower) / (partition.upper - partition.lower)
+    z = -((u - mu) ** 2) / (2.0 * np.asarray(variances, dtype=np.float64)[:, None])
+    w = np.exp(z - z.max(axis=1, keepdims=True))  # shift so the peak never underflows
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def normal_profile_weights(partition: BucketPartition,
+                           params: ProfileParams) -> AllocationWeights:
+    """``normal_profile_table``'s weights at one profile."""
+    return AllocationWeights(normal_profile_table(partition, params.mu, [params.variance],
+                                                  params.bound)[0])
 
 
 def custom_weights(partition: BucketPartition, weights) -> AllocationWeights:

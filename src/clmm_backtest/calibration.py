@@ -10,10 +10,12 @@ token A, so with U_b,i the upward travel of c through bucket i and U_a,i
 the travel of 1/c through it on down-moves, the volume (token A at the
 last price p_end) is C (w . v), v_i = l_i (U_b,i + p_end U_a,i), capped
 like ``run_backtest``'s ledger, and the fee is the fee rate times that.
-One O(m + n) pass gives v: ``np.bincount`` adds each step's overlaps
-[a, b] with its end buckets (b - a, or (b - a) / (a b) for 1/c, exact to
-a few ulps of the step), and a difference array counts the buckets
-crossed whole.
+One O(m + n) pass gives v: ``np.bincount`` adds each step's overlap
+[a, b] with its lower end bucket (b - a, or (b - a) / (a b) for 1/c, exact
+to a few ulps of the step).  Only the steps that leave their bucket, about
+1% of a minute walk's over 100 buckets, add a second overlap with the
+upper end bucket, and a difference array counts the buckets they cross
+whole.
 
 Fixing the profile centre mu, the fee is evaluated on an ascending
 variance grid and the smallest variance whose fee crosses the target is
@@ -28,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .allocation import ProfileParams, deploy, normal_profile_weights
+from .allocation import ProfileParams, deploy, normal_profile_table, renormalised
 from .bucketing import check_positive
 from .engine import _BLOCK_ROWS, BacktestConfig, checked_prices
 from .errors import CalibrationUnreachableError, DataError
@@ -37,9 +39,11 @@ _REL_TOL = 1e-3
 _MAX_BISECTIONS = 60
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeeCurve:
-    """Modelled fee total as a function of profile variance, mu fixed."""
+    """Modelled fee total as a function of profile variance, mu fixed; the
+    grid and fees are held as float64 vectors.  Curves compare and hash by
+    identity, as their array fields have no single truth value."""
 
     mu: float
     bound: float
@@ -56,6 +60,8 @@ class FeeCurve:
             raise ValueError("variance grid must be positive and strictly ascending")
         if not np.all(np.isfinite(f)) or np.any(f < 0.0):
             raise ValueError("fee curve values must be finite and non-negative")
+        object.__setattr__(self, "variance_grid", g)
+        object.__setattr__(self, "fees", f)
 
 
 @dataclass(frozen=True)
@@ -85,23 +91,28 @@ def _bucket_volume(pool_config: BacktestConfig, prices) -> np.ndarray:
     n, r = part.n, part.roots
     travel = np.zeros(2 * n)                            # U_b, then U_a
     crossed = np.zeros(2 * (n + 1), dtype=np.int64)     # up, then down
+    buckets = part.bucket_column(clamped)
     for t0 in range(0, len(p) - 1, _BLOCK_ROWS):  # bounds the temporaries
-        block = clamped[t0:t0 + _BLOCK_ROWS + 1]
-        s, k = np.sqrt(block), part.bucket_column(block).astype(np.intp)
+        s = np.sqrt(clamped[t0:t0 + _BLOCK_ROWS + 1])
+        k = buckets[t0:t0 + _BLOCK_ROWS + 1].astype(np.intp)
         down = s[1:] < s[:-1]
         lo, hi = np.minimum(s[:-1], s[1:]), np.maximum(s[:-1], s[1:])
-        k_lo, k_hi = np.minimum(k[:-1], k[1:]), np.maximum(k[:-1], k[1:])
-        # overlaps [lo, mid] in k_lo and [top, hi] in k_hi, empty if k_hi == k_lo
-        mid = np.minimum(hi, r[k_lo + 1])
-        top = np.maximum(r[k_hi], mid)
-        for k_end, a, b in ((k_lo, lo, mid), (k_hi, top, hi)):
+        k_lo = np.minimum(k[:-1], k[1:])
+        # overlaps [lo, mid] in k_lo and [top, hi] in k_hi; a step that stays
+        # in its bucket has mid = hi, and its empty [hi, hi] would add +0.0
+        at = np.flatnonzero(k[1:] != k[:-1])
+        k_hi, hi_at, down_at = np.maximum(k[at], k[at + 1]), hi[at], down[at]
+        mid = hi.copy()
+        mid[at] = np.minimum(hi_at, r[k_lo[at] + 1])
+        top = np.maximum(r[k_hi], mid[at])
+        for k_end, a, b, dn in ((k_lo, lo, mid, down), (k_hi, top, hi_at, down_at)):
             d = b - a
-            d = np.where(down, d / (a * b), d)          # 1/a - 1/b on down-moves
-            travel += np.bincount(k_end + n * down, d, minlength=2 * n)
+            d = np.where(dn, d / (a * b), d)            # 1/a - 1/b on down-moves
+            travel += np.bincount(k_end + n * dn, d, minlength=2 * n)
         # buckets k_lo + 1 .. k_hi - 1 are crossed whole
-        side = (n + 1) * down
-        crossed += np.bincount(k_lo + 1 + side, minlength=2 * (n + 1))
-        crossed -= np.bincount(np.maximum(k_hi, k_lo + 1) + side, minlength=2 * (n + 1))
+        side = (n + 1) * down_at
+        crossed += np.bincount(k_lo[at] + 1 + side, minlength=2 * (n + 1))
+        crossed -= np.bincount(k_hi + side, minlength=2 * (n + 1))
     sa, sb = r[:-1], r[1:]
     u = travel.reshape(2, n) + np.cumsum(crossed.reshape(2, n + 1)[:, :n], axis=1) \
         * [sb - sa, (sb - sa) / (sa * sb)]
@@ -113,8 +124,10 @@ def _fees(pool_config: BacktestConfig, v, mu: float, bound: float, variances) ->
     """Fee totals at one mu, one per variance; DataError if one overflows."""
     part = pool_config.partition
     grid = np.asarray(variances, dtype=np.float64).tolist()
-    w = np.reshape([normal_profile_weights(part, ProfileParams(mu, g, bound)).weights
-                    for g in grid], (-1, part.n))  # the (grid x n) weight table
+    for g in grid:
+        ProfileParams(mu, g, bound)     # names a bad value under its key
+    # the (grid x n) weight table, each row as normal_profile_weights holds it
+    w = renormalised(normal_profile_table(part, mu, grid, bound))
     # one pairwise sum per row, the same for any number of rows
     volume = pool_config.capital * (w * v).sum(axis=1)
     if pool_config.volume_cap is not None:

@@ -74,20 +74,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _BuyAndHoldColumn:
-    """The report's buy-and-hold values as a ``write_csv`` column: each
-    chunk is made from the prices' chunk, so the series is never held whole."""
+class _ChunkedColumn:
+    """A ``write_csv`` column whose chunks ``make`` builds from their row
+    slice, so that the column is never held whole."""
 
-    dtype = np.dtype(np.float64)
-
-    def __init__(self, report: BacktestReport):
-        self.prices, self.split = report.prices, report.initial_split
+    def __init__(self, dtype, length: int, make):
+        self.dtype, self.length, self.make = np.dtype(dtype), length, make
 
     def __len__(self) -> int:
-        return len(self.prices)
+        return self.length
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        return buy_and_hold(self.prices[rows], self.split)
+        return self.make(rows)
 
 
 def _write_report_files(report: BacktestReport, series: PriceSeries,
@@ -98,10 +96,13 @@ def _write_report_files(report: BacktestReport, series: PriceSeries,
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
+    n = len(series)
     t_axis = series.timestamps if series.timestamps is not None \
-        else np.arange(len(series))
+        else _ChunkedColumn(np.int64, n, lambda rows: np.arange(*rows.indices(n)))
+    bh_value = _ChunkedColumn(np.float64, n, lambda rows: buy_and_hold(
+        report.prices[rows], report.initial_split))
     write_csv(out_dir / "trajectory.csv", "t,price,lp_value,bh_value",
-              (t_axis, series.prices, report.lp_trajectory, _BuyAndHoldColumn(report)))
+              (t_axis, series.prices, report.lp_trajectory, bh_value))
 
     table = report.epoch_table
     write_csv(out_dir / "fees_by_epoch.csv", ",".join(table), table.values())

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from clmm_backtest.allocation import (AllocationWeights, ProfileParams, band_weights,
-                                      custom_weights, normal_profile_weights)
+                                      custom_weights, normal_profile_table,
+                                      normal_profile_weights, renormalised)
 from clmm_backtest.bucketing import BucketPartition
 from oracle import band_row, bucket_range, deploy_row, position_value, split_capital
 
@@ -113,6 +114,29 @@ class TestNormalProfile:
             part = BucketPartition(1.0, 11.0, n)
             w = normal_profile_weights(part, ProfileParams(mu=0.0, variance=1e6))
             assert np.max(np.abs(w.weights - 1 / n)) < 1e-3 / n
+
+    @pytest.mark.parametrize("n", [100, 3000])
+    def test_table_rows_are_the_one_profile_formula(self, n):
+        # calibration's (grid x n) table, renormalised as AllocationWeights
+        # renormalises, holds bitwise what one profile at a time gives
+        def one_profile(part, mu, variance, bound):
+            mids = 0.5 * (part.edges[:-1] + part.edges[1:])
+            u = -bound + 2.0 * bound * (mids - part.lower) / (part.upper - part.lower)
+            z = -((u - mu) ** 2) / (2.0 * variance)
+            w = np.exp(z - z.max())
+            w = w / w.sum()
+            return w / float(w.sum())
+
+        part = BucketPartition(1000.0, 4000.0, n)
+        rng = np.random.default_rng(n)
+        for mu, bound in ((0.875, 3.0), (rng.normal(0.0, 2.0), rng.uniform(0.5, 20.0))):
+            grid = np.sort(rng.uniform(1e-3, 5.0, 40))
+            table = renormalised(normal_profile_table(part, mu, grid, bound))
+            for row, g in zip(table, grid.tolist()):
+                w = one_profile(part, mu, g, bound)
+                assert row.tobytes() == w.tobytes()
+                params = ProfileParams(mu, g, bound)
+                assert normal_profile_weights(part, params).weights.tobytes() == w.tobytes()
 
     def test_tiny_variance_concentrates(self):
         part = BucketPartition(1.0, 11.0, 11)

@@ -48,6 +48,21 @@ class TestFeeCurve:
         with pytest.raises(ValueError):
             FeeCurve(0.0, 3.0, np.array([1.0, 2.0]), np.array([1.0, -2.0]))
 
+    def test_holds_lists_as_float64_vectors(self):
+        # a curve of lists scans as one of arrays: a target it does not
+        # reach is unreachable, not an AttributeError
+        curve = FeeCurve(0.0, 3.0, [0.5, 1.0], [10.0, 20.0])
+        assert curve.variance_grid.dtype == curve.fees.dtype == np.float64
+        with pytest.raises(CalibrationUnreachableError, match=r"spans \[10.0, 20.0\]"):
+            calibrate_variance(pool_config(PART40), None, 0.0, 3.0, 99.0, [0.5, 1.0],
+                               curve=curve)
+
+    def test_curves_compare_and_hash_by_identity(self):
+        grid, fees = np.array([0.5, 1.0]), np.array([10.0, 20.0])
+        a, b = FeeCurve(0.0, 3.0, grid, fees), FeeCurve(0.0, 3.0, grid, fees)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
 
 class TestWholePoolFee:
 

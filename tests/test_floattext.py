@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -263,6 +263,8 @@ def parse_both_ways(path):
 
 @settings(max_examples=60)
 @given(clean_price_files())
+@example("price\r\n2000.5\r\n.25\r\n7.\r\n")     # a point in every row
+@example("ts,price\n1,2000.5\n2,3\n3,.25\n4,7")  # and in some rows only
 def test_clean_files_parse_in_bulk_as_the_row_parser_reads_them(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("ingest") / "prices.csv"
     path.write_bytes(text.encode())

@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from clmm_backtest import calibration, config
 from clmm_backtest import prices as prices_module
 from clmm_backtest.allocation import ProfileParams
 from clmm_backtest.bucketing import BucketPartition
-from clmm_backtest.cli import main
+from clmm_backtest.cli import _write_report_files, main
 from clmm_backtest.config import load_config, parse_config
 from clmm_backtest.engine import BacktestConfig, GasParams, StrategyConfig, run_backtest
 from clmm_backtest.errors import ConfigError, DataError
@@ -238,6 +239,10 @@ class TestLoadPrices:
         ("price\n1\n" + "1" * 20 + "\n", [1.0, 1.111111111111111e19]),
         ("ts,price\n1,1\n2,2,\n", "row 2"), ("ts,price\n1,1\n2.,2\n", "row 2"),
         ("ts,price\n1,1\n" + "1" * 19 + ",2\n", [1.0, 2.0]),
+        # as many points as rows, but not one in each row's price cell; in
+        # the last two, each row's digit count alone would pass
+        ("price\n1.2.\n3\n", "row 1"), ("ts,price\n1.,2\n3,4.5\n", "row 1"),
+        ("price\n12.3.45\n6789\n", "row 1"), ("ts,price\n1.,2345\n3,4.5\n", "row 1"),
     ])
     def test_rows_that_are_not_clean_go_to_the_row_parser(self, tmp_path, text, expect):
         path = tmp_path / "p.csv"
@@ -496,22 +501,44 @@ class TestCliBacktest:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_trajectory_equals_the_materialised_columns(self, tmp_path):
-        # the write makes bh_value one 8,192-row chunk at a time; here the
-        # chunk boundaries fall inside epochs
+        # the write makes bh_value, and t for a price-only file, one
+        # 8,192-row chunk at a time; here the chunk boundaries fall inside epochs
         cfg = write(tmp_path / "run.cfg", BASE_CONFIG)
-        prices = walk_csv(tmp_path / "p.csv", seed=53, n=20_000, with_ts=True)
-        out = tmp_path / "out"
-        assert self.run_main("backtest", "--config", cfg, "--prices", prices,
-                             "--out-dir", str(out)) == 0
-        series = load_prices(prices)
-        report = run_backtest(load_config(cfg), series)
-        epochs = report.plan.epochs
-        for row in (8192, 16384):
-            assert ((epochs[:, 0] < row) & (row < epochs[:, 1])).any()
-        write_csv(tmp_path / "whole.csv", "t,price,lp_value,bh_value",
-                  (series.timestamps, series.prices, report.lp_trajectory,
-                   report.bh_trajectory))
-        assert (out / "trajectory.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        for with_ts in (True, False):
+            prices = walk_csv(tmp_path / "p.csv", seed=53, n=20_000, with_ts=with_ts)
+            out = tmp_path / f"out{with_ts}"
+            assert self.run_main("backtest", "--config", cfg, "--prices", prices,
+                                 "--out-dir", str(out)) == 0
+            series = load_prices(prices)
+            report = run_backtest(load_config(cfg), series)
+            epochs = report.plan.epochs
+            for row in (8192, 16384):
+                assert ((epochs[:, 0] < row) & (row < epochs[:, 1])).any()
+            t = series.timestamps if with_ts else np.arange(len(series))
+            write_csv(tmp_path / "whole.csv", "t,price,lp_value,bh_value",
+                      (t, series.prices, report.lp_trajectory, report.bh_trajectory))
+            assert (out / "trajectory.csv").read_bytes() == \
+                (tmp_path / "whole.csv").read_bytes()
+
+    def test_price_only_write_peak_is_one_chunk_not_the_file(self, tmp_path):
+        # t is made per chunk, as bh_value is, so a one-epoch run over ten
+        # times the rows must not raise the artifact write's peak
+        config = parse_config(BASE_CONFIG.replace("tau = 2", "tau = 30"))
+
+        def peak(rows):
+            rng = np.random.default_rng(rows)
+            series = PriceSeries(2000.0 + rng.normal(0.0, 0.4, rows).cumsum())
+            report = run_backtest(config, series)
+            assert len(report.plan) == 1
+            tracemalloc.start()
+            try:
+                _write_report_files(report, series, tmp_path / "out")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)     # builds what the writer builds once
+        assert peak(200_000) <= peak(20_000) + 0.25 * 2**20
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.cfg", BASE_CONFIG + "boguskey = 1\n")

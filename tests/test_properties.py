@@ -553,26 +553,38 @@ def test_bucket_volume_is_exact_on_narrow_buckets():
     # [2, 2.0078125] in 140 buckets, where the replay's fee is 8e-12 off the
     # exact one: each bucket's v, and the whole-pool fee, stay within one
     # ulp of the rational volume on the same floats (measured: 0.79 and
-    # 0.62 ulps), with prices on edges whose roots the lookup must place
+    # 0.62 ulps), with prices on edges whose roots the lookup must place.
+    # Only steps that leave their bucket take the second overlap and the
+    # crossed-whole count; a walk whose every step stays in bucket 70 is
+    # as close (0.59 and 0.51), and jumps of up to 114 buckets down and 93
+    # up, which sum more terms per bucket, within two (1.04 and 0.36)
     part = BucketPartition(2.0, 2.0078125, 140)
     rng = np.random.default_rng(3)
     width = (part.upper - part.lower) / part.n
-    prices = 2.00390625 + np.cumsum(rng.normal(0.0, 0.05 * width, 60))
-    prices[::7] = part.edges[60 + rng.integers(0, 20, 9)]
+    walk = 2.00390625 + np.cumsum(rng.normal(0.0, 0.05 * width, 60))
+    walk[::7] = part.edges[60 + rng.integers(0, 20, 9)]
+    still = part.edges[70] + rng.uniform(0.0, 0.9 * width, 60)
+    still[::7] = part.edges[70]
+    jumps = part.edges[rng.integers(0, 140, 60)] + rng.uniform(0.0, 0.5 * width, 60)
     config = BacktestConfig(part, 0, StrategyConfig("uniform"), 1e6, 0.003)
-    v = calibration._bucket_volume(config, prices)
-    unit = deploy(np.ones((1, part.n)), prices[:1], part.roots[None, :-1],
-                  part.roots[None, 1:])[0]
-    for i in range(part.n):
-        exact = oracle.exact_volume(part, np.where(np.arange(part.n) == i, unit, 0.0), prices)
-        assert abs(Fraction(float(v[i])) - exact) <= EPS * exact
-    assert np.count_nonzero(v) > 10
-    profile = ProfileParams(0.0, 0.01)
-    liq = oracle.deploy_row(part, normal_profile_weights(part, profile).weights,
-                            config.capital, prices[0])
-    exact = Fraction(config.fee_rate) * oracle.exact_volume(part, liq, prices)
-    fee = whole_pool_fee(config, prices, profile.mu, profile.variance)
-    assert abs(Fraction(fee) - exact) <= EPS * exact
+    for prices, reach, ulps in ((walk, 5, 1), (still, 0, 1), (jumps, 50, 2)):
+        step = np.diff(part.bucket_column(prices).astype(int))
+        assert step.min() <= -reach and step.max() >= reach     # buckets down and up
+        assert reach or not step.any()
+        v = calibration._bucket_volume(config, prices)
+        unit = deploy(np.ones((1, part.n)), prices[:1], part.roots[None, :-1],
+                      part.roots[None, 1:])[0]
+        for i in range(part.n):
+            exact = oracle.exact_volume(part, np.where(np.arange(part.n) == i, unit, 0.0),
+                                        prices)
+            assert abs(Fraction(float(v[i])) - exact) <= ulps * EPS * exact
+        assert (np.count_nonzero(v) > 10) == (reach > 0)
+        profile = ProfileParams(0.0, 0.01)
+        liq = oracle.deploy_row(part, normal_profile_weights(part, profile).weights,
+                                config.capital, prices[0])
+        exact = Fraction(config.fee_rate) * oracle.exact_volume(part, liq, prices)
+        fee = whole_pool_fee(config, prices, profile.mu, profile.variance)
+        assert abs(Fraction(fee) - exact) <= ulps * EPS * exact
 
 
 @settings(max_examples=60)
