@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 from math import isfinite
 from pathlib import Path
 
@@ -88,33 +89,54 @@ class _ChunkedColumn:
         return self.make(rows)
 
 
+@contextmanager
+def _writing(path: Path):
+    """Runs the block that makes or writes ``path``: an OSError there is a
+    DataError naming it, which exits 3 as an unreadable price file does."""
+    try:
+        yield
+    except OSError as err:
+        raise DataError(f"cannot write {path}: {err.strerror or err}") from None
+
+
+def _make_dir(out_dir: Path) -> None:
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+
+
+def _write_json(path: Path, obj) -> None:
+    with _writing(path), open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_csv(path: Path, header: str, columns) -> None:
+    with _writing(path):
+        write_csv(path, header, columns)
+
+
 def _write_report_files(report: BacktestReport, series: PriceSeries,
                         out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    with open(out_dir / "report.json", "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _make_dir(out_dir)
+    _write_json(out_dir / "report.json", report.to_dict())
 
     n = len(series)
     t_axis = series.timestamps if series.timestamps is not None \
         else _ChunkedColumn(np.int64, n, lambda rows: np.arange(*rows.indices(n)))
     bh_value = _ChunkedColumn(np.float64, n, lambda rows: buy_and_hold(
         report.prices[rows], report.initial_split))
-    write_csv(out_dir / "trajectory.csv", "t,price,lp_value,bh_value",
-              (t_axis, series.prices, report.lp_trajectory, bh_value))
+    _write_csv(out_dir / "trajectory.csv", "t,price,lp_value,bh_value",
+               (t_axis, series.prices, report.lp_trajectory, bh_value))
 
     table = report.epoch_table
-    write_csv(out_dir / "fees_by_epoch.csv", ",".join(table), table.values())
+    _write_csv(out_dir / "fees_by_epoch.csv", ",".join(table), table.values())
 
     # the table's plan columns (epoch, start, end, benchmark_bucket), then
     # each epoch's deployment
     columns = dict([*table.items()][:4], anchor_price=series.prices[table["start"]],
                    deployed_capital=report.epoch_capital, active_buckets=report.epoch_active)
-    summary = {"series_length": len(series), "epochs": table_rows(columns)}
-    with open(out_dir / "states_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "states_summary.json",
+                {"series_length": len(series), "epochs": table_rows(columns)})
 
 
 def cmd_backtest(args) -> int:
@@ -167,15 +189,13 @@ def cmd_calibrate(args) -> int:
     series = load_prices(args.prices)
     curve = fee_curve(config, series, mu, bound, grid)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / "fee_curve.csv", "variance,model_fee",
-              (curve.variance_grid, curve.fees))
+    _make_dir(out_dir)
+    _write_csv(out_dir / "fee_curve.csv", "variance,model_fee",
+               (curve.variance_grid, curve.fees))
 
     result = calibrate_variance(config, series, mu, bound, args.target_fee,
                                 grid, curve=curve)
-    with open(out_dir / "calibration.json", "w") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "calibration.json", result.to_dict())
     print(f"calibrate: mu {result.mu:.6g}, variance {result.variance:.6g}, "
           f"model fee {result.model_fee:.6g} vs target {result.target_fee:.6g} "
           f"(rel err {result.relative_error:.3e}) -> {args.out_dir}")

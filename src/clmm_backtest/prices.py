@@ -17,7 +17,7 @@ index, as in ``row 8: price 0.0 at index 7 is not a positive finite
 number``.
 
 Loading decides the layout from the first non-blank row, then reads the
-rest of the file as bytes with ``_floattext``'s bulk parser if every row is
+rest of the file as bytes with ``_floatread``'s bulk parser if every row is
 clean:
 
   * each row ends in LF or CR LF (the last row may end in neither);
@@ -35,9 +35,11 @@ the file is parsed once: a clean file that breaks a series rule gets
 
 ``write_csv`` emits ints as digits and floats as shortest round-trip text,
 so a load/write/load cycle reproduces the series bit for bit.  Its bytes
-are those of ``repr`` on every cell, made in bulk by ``_floattext``
-(Dragonbox digits, one cell layout for every float); it writes signed-integer
-and float columns only.
+are those of ``repr`` on every cell: a table of fewer than 256 rows is
+written with ``repr`` itself, a longer one in bulk by ``_floattext``
+(Dragonbox digits, one cell layout for every float).  It writes
+signed-integer and float columns only.  Each text module is imported on
+first use, so a command loads only the one its data needs.
 """
 
 from __future__ import annotations
@@ -55,6 +57,11 @@ _INT64 = np.iinfo(np.int64)
 # rows formatted per write: bounds the text held in memory at once, and
 # keeps the formatter's working arrays in cache
 _WRITE_CHUNK_ROWS = 1 << 13
+# shorter tables are written with repr: the bulk formatter's fixed cost per
+# chunk (a few hundred numpy calls) outweighs repr's per-cell cost below
+# about 300-400 rows, at 2 and at 11 columns (at 256 rows, warm, on a 2-vCPU
+# VM: 0.33 and 1.15 ms with repr, 0.54 and 1.43 ms in bulk)
+_REPR_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -187,7 +194,7 @@ def _parse_bulk(fh, layout: _Layout):
     """
     # imported on the first load, so that runs which read no CSV do not load
     # the parser and its tables
-    from ._floattext import parse_columns
+    from ._floatread import parse_columns
     if layout.start >> 64:
         return None     # a text position that holds decoder state, not a byte offset
     fh.buffer.seek(layout.start)
@@ -230,18 +237,27 @@ def write_csv(path, header: str, columns) -> None:
     Cells are the ``repr`` of each value as a Python scalar: integers as
     digits, floats as shortest round-trip text, so reading a written float
     back reproduces it bit for bit.  Columns are signed integers or floats
-    of at most 8 bytes, formatted in bulk with numpy integer arithmetic; any
-    other dtype is a TypeError.  Rows are formatted in chunks of 8,192, never
-    as one string for the whole file, and written as bytes in binary mode,
-    UTF-8 for the header.  A column with a ``dtype`` is used as it is, only
-    its length and its row slices read, so it may make each chunk on demand.
+    of at most 8 bytes; any other dtype is a TypeError, raised before the
+    file is opened.  A table of fewer than ``_REPR_ROWS`` rows is written
+    with ``repr`` itself; a longer one is formatted in bulk with numpy
+    integer arithmetic, in chunks of 8,192 rows, never as one string for the
+    whole file.  The file is written as bytes in binary mode, UTF-8 for the
+    header.  A column with a ``dtype`` is used as it is, only its length and
+    its row slices read, so it may make each chunk on demand.
     """
-    # imported on the first write, so that runs which write no CSV do not
-    # load the formatter and its tables
-    from ._floattext import csv_text
-    text = csv_text([c if hasattr(c, "dtype") else np.asarray(c) for c in columns],
-                    _WRITE_CHUNK_ROWS)
-    first = next(text)  # refuses a column before the file is truncated
+    columns = [c if hasattr(c, "dtype") else np.asarray(c) for c in columns]
+    for c in columns:
+        if not (c.dtype.kind == "i" or c.dtype.kind == "f" and c.dtype.itemsize <= 8):
+            raise TypeError(f"cannot write a {c.dtype} column as CSV text")
+    rows = len(columns[0])
+    if rows < _REPR_ROWS:
+        cells = (map(repr, c[:rows].tolist()) for c in columns)
+        text = ["".join("\n" + ",".join(row) for row in zip(*cells)).encode(), b"\n"]
+    else:
+        # imported for the first long table, so that runs which write none do
+        # not load the formatter and its tables
+        from ._floattext import csv_text
+        text = csv_text(columns, _WRITE_CHUNK_ROWS)
     with open(path, "wb") as fh:
-        fh.writelines((header.encode(), first))
+        fh.write(header.encode())
         fh.writelines(text)

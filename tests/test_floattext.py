@@ -1,14 +1,18 @@
-"""The bulk CSV formatter against the ``repr`` row writer, and the bulk
-CSV parser against ``float`` and the row parser.
+"""The bulk CSV formatter (``_floattext``) against the ``repr`` row writer,
+and the bulk CSV parser (``_floatread``) against ``float`` and the row
+parser.
 
-``prices.write_csv`` must write exactly the bytes of ``oracle.write_csv``,
+The bulk formatter must write exactly the bytes of ``oracle.write_csv``,
 which calls ``repr`` on every cell.  Columns are tiled from a few drawn
 values, so that they can straddle the writer's chunk seams while cases
 stay shrinkable, and cells that ``repr`` writes itself sit on both sides
-of every seam.  Reading, every clean file must parse in bulk to exactly
-the row parser's columns, with rows tiled across the parser's block seams
-in the same way, and each decimal must become the float ``float`` makes
-of it, decimal ties included.  The bulk parser reads a body once.
+of every seam.  Short tables go to ``csv_text`` directly, as
+``prices.write_csv`` writes them with ``repr``; ``write_csv`` must match
+the oracle on both sides of the row count where it switches.  Reading,
+every clean file must parse in bulk to exactly the row parser's columns,
+with rows tiled across the parser's block seams in the same way, and each
+decimal must become the float ``float`` makes of it, decimal ties
+included.  The bulk parser reads a body once.
 """
 
 import io
@@ -24,10 +28,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from clmm_backtest import _floattext, prices
+from clmm_backtest import _floatread, _floattext, prices
+from clmm_backtest.cli import _ChunkedColumn
 from clmm_backtest.prices import load_prices, write_csv
 
 CHUNK = prices._WRITE_CHUNK_ROWS
+REPR_ROWS = prices._REPR_ROWS
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
 
 
@@ -70,11 +76,16 @@ def tables(draw):
     return ints, floats, floats[::-1].copy()
 
 
+def bulk_csv(path, header, columns):
+    """What ``write_csv`` writes through the bulk formatter, at any length."""
+    path.write_bytes(header.encode() + b"".join(_floattext.csv_text(list(columns), CHUNK)))
+
+
 @settings(max_examples=150)
 @given(tables())
 def test_write_csv_matches_the_repr_writer(tmp_path_factory, columns):
     out = tmp_path_factory.mktemp("csv")
-    write_csv(out / "bulk.csv", "t,a,b", columns)
+    bulk_csv(out / "bulk.csv", "t,a,b", columns)
     oracle.write_csv(out / "repr.csv", "t,a,b", columns)
     assert (out / "bulk.csv").read_bytes() == (out / "repr.csv").read_bytes()
 
@@ -128,7 +139,7 @@ def test_digit_core_keeps_to_integer_dtypes(tmp_path, monkeypatch):
     monkeypatch.setattr(_floattext, "_put_digits",
                         lambda v, counts, words: seen.append(v.dtype) or put(v, counts, words))
     ints = np.resize(np.array([INT64_MIN, INT64_MAX, 2**53 + 1, -7, 0], dtype=np.int64), len(x))
-    write_csv(tmp_path / "w.csv", "t,x", (ints, x))
+    bulk_csv(tmp_path / "w.csv", "t,x", (ints, x))
     assert set(seen) == {np.dtype(np.uint64)}
     oracle.write_csv(tmp_path / "r.csv", "t,x", (ints, x))
     assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
@@ -149,22 +160,28 @@ def test_write_peak_is_one_chunk_not_the_file(tmp_path):
         finally:
             tracemalloc.stop()
 
-    peak(100)     # builds what the writer builds once
+    peak(1_000)   # builds what the bulk writer builds once
     assert peak(200_000) <= peak(20_000) + 0.25 * 2**20
+
+
+# dtypes no caller writes: bools, unsigned integers, objects, strings, complex
+# numbers and long doubles
+REFUSED = (np.array([True, False]), np.array([2**64 - 1, 0], dtype=np.uint64),
+           np.array([2**64, 5], dtype=object), np.array(["a", "é"]),
+           np.array([1 + 2j, 0]), np.array([0.5, 2.0], dtype=np.longdouble))
 
 
 def test_other_dtypes_match_the_repr_writer(tmp_path):
     # narrower ints and floats take the bulk path after widening
     columns = (np.array([-7, 0, 2**31 - 1], dtype=np.int32),
                np.array([0.1, -2.5, 1e-30], dtype=np.float32))
-    write_csv(tmp_path / "w.csv", "a,b", columns)
+    bulk_csv(tmp_path / "w.csv", "a,b", columns)
     oracle.write_csv(tmp_path / "r.csv", "a,b", columns)
     assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
-    # no caller writes bools, unsigned integers, objects or strings
-    for bad in (np.array([True, False]), np.array([2**64 - 1, 0], dtype=np.uint64),
-                np.array([2**64, 5], dtype=object), np.array(["a", "é"])):
+    for bad in REFUSED:
         with pytest.raises(TypeError, match=str(bad.dtype)):
-            b"".join(_floattext.csv_text([np.arange(2), bad], 8))
+            write_csv(tmp_path / "bad.csv", "a,b", (np.arange(2), bad))
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_refused_column_leaves_the_file_as_it_was(tmp_path):
@@ -173,6 +190,38 @@ def test_refused_column_leaves_the_file_as_it_was(tmp_path):
     with pytest.raises(TypeError, match="bool"):
         write_csv(path, "a,b", (np.arange(3), np.array([True, False, True])))
     assert path.read_bytes() == b"t,x\n1,2.5\n"
+
+
+@pytest.mark.parametrize("rows", [REPR_ROWS - 1, REPR_ROWS, REPR_ROWS + 1])
+def test_write_csv_matches_the_repr_writer_at_the_row_constant(tmp_path, monkeypatch, rows):
+    # shorter tables are written with repr, the rest in bulk: both ways give
+    # the oracle's bytes for the fixed texts, the extremes and narrow dtypes
+    floats = np.resize([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16,
+                        9.999999999999999e-05, 0.1, -2000.5], rows)
+    columns = (np.resize(np.array([INT64_MIN, INT64_MAX, 0, -7], dtype=np.int64), rows),
+               floats, np.resize(np.array([-2**31, 2**31 - 1, 5], dtype=np.int32), rows),
+               np.resize(np.array([0.1, -2.5, 1e-30, np.nan, -np.inf], dtype=np.float32), rows))
+    chunked = _ChunkedColumn(np.float64, rows, lambda s: -floats[s])
+    header = "i64,f64,i32,f32,made"
+    calls, csv_text = [], _floattext.csv_text
+    monkeypatch.setattr(_floattext, "csv_text", lambda *a: calls.append(a) or csv_text(*a))
+    write_csv(tmp_path / "w.csv", header, (*columns, chunked))
+    assert len(calls) == (rows >= REPR_ROWS)
+    oracle.write_csv(tmp_path / "r.csv", header, (*columns, -floats))
+    assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
+    # a refused column is refused before the file is touched, either way
+    path = tmp_path / "keep.csv"
+    path.write_bytes(b"t,x\n1,2.5\n")
+    with pytest.raises(TypeError, match="uint64"):
+        write_csv(path, header + ",u", (*columns, chunked, np.arange(rows, dtype=np.uint64)))
+    assert path.read_bytes() == b"t,x\n1,2.5\n"
+
+
+def test_an_empty_table_is_its_header_line(tmp_path):
+    columns = (np.empty(0, dtype=np.int64), np.empty(0))
+    write_csv(tmp_path / "w.csv", "t,x", columns)
+    bulk_csv(tmp_path / "b.csv", "t,x", columns)
+    assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "b.csv").read_bytes() == b"t,x\n"
 
 
 def tie(e, m, nudge):
@@ -202,7 +251,7 @@ repr_pairs = st.floats(1e-3, 1e16, exclude_max=True).map(repr).filter(
                 min_size=1, max_size=40))
 def test_decimal_to_float_rounds_as_float_does(pairs):
     w, f = zip(*pairs)
-    got = _floattext.decimal_to_float(np.array(w, dtype=np.uint64), np.array(f, dtype=np.intp))
+    got = _floatread.decimal_to_float(np.array(w, dtype=np.uint64), np.array(f, dtype=np.intp))
     assert got.tolist() == [float(f"{a}e-{b}") for a, b in pairs]
 
 
@@ -240,7 +289,7 @@ def clean_price_files(draw):
             "price,ts": [f"{p},{t}" for t, p in pairs]}.get(layout, prices)
     seams = draw(st.sampled_from([0, 1, 2]))
     if seams:   # rows until the body passes the seam by a few bytes either way
-        target = seams * _floattext._BLOCK_BYTES + draw(st.integers(-60, 60))
+        target = seams * _floatread._BLOCK_BYTES + draw(st.integers(-60, 60))
         n = body = 0
         while body < target:
             body += len(tile[n % len(tile)]) + len(end)
@@ -299,9 +348,9 @@ def test_bulk_path_reads_the_body_once():
     stamps = 1_672_531_200 + 60 * np.arange(12_000)
     walk = 2000.0 + rng.normal(0.0, 0.4, len(stamps)).cumsum()
     text = "".join(f"{t},{p!r}\n" for t, p in zip(stamps.tolist(), walk.tolist()))
-    assert len(text) > 3 * _floattext._BLOCK_BYTES
+    assert len(text) > 3 * _floatread._BLOCK_BYTES
     raw = CountingBytes(text.encode())
-    bulk = _floattext.parse_columns(raw, 1, 0)
+    bulk = _floatread.parse_columns(raw, 1, 0)
     assert raw.handed == len(text)
     rows = prices._parse_rows(io.StringIO(text), prices._Layout(2, 1, 0, 0))
     assert bulk[0].tobytes() == rows[0].tobytes()
@@ -317,8 +366,8 @@ def test_parse_core_keeps_to_integer_dtypes(tmp_path, monkeypatch):
     path = tmp_path / "p.csv"
     path.write_text("ts,price\n" + "".join(f"{t},{c}\n" for t, c in zip(stamps, cells)))
     seen = []
-    to_float = _floattext.decimal_to_float
-    monkeypatch.setattr(_floattext, "decimal_to_float",
+    to_float = _floatread.decimal_to_float
+    monkeypatch.setattr(_floatread, "decimal_to_float",
                         lambda w, f: seen.append((w.dtype, w.tolist())) or to_float(w, f))
     series = load_prices(path)
     assert seen == [(np.dtype(np.uint64), [int(c.replace(".", "")) for c in cells])]

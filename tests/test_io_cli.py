@@ -4,6 +4,7 @@ import csv
 import importlib
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
@@ -999,6 +1000,61 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("backtest:")
     assert (out / "report.json").is_file()
+
+
+# --out-dir shapes that cannot be made or written: a regular file, a path
+# under one, and an artifact's name taken by a directory
+@pytest.mark.parametrize("shape,reason", [
+    ("afile", "File exists"), ("afile/sub", "Not a directory"),
+    ("out/{artifact}", "Is a directory")], ids=["file", "under_a_file", "artifact"])
+@pytest.mark.parametrize("command,artifact,extra", [
+    ("backtest", "trajectory.csv", []),
+    ("calibrate", "fee_curve.csv", ["--target-fee", "5000", "--mu", "0.0",
+                                    "--grid", "0.05:2.0:6"])], ids=["backtest", "calibrate"])
+def test_unwritable_out_dir_exits_3_with_one_line(tmp_path, capsys, shape, reason,
+                                                  command, artifact, extra):
+    cfg = write(tmp_path / "run.cfg", BASE_CONFIG)
+    prices = walk_csv(tmp_path / "p.csv", n=120)
+    (tmp_path / "afile").write_text("kept\n")
+    (tmp_path / "out" / artifact).mkdir(parents=True)
+    target = tmp_path / shape.format(artifact=artifact)
+    out = target if shape.startswith("afile") else target.parent
+    assert main([command, "--config", cfg, "--prices", prices,
+                 "--out-dir", str(out), *extra]) == 3
+    assert capsys.readouterr().err == f"error: data: cannot write {target}: {reason}\n"
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
+# what each run leaves in sys.modules, in a fresh interpreter
+LOADED_TEXT_MODULES = """
+import sys
+import numpy as np
+from clmm_backtest import cli, parse_config, run_backtest
+mode, cfg, prices, out = sys.argv[1:]
+if mode == "library":
+    run_backtest(parse_config(open(cfg).read()), np.loadtxt(prices, skiprows=1))
+else:
+    extra = ["--target-fee", "5000", "--mu", "0.0"] if mode == "calibrate" else []
+    cli.main([mode, "--config", cfg, "--prices", prices, "--out-dir", out, *extra])
+print(",".join(m for m in ("_floatread", "_floattext")
+               if "clmm_backtest." + m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("mode,loaded", [
+    ("calibrate", "_floatread"), ("backtest", "_floatread,_floattext"), ("library", "")])
+def test_each_run_loads_only_the_text_modules_its_data_needs(tmp_path, mode, loaded):
+    # calibrate writes a 40-row fee curve with repr; a backtest over more
+    # rows than the repr writer takes loads the bulk writer; a library run
+    # on an array reads and writes no text
+    cfg = write(tmp_path / "run.cfg", BASE_CONFIG)
+    prices = walk_csv(tmp_path / "p.csv", n=prices_module._REPR_ROWS + 1)
+    src = Path(importlib.util.find_spec("clmm_backtest").origin).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_TEXT_MODULES, mode, cfg, prices, str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == loaded
 
 
 # the bindings perfbench's tracer wraps for a layer that runs; a binding a
