@@ -6,9 +6,10 @@ when several qualify, and the even last digit on a tie, as ``repr`` picks
 them.  ``shortest_digits`` finds them on whole numpy columns with Dragonbox
 (J. Jeon, "Dragonbox: A New Floating-Point Binary-to-Decimal Conversion
 Algorithm", 2020), nearest-even path with kappa = 2: one 64 x 128-bit
-product per value with a power of ten from a 619-row table, in 32-bit limbs
-of ``uint64`` words (``_wide.mul64``), and a parity product for the one
-value in a hundred whose last digit a remainder cannot settle.
+product per value with a power of ten from a 619-row table (64 x 64 where
+the power's low word is 0), in 32-bit limbs of ``uint64`` words
+(``_wide.mul64``), and a parity product for the one value in a hundred
+whose last digit a remainder cannot settle.
 
 Every float cell has one layout: sign, integer digits, the point, fraction
 digits, then an exponent suffix, as wide as the chunk of rows needs.  Cells
@@ -71,6 +72,10 @@ _MINUS_K = ((_EXP * 315_653) >> 20) - 2
 _BETA = (_EXP + ((_MINUS_K * -1_741_647) >> 19)).astype(_U)
 _fill_phi(range(0, 23))
 _PHI_BY_EXP = _PHI[:, -_MINUS_K - _K_MIN]
+# phi_k's low word is 0 for k = 0..27, where 5**k < 2**64: a chunk of biased
+# exponents 992..1084 only (2**-31 <= |x| < 2**62) skips the product with it
+_B_LO0, _B_HI0 = (int(b) for b in np.flatnonzero(
+    (_MINUS_K <= 0) & (-_MINUS_K <= int(64 / np.log2(5))))[[0, -1]])
 
 
 def _strip_zeros(d, exponent, length):
@@ -126,9 +131,10 @@ def shortest_digits(x):
     # top of a 192-bit product; low: the word below it
     x = (two_fc | _U1) << beta
     z, low = mul64(x, hi)
-    carry = mul64(x, lo)[0]
-    low += carry
-    z += low < carry
+    if not _B_LO0 <= b_lo <= b_hi <= _B_HI0:
+        carry = mul64(x, lo)[0]
+        low += carry
+        z += low < carry
     delta = hi >> (_63 - beta)          # the interval's width, 100..999
     s = z // _THOUSAND
     r = z - s * _THOUSAND

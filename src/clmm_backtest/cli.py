@@ -1,24 +1,14 @@
-"""Command line interface.
-
-Subcommands:
-  backtest   replay a price series and write report artifacts
-  calibrate  fit a bell-curve profile variance to a target fee total
-  report     print a summary table from a written report.json
-
-Exit codes: 0 success, 2 configuration error, 3 data error,
-4 calibration target unreachable.  Errors print one machine-parsable
-line to stderr: ``error: <kind>: <message>``.
-"""
+"""Command line interface: ``USAGE`` is its help text."""
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import sys
 from contextlib import contextmanager
 from math import isfinite
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,48 +21,17 @@ from .errors import (BacktestError, CalibrationUnreachableError, ConfigError,
                      DataError)
 from .prices import PriceSeries, load_prices, write_csv
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="clmm-backtest",
-        description="Backtest bucketed liquidity strategies on a price series.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    bt = sub.add_parser("backtest", help="run a backtest and write artifacts")
-    bt.add_argument("--config", required=True, help="run configuration file")
-    bt.add_argument("--prices", required=True, help="price series CSV")
-    bt.add_argument("--out-dir", default=".", help="directory for output files")
-    bt.add_argument("--seed", type=int, default=None,
-                    help="override the random-strategy seed")
-    mode = bt.add_mutually_exclusive_group()
-    mode.add_argument("--strict-prices", action="store_const", dest="price_mode",
-                      const="strict", help="abort on prices outside the partition")
-    mode.add_argument("--clamp-prices", action="store_const", dest="price_mode",
-                      const="clamp", help="clamp outside prices to the partition edge")
-    bt.set_defaults(func=cmd_backtest, price_mode=None)
-
-    cal = sub.add_parser("calibrate", help="fit profile variance to a fee target")
-    cal.add_argument("--config", required=True, help="run configuration file")
-    cal.add_argument("--prices", required=True, help="price series CSV")
-    cal.add_argument("--target-fee", type=float, required=True,
-                     help="observed fee total in token B")
-    cal.add_argument("--mu", type=float, default=None,
-                     help="profile centre (default: config mu for strategy=normal)")
-    cal.add_argument("--bound", type=float, default=None,
-                     help="standardised axis half-width (default: config, else 3)")
-    cal.add_argument("--grid", default="0.05:2.0:40",
-                     help="variance grid as lo:hi:steps (default 0.05:2.0:40)")
-    cal.add_argument("--out-dir", default=".", help="directory for output files")
-    cal.set_defaults(func=cmd_calibrate)
-
-    rep = sub.add_parser("report", help="print a summary table from report.json")
-    rep.add_argument("report_path", help="path to a written report.json")
-    rep.add_argument("--fact-fee", type=float, default=None,
-                     help="observed fee total for an error row")
-    rep.add_argument("--fact-volume", type=float, default=None,
-                     help="observed volume total for an error row")
-    rep.set_defaults(func=cmd_report)
-    return parser
+USAGE = """\
+usage: clmm-backtest backtest --config FILE --prices CSV [--out-dir DIR=.] [--seed N]
+           [--strict-prices | --clamp-prices]
+       clmm-backtest calibrate --config FILE --prices CSV --target-fee FEE [--mu MU]
+           [--bound B=3] [--grid LO:HI:STEPS=0.05:2.0:40] [--out-dir DIR=.]
+       clmm-backtest report REPORT_JSON [--fact-fee FEE] [--fact-volume VOLUME]
+--mu and --bound default to the config's.  A flag takes the next word, or the
+text after '=', as its value, and is neither abbreviated nor repeated.  Exit
+codes: 0 ok, 2 configuration or usage error, 3 data error, 4 calibration target
+unreachable; an error prints one line to stderr, "error: <kind>: <message>".
+"""
 
 
 class _ChunkedColumn:
@@ -90,53 +49,50 @@ class _ChunkedColumn:
 
 
 @contextmanager
-def _writing(path: Path):
-    """Runs the block that makes or writes ``path``: an OSError there is a
-    DataError naming it, which exits 3 as an unreadable price file does."""
+def _artifacts(out_dir: Path):
+    """Runs the block that writes a run's artifacts into ``out_dir``, made
+    first, naming each by ``path(name)`` before writing it.  An OSError there
+    removes the files written before it and is a DataError naming the file."""
+    paths = [out_dir]
+
+    def path(name: str) -> Path:
+        paths.append(out_dir / name)
+        return paths[-1]
+
     try:
-        yield
-    except OSError as err:
-        raise DataError(f"cannot write {path}: {err.strerror or err}") from None
-
-
-def _make_dir(out_dir: Path) -> None:
-    with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
+        yield path
+    except OSError as err:
+        for written in paths[1:-1]:
+            written.unlink(missing_ok=True)
+        raise DataError(f"cannot write {paths[-1]}: {err.strerror or err}") from None
 
 
 def _write_json(path: Path, obj) -> None:
-    with _writing(path), open(path, "w") as fh:
+    with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _write_csv(path: Path, header: str, columns) -> None:
-    with _writing(path):
-        write_csv(path, header, columns)
-
-
 def _write_report_files(report: BacktestReport, series: PriceSeries,
                         out_dir: Path) -> None:
-    _make_dir(out_dir)
-    _write_json(out_dir / "report.json", report.to_dict())
-
     n = len(series)
     t_axis = series.timestamps if series.timestamps is not None \
         else _ChunkedColumn(np.int64, n, lambda rows: np.arange(*rows.indices(n)))
     bh_value = _ChunkedColumn(np.float64, n, lambda rows: buy_and_hold(
         report.prices[rows], report.initial_split))
-    _write_csv(out_dir / "trajectory.csv", "t,price,lp_value,bh_value",
-               (t_axis, series.prices, report.lp_trajectory, bh_value))
-
     table = report.epoch_table
-    _write_csv(out_dir / "fees_by_epoch.csv", ",".join(table), table.values())
-
     # the table's plan columns (epoch, start, end, benchmark_bucket), then
     # each epoch's deployment
     columns = dict([*table.items()][:4], anchor_price=series.prices[table["start"]],
                    deployed_capital=report.epoch_capital, active_buckets=report.epoch_active)
-    _write_json(out_dir / "states_summary.json",
-                {"series_length": len(series), "epochs": table_rows(columns)})
+    with _artifacts(out_dir) as path:
+        _write_json(path("report.json"), report.to_dict())
+        write_csv(path("trajectory.csv"), "t,price,lp_value,bh_value",
+                  (t_axis, series.prices, report.lp_trajectory, bh_value))
+        write_csv(path("fees_by_epoch.csv"), ",".join(table), table.values())
+        _write_json(path("states_summary.json"),
+                    {"series_length": n, "epochs": table_rows(columns)})
 
 
 def cmd_backtest(args) -> int:
@@ -178,8 +134,7 @@ def cmd_calibrate(args) -> int:
     profile = config.strategy.profile
     mu = args.mu if args.mu is not None else (profile.mu if profile else None)
     if mu is None:
-        raise ConfigError("--mu is required unless the config strategy is normal",
-                          key="mu")
+        raise ConfigError("--mu is required unless the config strategy is normal", key="mu")
     bound = args.bound if args.bound is not None \
         else (profile.bound if profile else ProfileParams.bound)
     check_positive(args.target_fee, "target-fee")
@@ -188,29 +143,20 @@ def cmd_calibrate(args) -> int:
 
     series = load_prices(args.prices)
     curve = fee_curve(config, series, mu, bound, grid)
-    out_dir = Path(args.out_dir)
-    _make_dir(out_dir)
-    _write_csv(out_dir / "fee_curve.csv", "variance,model_fee",
-               (curve.variance_grid, curve.fees))
-
-    result = calibrate_variance(config, series, mu, bound, args.target_fee,
-                                grid, curve=curve)
-    _write_json(out_dir / "calibration.json", result.to_dict())
+    with _artifacts(Path(args.out_dir)) as path:
+        write_csv(path("fee_curve.csv"), "variance,model_fee",
+                  (curve.variance_grid, curve.fees))
+        result = calibrate_variance(config, series, mu, bound, args.target_fee,
+                                    grid, curve=curve)
+        _write_json(path("calibration.json"), result.to_dict())
     print(f"calibrate: mu {result.mu:.6g}, variance {result.variance:.6g}, "
           f"model fee {result.model_fee:.6g} vs target {result.target_fee:.6g} "
           f"(rel err {result.relative_error:.3e}) -> {args.out_dir}")
     return 0
 
 
-def _money(v: float) -> str:
-    return f"${v:,.2f}"
-
-
-def _pct(v: float) -> str:
-    return f"{v * 100:.2f}%"
-
-
-# the summary table: row label, report.json key, format
+# the summary table's formats, and its rows: label, report.json key, format
+_money, _pct = "${:,.2f}".format, "{:.2%}".format
 _SUMMARY = (
     ("Deployed capital W", "initial_capital", _money),
     ("Final value", "final_value", _money),
@@ -253,48 +199,94 @@ def cmd_report(args) -> int:
     return 0
 
 
-# options that take a float: argparse reads a separate value such as
-# "-1e-05" as an option, as its negative-number pattern has no exponent
-_FLOAT_OPTIONS = ("--target-fee", "--mu", "--bound", "--fact-fee", "--fact-volume")
+# each command's flags and positionals: name -> (field, type, default), a
+# default of ... marking a required one; a switch's type is the value it sets
+_COMMANDS = {
+    "backtest": (cmd_backtest, {
+        "--config": ("config", str, ...), "--prices": ("prices", str, ...),
+        "--out-dir": ("out_dir", str, "."), "--seed": ("seed", int, None),
+        "--strict-prices": ("price_mode", "strict", None),
+        "--clamp-prices": ("price_mode", "clamp", None)}),
+    "calibrate": (cmd_calibrate, {
+        "--config": ("config", str, ...), "--prices": ("prices", str, ...),
+        "--target-fee": ("target_fee", float, ...), "--mu": ("mu", float, None),
+        "--bound": ("bound", float, None), "--grid": ("grid", str, "0.05:2.0:40"),
+        "--out-dir": ("out_dir", str, ".")}),
+    "report": (cmd_report, {
+        "REPORT_JSON": ("report_path", str, ...), "--fact-fee": ("fact_fee", float, None),
+        "--fact-volume": ("fact_volume", float, None)}),
+}
 
 
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
-def _join_negative_values(argv: list) -> list:
-    """``argv`` with each negative value that follows a float option joined
-    to it, ``--mu -1e-05`` as ``--mu=-1e-05``."""
-    out = []
-    for arg in argv:
-        if out and out[-1] in _FLOAT_OPTIONS and arg.startswith("-") and _is_float(arg):
-            out[-1] += "=" + arg
+def parse_args(argv: list) -> SimpleNamespace | None:
+    """The command's fields from ``argv``, with its function as ``func``,
+    or None for ``-h``/``--help``.  A usage error is a ConfigError keyed by
+    the flag at fault."""
+    command, *words = argv or [""]
+    if command in ("-h", "--help"):
+        return None
+    if command not in _COMMANDS:
+        raise ConfigError(f"the command must be backtest, calibrate or report, "
+                          f"got {command!r}", key="command")
+    func, flags = _COMMANDS[command]
+    values = {field: default for field, _, default in flags.values()}
+    given = {}  # field -> the flag that set it
+    words = iter(words)
+    for word in words:
+        if word in ("-h", "--help"):
+            return None
+        if word.startswith("-"):
+            flag, eq, value = word.partition("=")
+        elif "REPORT_JSON" in flags:
+            flag, eq, value = "REPORT_JSON", "=", word
         else:
-            out.append(arg)
-    return out
+            raise ConfigError(f"unexpected argument {word!r}", key=command)
+        key = flag.lstrip("-") or flag
+        if flag not in flags:
+            raise ConfigError(f"unknown flag {flag}", key=key)
+        field, kind, _ = flags[flag]
+        if field in given:
+            raise ConfigError(f"{flag} given twice" if given[field] == flag
+                              else f"{flag} conflicts with {given[field]}", key=key)
+        given[field] = flag
+        if isinstance(kind, str):
+            if eq:
+                raise ConfigError(f"{flag} takes no value", key=key)
+            value, kind = kind, str
+        elif not eq:
+            value = next(words, None)
+            if value is None:
+                raise ConfigError(f"{flag} needs a value", key=key)
+        try:
+            values[field] = kind(value)
+        except ValueError:
+            raise ConfigError(f"{flag} needs {'an integer' if kind is int else 'a number'}, "
+                              f"got {value!r}", key=key) from None
+    for flag, (field, _, _) in flags.items():
+        if values[field] is ...:
+            raise ConfigError(f"{flag} is required", key=flag.lstrip("-"))
+    return SimpleNamespace(func=func, **values)
+
+
+# each error's exit code and kind, the first that matches; exit 1 is the
+# safety net for future error kinds
+_EXITS = ((ConfigError, 2, "config: "), (DataError, 3, "data: "),
+          (CalibrationUnreachableError, 4, "calibration-unreachable: "),
+          (BacktestError, 1, ""))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(USAGE, end="")
+            return 0
         return args.func(args)
-    except ConfigError as err:
-        print(f"error: config: {err}", file=sys.stderr)
-        return 2
-    except DataError as err:
-        print(f"error: data: {err}", file=sys.stderr)
-        return 3
-    except CalibrationUnreachableError as err:
-        print(f"error: calibration-unreachable: {err}", file=sys.stderr)
-        return 4
-    except BacktestError as err:  # safety net for future error kinds
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    except BacktestError as err:
+        code, kind = next((code, kind) for error, code, kind in _EXITS
+                          if isinstance(err, error))
+        print(f"error: {kind}{err}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

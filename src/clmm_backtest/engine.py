@@ -674,7 +674,8 @@ def run_backtest(config: BacktestConfig, prices, timestamps=None) -> BacktestRep
     cuts = starts
     if timestamps is not None:
         months, month_first = _months(timestamps)
-        cuts = np.union1d(starts, month_first)
+        cuts = np.sort(np.concatenate((starts, month_first)))
+        cuts = cuts[np.diff(cuts, prepend=-1) != 0]  # np.union1d imports numpy.ma
     first = np.append(cuts.searchsorted(starts), len(cuts))
 
     trajectory = np.empty(m)

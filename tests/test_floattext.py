@@ -123,6 +123,22 @@ def test_every_exponent_matches_the_repr_writer(tmp_path):
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "repr.csv").read_bytes()
 
 
+@pytest.mark.parametrize("k,end", [(28, -1), (27, 0), (0, -1), (-1, 0)])
+def test_chunks_at_the_ends_of_the_zero_low_words_match_the_repr_writer(tmp_path, k, end):
+    # phi_k's low word is 0 for k = 0..27, and a chunk whose floats all lie
+    # there skips the product with it: chunks of the one biased exponent of
+    # k = 28, 27, 0 or -1 next to either end of that run
+    b = np.uint64(np.flatnonzero(-_floattext._MINUS_K == k)[end])
+    assert (_floattext._B_LO0 <= b <= _floattext._B_HI0) == (0 <= k <= 27)
+    fractions = np.random.default_rng(40 + k).integers(0, 2**52, 2 * CHUNK, dtype=np.uint64)
+    x = ((b << np.uint64(52)) | fractions).view(np.float64)
+    x[1::2] *= -1.0
+    columns = (x, x[::-1].copy())
+    write_csv(tmp_path / "bulk.csv", "a,b", columns)
+    oracle.write_csv(tmp_path / "repr.csv", "a,b", columns)
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "repr.csv").read_bytes()
+
+
 def test_digit_core_keeps_to_integer_dtypes(tmp_path, monkeypatch):
     # 17-digit values and ints past 2**53: a float64 step would lose digits;
     # subnormals, powers of two and exponent-form values take the same path

@@ -20,7 +20,7 @@ from clmm_backtest import calibration, config
 from clmm_backtest import prices as prices_module
 from clmm_backtest.allocation import ProfileParams
 from clmm_backtest.bucketing import BucketPartition
-from clmm_backtest.cli import _write_report_files, main
+from clmm_backtest.cli import _COMMANDS, USAGE, _write_report_files, main
 from clmm_backtest.config import load_config, parse_config
 from clmm_backtest.engine import BacktestConfig, GasParams, StrategyConfig, run_backtest
 from clmm_backtest.errors import ConfigError, DataError
@@ -690,9 +690,10 @@ class TestCliBacktest:
         assert not out.exists()
 
     def test_missing_subcommand_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            self.run_main()
-        assert exc.value.code == 2
+        assert self.run_main() == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: [command] ")
+        assert err.count("\n") == 1
 
     def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -989,6 +990,60 @@ def test_readme_library_use_runs(capsys):
     assert len(epochs) > 1 and epochs[0].startswith("0 ")
 
 
+# each shape of usage error, as (argv after the config and price flags, key)
+USAGE_ERRORS = {
+    "unknown_command": (["bogus"], "command"),
+    "unknown_flag": (["backtest", "--verbose"], "verbose"),
+    "abbreviation": (["backtest", "--out", "x"], "out"),
+    "missing_value": (["calibrate", "--target-fee", "5", "--mu"], "mu"),
+    "duplicate": (["backtest", "--out-dir", "a", "--out-dir", "b"], "out-dir"),
+    "both_price_modes": (["backtest", "--strict-prices", "--clamp-prices"], "clamp-prices"),
+    "switch_with_value": (["backtest", "--clamp-prices=yes"], "clamp-prices"),
+    "bad_int": (["backtest", "--seed", "1.5"], "seed"),
+    "bad_float": (["calibrate", "--target-fee", "5", "--mu", "zero"], "mu"),
+    "missing_required": (["calibrate", "--mu", "0.0"], "target-fee"),
+    "missing_positional": (["report", "--fact-fee", "5"], "REPORT_JSON"),
+    "extra_positional": (["report", "a.json", "b.json"], "REPORT_JSON"),
+    "stray_argument": (["backtest", "extra"], "backtest"),
+}
+
+
+@pytest.mark.parametrize("argv,key", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error_exits_2_with_one_line(tmp_path, capsys, argv, key):
+    cfg = write(tmp_path / "run.cfg", BASE_CONFIG)
+    prices = walk_csv(tmp_path / "p.csv", n=120)
+    files = ["--config", cfg, "--prices", prices] if argv[0] != "report" else []
+    assert main([*argv[:1], *files, *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: config: [{key}] ")
+    assert err.count("\n") == 1 and out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "run.cfg"]
+
+
+@pytest.mark.parametrize("command", [[], ["backtest"], ["calibrate"], ["report"]],
+                         ids=["none", "backtest", "calibrate", "report"])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_usage_and_exits_0(capsys, command, flag):
+    assert main([*command, flag]) == 0
+    assert capsys.readouterr() == (USAGE, "")
+    # the usage text is written by hand: it must name every flag of the table
+    assert all(name in USAGE for _, flags in _COMMANDS.values() for name in flags)
+
+
+def test_flag_equals_value_runs_as_separate_words(tmp_path):
+    cfg = write(tmp_path / "run.cfg", BASE_CONFIG.replace("strategy = uniform",
+                                                          "strategy = random\nseed = 1"))
+    prices = walk_csv(tmp_path / "p.csv", n=120)
+    a, b = tmp_path / "a", tmp_path / "b"
+    flags = {"--config": cfg, "--prices": prices, "--seed": "7"}
+    assert main(["backtest", *(w for item in flags.items() for w in item),
+                 "--out-dir", str(a), "--clamp-prices"]) == 0
+    assert main(["backtest", *(f"{flag}={value}" for flag, value in flags.items()),
+                 f"--out-dir={b}", "--clamp-prices"]) == 0
+    for name in ("report.json", "trajectory.csv", "fees_by_epoch.csv", "states_summary.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 def test_module_entry_point(tmp_path):
     cfg = write(tmp_path / "run.cfg", BASE_CONFIG)
     prices = walk_csv(tmp_path / "p.csv", n=120)
@@ -1007,37 +1062,46 @@ def test_module_entry_point(tmp_path):
 @pytest.mark.parametrize("shape,reason", [
     ("afile", "File exists"), ("afile/sub", "Not a directory"),
     ("out/{artifact}", "Is a directory")], ids=["file", "under_a_file", "artifact"])
-@pytest.mark.parametrize("command,artifact,extra", [
-    ("backtest", "trajectory.csv", []),
-    ("calibrate", "fee_curve.csv", ["--target-fee", "5000", "--mu", "0.0",
-                                    "--grid", "0.05:2.0:6"])], ids=["backtest", "calibrate"])
+@pytest.mark.parametrize("command,artifact", [
+    ("backtest", "trajectory.csv"), ("calibrate", "fee_curve.csv"),
+    ("backtest", "fees_by_epoch.csv"), ("backtest", "states_summary.json"),
+    ("calibrate", "calibration.json")],
+    ids=["backtest", "calibrate", "backtest_fees_by_epoch", "backtest_states_summary",
+         "calibrate_calibration"])
 def test_unwritable_out_dir_exits_3_with_one_line(tmp_path, capsys, shape, reason,
-                                                  command, artifact, extra):
+                                                  command, artifact):
+    # a run that cannot write one artifact removes those it wrote before it
     cfg = write(tmp_path / "run.cfg", BASE_CONFIG)
     prices = walk_csv(tmp_path / "p.csv", n=120)
     (tmp_path / "afile").write_text("kept\n")
     (tmp_path / "out" / artifact).mkdir(parents=True)
     target = tmp_path / shape.format(artifact=artifact)
     out = target if shape.startswith("afile") else target.parent
+    extra = ["--target-fee", "1000", "--mu", "0.0", "--grid", "0.05:2.0:6"] \
+        if command == "calibrate" else []
     assert main([command, "--config", cfg, "--prices", prices,
                  "--out-dir", str(out), *extra]) == 3
     assert capsys.readouterr().err == f"error: data: cannot write {target}: {reason}\n"
     assert (tmp_path / "afile").read_text() == "kept\n"
+    assert list((tmp_path / "out").iterdir()) == [tmp_path / "out" / artifact]
 
 
-# what each run leaves in sys.modules, in a fresh interpreter
+# what each run leaves in sys.modules, in a fresh interpreter: the text
+# modules, then those of numpy.ma, argparse, gettext and locale
 LOADED_TEXT_MODULES = """
 import sys
 import numpy as np
 from clmm_backtest import cli, parse_config, run_backtest
 mode, cfg, prices, out = sys.argv[1:]
 if mode == "library":
-    run_backtest(parse_config(open(cfg).read()), np.loadtxt(prices, skiprows=1))
+    run_backtest(parse_config(open(cfg).read()),
+                 np.loadtxt(prices, skiprows=1, delimiter=",", usecols=1))
 else:
     extra = ["--target-fee", "5000", "--mu", "0.0"] if mode == "calibrate" else []
     cli.main([mode, "--config", cfg, "--prices", prices, "--out-dir", out, *extra])
 print(",".join(m for m in ("_floatread", "_floattext")
                if "clmm_backtest." + m in sys.modules))
+print(",".join(m for m in ("numpy.ma", "argparse", "gettext", "locale") if m in sys.modules))
 """
 
 
@@ -1046,15 +1110,17 @@ print(",".join(m for m in ("_floatread", "_floattext")
 def test_each_run_loads_only_the_text_modules_its_data_needs(tmp_path, mode, loaded):
     # calibrate writes a 40-row fee curve with repr; a backtest over more
     # rows than the repr writer takes loads the bulk writer; a library run
-    # on an array reads and writes no text
+    # on an array reads and writes no text.  No run loads numpy.ma (whose
+    # import np.unique makes on its first call, as in np.union1d), and none
+    # loads argparse or the gettext and locale it imports
     cfg = write(tmp_path / "run.cfg", BASE_CONFIG)
-    prices = walk_csv(tmp_path / "p.csv", n=prices_module._REPR_ROWS + 1)
+    prices = walk_csv(tmp_path / "p.csv", n=prices_module._REPR_ROWS + 1, with_ts=True)
     src = Path(importlib.util.find_spec("clmm_backtest").origin).parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", LOADED_TEXT_MODULES, mode, cfg, prices, str(tmp_path / "out")],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == loaded
+    assert proc.stdout.splitlines()[-2:] == [loaded, ""]
 
 
 # the bindings perfbench's tracer wraps for a layer that runs; a binding a
