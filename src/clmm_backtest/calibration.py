@@ -26,14 +26,14 @@ Gas never enters the objective.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional
+from math import isfinite
 
 import numpy as np
 
 from .allocation import ProfileParams, deploy, normal_profile_table, renormalised
 from .bucketing import check_positive
 from .engine import _BLOCK_ROWS, BacktestConfig, checked_prices
-from .errors import CalibrationUnreachableError, DataError
+from .errors import CalibrationUnreachableError, ConfigError, DataError
 
 _REL_TOL = 1e-3
 _MAX_BISECTIONS = 60
@@ -41,27 +41,17 @@ _MAX_BISECTIONS = 60
 
 @dataclass(frozen=True, eq=False)
 class FeeCurve:
-    """Modelled fee total as a function of profile variance, mu fixed; the
-    grid and fees are held as float64 vectors.  Curves compare and hash by
-    identity, as their array fields have no single truth value."""
+    """Modelled fee total as a function of profile variance, mu fixed, as
+    ``fee_curve`` makes it: the pool, the float64 grid and fees, and the
+    read-only travel vector v the bisection reads.  Curves compare and hash
+    by identity, as their array fields have no single truth value."""
 
+    pool_config: BacktestConfig
     mu: float
     bound: float
     variance_grid: np.ndarray
     fees: np.ndarray
-    bucket_volume: Optional[np.ndarray] = None  # v, read-only; None for given fees
-
-    def __post_init__(self):
-        g = np.asarray(self.variance_grid, dtype=np.float64)
-        f = np.asarray(self.fees, dtype=np.float64)
-        if g.ndim != 1 or len(g) == 0 or g.shape != f.shape:
-            raise ValueError("variance grid and fees must be matching 1-d vectors")
-        if np.any(g <= 0.0) or np.any(np.diff(g) <= 0.0):
-            raise ValueError("variance grid must be positive and strictly ascending")
-        if not np.all(np.isfinite(f)) or np.any(f < 0.0):
-            raise ValueError("fee curve values must be finite and non-negative")
-        object.__setattr__(self, "variance_grid", g)
-        object.__setattr__(self, "fees", f)
+    bucket_volume: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -119,13 +109,27 @@ def _bucket_volume(pool_config: BacktestConfig, prices) -> np.ndarray:
     return deploy(np.ones((1, n)), p[:1], sa[None], sb[None])[0] * (u[0] + p[-1] * u[1])
 
 
+def check_grid(mu: float, bound: float, variance_grid) -> np.ndarray:
+    """The variance grid as a float64 vector, after checking it and the
+    profile: ConfigError under ``grid`` unless it is a non-empty 1-d vector,
+    strictly ascending to a finite end, and ``ProfileParams``' own error for
+    mu, bound or a least variance that is not positive and finite."""
+    grid = np.asarray(variance_grid, dtype=np.float64)
+    if grid.ndim != 1 or len(grid) == 0:
+        raise ConfigError("variance grid must be a non-empty 1-d vector", key="grid")
+    ProfileParams(mu, grid[0], bound)
+    # NaN fails the comparison, so a NaN anywhere is not ascending
+    if not (np.all(grid[1:] > grid[:-1]) and isfinite(grid[-1])):
+        raise ConfigError("variance grid must ascend strictly to a finite end",
+                          key="grid")
+    return grid
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _fees(pool_config: BacktestConfig, v, mu: float, bound: float, variances) -> np.ndarray:
     """Fee totals at one mu, one per variance; DataError if one overflows."""
     part = pool_config.partition
     grid = np.asarray(variances, dtype=np.float64).tolist()
-    for g in grid:
-        ProfileParams(mu, g, bound)     # names a bad value under its key
     # the (grid x n) weight table, each row as normal_profile_weights holds it
     w = renormalised(normal_profile_table(part, mu, grid, bound))
     # one pairwise sum per row, the same for any number of rows
@@ -143,8 +147,7 @@ def _fees(pool_config: BacktestConfig, v, mu: float, bound: float, variances) ->
 def whole_pool_fee(pool_config: BacktestConfig, prices, mu: float, variance: float,
                    bound: float = ProfileParams.bound) -> float:
     """Converted fee total of one single-deployment bell-curve backtest."""
-    return float(_fees(pool_config, _bucket_volume(pool_config, prices), mu, bound,
-                       [variance])[0])
+    return float(fee_curve(pool_config, prices, mu, bound, [variance]).fees[0])
 
 
 def fee_curve(pool_config: BacktestConfig, prices, mu: float, bound: float,
@@ -157,39 +160,33 @@ def fee_curve(pool_config: BacktestConfig, prices, mu: float, bound: float,
         prices: price series (or PriceSeries) to replay.
         mu: fixed profile centre in standardised coordinates.
         bound: half-width of the standardised coordinate axis.
-        variance_grid: positive, strictly ascending variances to evaluate.
+        variance_grid: positive variances to evaluate, strictly ascending
+            (see check_grid).
 
     Returns:
         FeeCurve over the grid with its bucket_volume; evaluation is
         deterministic, so equal inputs always reproduce the identical curve.
     """
-    grid = np.asarray(variance_grid, dtype=np.float64)
+    grid = check_grid(mu, bound, variance_grid)
     v = _bucket_volume(pool_config, prices)
     v.flags.writeable = False
-    return FeeCurve(mu, bound, grid, _fees(pool_config, v, mu, bound, grid), v)
+    return FeeCurve(pool_config, mu, bound, grid, _fees(pool_config, v, mu, bound, grid), v)
 
 
-def calibrate_variance(pool_config: BacktestConfig, prices, mu: float, bound: float,
-                       target_fee: float, variance_grid,
-                       curve: Optional[FeeCurve] = None) -> CalibrationResult:
+def calibrate_variance(curve: FeeCurve, target_fee: float) -> CalibrationResult:
     """Find the smallest variance whose modelled fee matches the target.
 
     Scans the fee curve in ascending variance order: the first grid point
     already within 1e-3 relative of the target wins outright; otherwise
     the first sign change brackets a crossing that bisection refines until
-    the relative error drops below 1e-3 or 60 iterations are spent.
+    the relative error drops below 1e-3 or 60 iterations are spent.  The
+    bisection reads the curve's pool and bucket_volume, so the prices are
+    not read again.
 
     Args:
-        pool_config: pool-level settings (see fee_curve).
-        prices: price series to replay.
-        mu: fixed profile centre.
-        bound: standardised axis half-width.
+        curve: a fee_curve of at least two points; its mu and bound are the
+            profile's.
         target_fee: observed fee total to match, positive.
-        variance_grid: search grid, at least two ascending positive points.
-        curve: optionally a precomputed FeeCurve made at this mu, bound and
-            grid (ValueError naming the field otherwise); the bisection
-            uses its bucket_volume, and makes the travel pass over the
-            prices only for a curve without one.
 
     Returns:
         CalibrationResult for the best variance found.
@@ -200,13 +197,7 @@ def calibrate_variance(pool_config: BacktestConfig, prices, mu: float, bound: fl
     """
     check_positive(target_fee, "target_fee")
     target_fee = float(target_fee)
-    if curve is None:
-        curve = fee_curve(pool_config, prices, mu, bound, variance_grid)
-    for name, same in (("mu", curve.mu == mu), ("bound", curve.bound == bound),
-                       ("variance_grid", np.array_equal(curve.variance_grid, variance_grid))):
-        if not same:
-            raise ValueError(f"the curve was made at another {name} than the one given")
-    grid, fees, v = curve.variance_grid, curve.fees, curve.bucket_volume
+    mu, bound, grid, fees = curve.mu, curve.bound, curve.variance_grid, curve.fees
     if len(grid) < 2:
         raise ValueError("variance grid needs at least two points")
 
@@ -236,11 +227,9 @@ def calibrate_variance(pool_config: BacktestConfig, prices, mu: float, bound: fl
     lo, hi, lo_above = grid[k - 1], grid[k], fees[k - 1] > target_fee
     best_v, best_fee = (lo, fees[k - 1]) \
         if abs(fees[k - 1] - target_fee) <= abs(fees[k] - target_fee) else (hi, fees[k])
-    if v is None:  # a curve of given fees: the bisection needs the travel pass
-        v = _bucket_volume(pool_config, prices)
     for iterations in range(1, _MAX_BISECTIONS + 1):
         mid = 0.5 * (lo + hi)
-        fee_mid = _fees(pool_config, v, mu, bound, [mid])[0]
+        fee_mid = _fees(curve.pool_config, curve.bucket_volume, mu, bound, [mid])[0]
         if abs(fee_mid - target_fee) < abs(best_fee - target_fee):
             best_v, best_fee = mid, fee_mid
         if rel(fee_mid) < _REL_TOL:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .allocation import ProfileParams
 from .bucketing import check_positive
-from .calibration import calibrate_variance, fee_curve
+from .calibration import calibrate_variance, check_grid, fee_curve
 from .config import load_config
 from .engine import BacktestReport, buy_and_hold, run_backtest, table_rows
 from .errors import (BacktestError, CalibrationUnreachableError, ConfigError,
@@ -123,9 +123,10 @@ def _parse_grid(text: str) -> np.ndarray:
         steps = int(parts[2])
     except ValueError:
         raise ConfigError(f"cannot parse grid {text!r}", key="grid") from None
-    if not (0.0 < lo < hi and isfinite(hi)) or steps < 2:
-        raise ConfigError(f"grid needs 0 < lo < hi < inf and steps >= 2, got {text!r}",
-                          key="grid")
+    # what linspace needs; check_grid holds the rules of a variance grid
+    if not isfinite(hi - lo) or steps < 2:
+        raise ConfigError(f"grid needs finite lo, hi and hi - lo, and steps >= 2, "
+                          f"got {text!r}", key="grid")
     return np.linspace(lo, hi, steps)
 
 
@@ -138,16 +139,14 @@ def cmd_calibrate(args) -> int:
     bound = args.bound if args.bound is not None \
         else (profile.bound if profile else ProfileParams.bound)
     check_positive(args.target_fee, "target-fee")
-    grid = _parse_grid(args.grid)
-    ProfileParams(mu, grid[0], bound)  # names a bad --mu or --bound before the prices load
+    grid = check_grid(mu, bound, _parse_grid(args.grid))  # before the prices load
 
     series = load_prices(args.prices)
     curve = fee_curve(config, series, mu, bound, grid)
     with _artifacts(Path(args.out_dir)) as path:
         write_csv(path("fee_curve.csv"), "variance,model_fee",
                   (curve.variance_grid, curve.fees))
-        result = calibrate_variance(config, series, mu, bound, args.target_fee,
-                                    grid, curve=curve)
+        result = calibrate_variance(curve, args.target_fee)
         _write_json(path("calibration.json"), result.to_dict())
     print(f"calibrate: mu {result.mu:.6g}, variance {result.variance:.6g}, "
           f"model fee {result.model_fee:.6g} vs target {result.target_fee:.6g} "

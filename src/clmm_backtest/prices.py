@@ -16,9 +16,9 @@ array or an object with ``prices`` and ``timestamps`` given to
 index, as in ``row 8: price 0.0 at index 7 is not a positive finite
 number``.
 
-Loading decides the layout from the first non-blank row, then reads the
-rest of the file as bytes with ``_floatread``'s bulk parser if every row is
-clean:
+Loading skips one leading UTF-8 byte order mark, decides the layout from
+the first non-blank row, then reads the rest of the file as bytes with
+``_floatread``'s bulk parser if every row is clean:
 
   * each row ends in LF or CR LF (the last row may end in neither);
   * a two-column row has exactly one ``,``;
@@ -45,6 +45,7 @@ first use, so a command loads only the one its data needs.
 from __future__ import annotations
 
 import csv
+from codecs import BOM_UTF8
 from dataclasses import dataclass
 from typing import Optional
 
@@ -160,6 +161,9 @@ def _csv_rows(fh):
 
 def _read_layout(fh, path) -> _Layout:
     """Decide header and column layout; leaves ``fh`` at the first data row."""
+    # one leading byte order mark, as spreadsheets' "CSV UTF-8" exports begin
+    top = len(BOM_UTF8) if fh.buffer.read(len(BOM_UTF8)) == BOM_UTF8 else 0
+    fh.seek(top)
     first = next(_csv_rows(fh), None)
     if first is None:
         raise DataError(f"price file {path} is empty")
@@ -172,8 +176,8 @@ def _read_layout(fh, path) -> _Layout:
         width = len(first)
         if width not in (1, 2):
             raise DataError(f"headerless file must have 1 or 2 columns, got {width}")
-        fh.seek(0)
-        return _Layout(width, width - 1, 0 if width == 2 else None, 0)
+        fh.seek(top)
+        return _Layout(width, width - 1, 0 if width == 2 else None, top)
 
     names = [c.lower() for c in first]
     if "price" not in names:

@@ -480,9 +480,10 @@ def calibrate_over_mu(pool_config, prices, mu_values, bound: float, target_fee: 
     for mu in map(float, mu_values):
         if v is None:
             v = calibration._bucket_volume(pool_config, prices)
-        curve = FeeCurve(mu, bound, grid, calibration._fees(pool_config, v, mu, bound, grid), v)
+        curve = FeeCurve(pool_config, mu, bound, grid,
+                         calibration._fees(pool_config, v, mu, bound, grid), v)
         try:
-            res = calibrate_variance(pool_config, prices, mu, bound, target_fee, grid, curve)
+            res = calibrate_variance(curve, target_fee)
         except CalibrationUnreachableError as err:
             last_err = err
             continue

@@ -17,7 +17,7 @@ import pytest
 
 from clmm_backtest.allocation import deploy
 from clmm_backtest.bucketing import BucketPartition, segment_epochs
-from clmm_backtest.calibration import calibrate_variance, whole_pool_fee
+from clmm_backtest.calibration import calibrate_variance, fee_curve, whole_pool_fee
 from clmm_backtest.cli import main
 from clmm_backtest.engine import (BacktestConfig, ReservePair, StrategyConfig,
                                   buy_and_hold, run_backtest)
@@ -279,7 +279,7 @@ def test_criterion_08_calibration_self_consistency():
     for mu_true, var_true in cases:
         target = whole_pool_fee(cfg, prices, mu_true, var_true, bound=3.0)
         grid = np.unique(np.append(np.linspace(0.05, 2.0, 25), var_true))
-        res = calibrate_variance(cfg, prices, mu_true, 3.0, target, grid)
+        res = calibrate_variance(fee_curve(cfg, prices, mu_true, 3.0, grid), target)
         assert res.converged, (mu_true, var_true)
         assert res.relative_error < 1e-3
         worst = max(worst, res.relative_error)

@@ -8,10 +8,10 @@ import pytest
 from clmm_backtest import calibration
 from clmm_backtest.allocation import ProfileParams
 from clmm_backtest.bucketing import BucketPartition
-from clmm_backtest.calibration import (CalibrationResult, FeeCurve, calibrate_variance,
-                                       fee_curve, whole_pool_fee)
+from clmm_backtest.calibration import (CalibrationResult, calibrate_variance, fee_curve,
+                                       whole_pool_fee)
 from clmm_backtest.engine import BacktestConfig, StrategyConfig, run_backtest
-from clmm_backtest.errors import CalibrationUnreachableError
+from clmm_backtest.errors import CalibrationUnreachableError, ConfigError
 from oracle import calibrate_over_mu
 
 
@@ -38,28 +38,40 @@ class TestFeeCurve:
         b = fee_curve(pool_config(PART40), prices, 0.0, 3.0, grid)
         assert np.array_equal(a.fees, b.fees)
 
-    def test_rejects_bad_grids(self):
-        with pytest.raises(ValueError):
-            FeeCurve(0.0, 3.0, np.array([2.0, 1.0]), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            FeeCurve(0.0, 3.0, np.array([-1.0, 1.0]), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            FeeCurve(0.0, 3.0, np.array([1.0, 2.0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            FeeCurve(0.0, 3.0, np.array([1.0, 2.0]), np.array([1.0, -2.0]))
+    def test_rejects_bad_grids(self, monkeypatch):
+        # one check, before the travel pass over the prices
+        passes = []
+        monkeypatch.setattr(calibration, "_bucket_volume", lambda *args: passes.append(args))
+        cfg, prices = pool_config(PART40), oscillating_prices(n=50)
+        for grid, key in (([2.0, 1.0], "grid"), ([0.5, 0.5, 1.0], "grid"),
+                          ([0.5, np.nan, 1.0], "grid"), ([0.5, np.inf], "grid"),
+                          ([[0.5, 1.0]], "grid"), ([], "grid"), (0.5, "grid"),
+                          ([0.0, 1.0], "variance"), ([-1.0, 1.0], "variance"),
+                          ([np.nan], "variance"), ([np.inf], "variance")):
+            with pytest.raises(ConfigError) as exc:
+                fee_curve(cfg, prices, 0.0, 3.0, grid)
+            assert exc.value.key == key, grid
+        for mu, bound, key in ((np.nan, 3.0, "mu"), (0.0, 0.0, "bound")):
+            with pytest.raises(ConfigError) as exc:
+                fee_curve(cfg, prices, mu, bound, [0.5, 1.0])
+            assert exc.value.key == key
+        with pytest.raises(ConfigError) as exc:
+            whole_pool_fee(cfg, prices, 0.0, -0.5)
+        assert exc.value.key == "variance"
+        assert passes == []
 
     def test_holds_lists_as_float64_vectors(self):
-        # a curve of lists scans as one of arrays: a target it does not
-        # reach is unreachable, not an AttributeError
-        curve = FeeCurve(0.0, 3.0, [0.5, 1.0], [10.0, 20.0])
+        # a curve made from a list scans as one made from an array: a target
+        # it does not reach is unreachable, not an AttributeError
+        curve = fee_curve(pool_config(PART40), oscillating_prices(n=300), 0.0, 3.0,
+                          [0.5, 1.0])
         assert curve.variance_grid.dtype == curve.fees.dtype == np.float64
-        with pytest.raises(CalibrationUnreachableError, match=r"spans \[10.0, 20.0\]"):
-            calibrate_variance(pool_config(PART40), None, 0.0, 3.0, 99.0, [0.5, 1.0],
-                               curve=curve)
+        with pytest.raises(CalibrationUnreachableError, match=r"spans \["):
+            calibrate_variance(curve, 10.0 * curve.fees.max())
 
     def test_curves_compare_and_hash_by_identity(self):
-        grid, fees = np.array([0.5, 1.0]), np.array([10.0, 20.0])
-        a, b = FeeCurve(0.0, 3.0, grid, fees), FeeCurve(0.0, 3.0, grid, fees)
+        cfg, prices, grid = pool_config(PART40), oscillating_prices(n=300), [0.5, 1.0]
+        a, b = fee_curve(cfg, prices, 0.0, 3.0, grid), fee_curve(cfg, prices, 0.0, 3.0, grid)
         assert a == a and a != b
         assert len({a, b, a}) == 2
 
@@ -108,7 +120,7 @@ class TestCalibrateVariance:
         cfg = pool_config(PART40)
         target = whole_pool_fee(cfg, prices, mu=0.0, variance=0.4)
         grid = np.linspace(0.05, 2.0, 40)
-        res = calibrate_variance(cfg, prices, 0.0, 3.0, target, grid)
+        res = calibrate_variance(fee_curve(cfg, prices, 0.0, 3.0, grid), target)
         assert res.converged
         assert res.relative_error < 1e-3
         assert res.model_fee == pytest.approx(target, rel=1e-3)
@@ -124,27 +136,30 @@ class TestCalibrateVariance:
         target = 0.5 * (curve.fees[-1] + curve.fees[peak])
         # the curve crosses this level on both sides of the peak; the
         # ascending scan must return the smaller variance
-        res = calibrate_variance(cfg, prices, 0.0, 3.0, target, grid, curve=curve)
+        res = calibrate_variance(curve, target)
         assert res.converged
         assert res.variance < grid[peak]
 
+    def rising_curve(self):
+        """A curve whose first two fees rise by more than the tolerance."""
+        curve = fee_curve(pool_config(PART40), oscillating_prices(n=900), 0.0, 3.0,
+                          [0.2, 0.5, 2.0])
+        assert curve.fees[0] < 0.99 * curve.fees[1]
+        return curve
+
     def test_grid_hit_without_a_prior_crossing_needs_no_refinement(self):
-        grid = np.array([0.5, 1.0, 2.0])
-        curve = FeeCurve(0.0, 3.0, grid, np.array([10.0, 20.0, 30.0]))
+        curve = self.rising_curve()
         # target sits just above the middle fee, so no bracket crosses it
         # before the hit and the curve is never re-evaluated
-        res = calibrate_variance(pool_config(PART40), None, 0.0, 3.0, 20.0004,
-                                 grid, curve=curve)
-        assert res.variance == 1.0
+        res = calibrate_variance(curve, float(curve.fees[1]) * (1.0 + 2e-4))
+        assert res.variance == 0.5
         assert res.iterations == 0
         assert res.converged
 
     def test_exact_touch_counts_as_a_hit(self):
-        grid = np.array([0.5, 1.0, 2.0])
-        curve = FeeCurve(0.0, 3.0, grid, np.array([10.0, 20.0, 30.0]))
-        res = calibrate_variance(pool_config(PART40), None, 0.0, 3.0, 20.0,
-                                 grid, curve=curve)
-        assert res.variance == 1.0
+        curve = self.rising_curve()
+        res = calibrate_variance(curve, curve.fees[1])
+        assert res.variance == 0.5
         assert res.relative_error == 0.0
 
     def test_unreachable_target_reports_curve_span(self):
@@ -154,37 +169,22 @@ class TestCalibrateVariance:
         curve = fee_curve(cfg, prices, 0.0, 3.0, grid)
         target = 10.0 * curve.fees.max()
         with pytest.raises(CalibrationUnreachableError) as exc:
-            calibrate_variance(cfg, prices, 0.0, 3.0, target, grid, curve=curve)
+            calibrate_variance(curve, target)
         assert exc.value.fee_min == pytest.approx(curve.fees.min())
         assert exc.value.fee_max == pytest.approx(curve.fees.max())
         assert "unreachable" in str(exc.value)
         assert str(curve.fees.max()) in str(exc.value)
 
     def test_rejects_nonpositive_target_and_short_grid(self):
-        cfg = pool_config(PART40)
+        cfg, prices = pool_config(PART40), oscillating_prices(n=300)
         with pytest.raises(ValueError):
-            calibrate_variance(cfg, None, 0.0, 3.0, -5.0, np.array([0.1, 0.2]))
-        grid = np.array([0.5])
-        curve = FeeCurve(0.0, 3.0, grid, np.array([10.0]))
-        with pytest.raises(ValueError):
-            calibrate_variance(cfg, None, 0.0, 3.0, 99.0, grid, curve=curve)
+            calibrate_variance(fee_curve(cfg, prices, 0.0, 3.0, [0.1, 0.2]), -5.0)
+        # a one-point curve is a valid curve, but brackets nothing
+        curve = fee_curve(cfg, prices, 0.0, 3.0, [0.5])
+        with pytest.raises(ValueError, match="at least two points"):
+            calibrate_variance(curve, float(curve.fees[0]))
 
-    def test_curve_made_at_other_arguments_is_refused_by_name(self):
-        # scanning the mu=0 curve for a target made at mu=0.6 would report
-        # the target unreachable, though without the curve it converges
-        prices = oscillating_prices(n=1200)
-        cfg = pool_config(PART40)
-        target = whole_pool_fee(cfg, prices, mu=0.6, variance=0.5)
-        grid = np.linspace(0.05, 2.0, 24)
-        assert calibrate_variance(cfg, prices, 0.6, 3.0, target, grid).converged
-        curve = fee_curve(cfg, prices, 0.0, 3.0, grid)
-        for name, mu, bound, g in (("mu", 0.6, 3.0, grid), ("bound", 0.0, 2.5, grid),
-                                   ("variance_grid", 0.0, 3.0, grid[:-1])):
-            with pytest.raises(ValueError, match=f"another {name} ") as exc:
-                calibrate_variance(cfg, prices, mu, bound, target, g, curve=curve)
-            assert not isinstance(exc.value, CalibrationUnreachableError)
-
-    def test_curve_from_equal_prices_lends_its_travel_pass(self, monkeypatch):
+    def test_curve_lends_its_travel_pass_to_the_bisection(self, monkeypatch):
         prices = oscillating_prices(n=1200)
         cfg = pool_config(PART40)
         grid = np.linspace(0.05, 2.0, 24)
@@ -193,15 +193,12 @@ class TestCalibrateVariance:
         travel = calibration._bucket_volume
         monkeypatch.setattr(calibration, "_bucket_volume",
                             lambda *args: passes.append(args) or travel(*args))
-        curve = fee_curve(cfg, prices.copy(), 0.6, 3.0, grid)
-        res = calibrate_variance(cfg, prices, 0.6, 3.0, target, grid, curve=curve)
+        curve = fee_curve(cfg, prices, 0.6, 3.0, grid)
+        res = calibrate_variance(curve, target)
         assert res.iterations > 0
+        assert (res.mu, res.bound) == (0.6, 3.0)
         assert len(passes) == 1
         assert not curve.bucket_volume.flags.writeable
-        # a curve of given fees has no vector: its bisection makes the pass
-        bare = FeeCurve(0.6, 3.0, grid, curve.fees)
-        assert calibrate_variance(cfg, prices, 0.6, 3.0, target, grid, curve=bare) == res
-        assert len(passes) == 2
 
     def test_fees_past_1e154_bisect_as_at_any_scale(self):
         # the fee is linear in the capital; the scan and the bisection
@@ -213,8 +210,7 @@ class TestCalibrateVariance:
             cfg = pool_config(BucketPartition(1000.0, 4000.0, 10), capital)
             curve = fee_curve(cfg, prices, 0.5, 3.0, grid)
             target = float(0.5 * (curve.fees[1] + curve.fees[2]))
-            results.append(calibrate_variance(cfg, prices, 0.5, 3.0, target, grid,
-                                              curve=curve))
+            results.append(calibrate_variance(curve, target))
         assert results[1].model_fee > 1e296
         assert results[1].iterations == results[0].iterations > 0
         assert results[1].variance == results[0].variance
@@ -224,8 +220,8 @@ class TestCalibrateVariance:
         # every fee's relative error over the target overflows float64
         prices = oscillating_prices(n=800)
         with pytest.raises(CalibrationUnreachableError):
-            calibrate_variance(pool_config(PART40), prices, 0.0, 3.0, np.float64(1e-320),
-                               np.linspace(0.1, 2.0, 5))
+            calibrate_variance(fee_curve(pool_config(PART40), prices, 0.0, 3.0,
+                                         np.linspace(0.1, 2.0, 5)), np.float64(1e-320))
 
     def test_result_dict_round_trips_fields(self):
         res = CalibrationResult(0.1, 0.5, 3.0, 99.0, 100.0, 0.01, 4, False)

@@ -1,5 +1,6 @@
 """Price file ingestion, config parsing, and the command line surface."""
 
+import codecs
 import csv
 import importlib
 import importlib.util
@@ -232,6 +233,41 @@ class TestLoadPrices:
         s = load_prices(path)
         assert s.prices.tolist() == [2000.5, 0.5, 7.0]
         assert (s.timestamps.tolist() if timestamps else s.timestamps) == timestamps
+
+    @pytest.mark.parametrize("text", [
+        "price\n2000.5\n.5\n7.\n", "ts,price\n1,2000.5\n2,.5\n3,7.\n", "2000.5\n.5\n7.\n",
+        "1,2000.5\n2,.5\n3,7.\n", "ts,price\n1, 2000.5\n2,+.5\n3,7e0\n",
+    ], ids=["price", "ts_price", "headerless", "headerless_two_columns", "row_parser"])
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, text):
+        # as spreadsheets' "CSV UTF-8" exports begin; the file takes the
+        # same parser, and loads the same series, as without the mark
+        calls, parse_rows = [], prices_module._parse_rows
+        monkeypatch.setattr(prices_module, "_parse_rows",
+                            lambda *args: calls.append(args) or parse_rows(*args))
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+        a = load_prices(plain)
+        row_parsed = len(calls)
+        b = load_prices(marked)
+        assert len(calls) == 2 * row_parsed
+        assert b.prices.tobytes() == a.prices.tobytes()
+        assert (b.timestamps is None) == (a.timestamps is None)
+        assert a.timestamps is None or b.timestamps.tobytes() == a.timestamps.tobytes()
+
+    @pytest.mark.parametrize("text", ["ts,price,volume\n1,2000,5\n", "price\n2000\n",
+                                      "2000,1,2\n", "", "price\n2000\n\ufeff2500\n"],
+                             ids=["header", "one_row", "three_columns", "empty", "second_mark"])
+    def test_a_byte_order_mark_leaves_errors_unchanged(self, tmp_path, text):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+        messages = []
+        for path in (plain, marked):
+            with pytest.raises(DataError) as err:
+                load_prices(path)
+            messages.append(str(err.value).replace(str(path), "PATH"))
+        assert messages[0] == messages[1]
 
     @pytest.mark.parametrize("text,expect", [
         ("price\n1\n+2\n", [1.0, 2.0]), ("price\n1\n 2 \n", [1.0, 2.0]),
@@ -886,6 +922,10 @@ class TestCliCalibrate:
         ("--target-fee", "nan", "target-fee"), ("--target-fee", "inf", "target-fee"),
         ("--mu", "nan", "mu"), ("--bound", "0", "bound"), ("--bound", "-1", "bound"),
         ("--bound", "nan", "bound"), ("--grid", "0.05:inf:5", "grid"),
+        # fee_curve's own check; a span that overflows is refused before
+        # linspace would warn
+        ("--grid", "0:1:4", "variance"), ("--grid", "1:1:4", "grid"),
+        ("--grid", "-1e308:1e308:3", "grid"),
         # separate negative values in exponent form, which argparse alone
         # reads as options
         ("--target-fee", "-1e-05", "target-fee"), ("--bound", "-1e-05", "bound"),
@@ -985,9 +1025,11 @@ def test_readme_library_use_runs(capsys):
     prices = np.clip(2500.0 + np.cumsum(np.random.default_rng(8).normal(0.0, 60.0, 300)),
                      1000.0, 4000.0)
     exec(block, {"prices": prices.tolist()})
-    totals, *epochs = capsys.readouterr().out.splitlines()
+    totals, *epochs, fit = capsys.readouterr().out.splitlines()
     assert len(totals.split()) == 3
     assert len(epochs) > 1 and epochs[0].startswith("0 ")
+    variance, converged = fit.split()
+    assert 0.05 <= float(variance) <= 0.4 and converged == "True"
 
 
 # each shape of usage error, as (argv after the config and price flags, key)
