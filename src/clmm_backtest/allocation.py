@@ -23,8 +23,8 @@ import numpy as np
 from .bucketing import BucketPartition, check_integer, check_positive
 from .errors import ConfigError
 
-# weights are renormalised on construction; this only guards against
-# callers handing in something that was never a distribution
+# weights are renormalised when made; this only guards against callers
+# handing in something that was never a distribution
 _WEIGHT_SUM_TOL = 1e-9
 
 
@@ -46,24 +46,6 @@ class ProfileParams:
             raise ConfigError(f"mu must be finite, got {self.mu}", key="mu")
         check_positive(self.variance, "variance")
         check_positive(self.bound, "bound")
-
-
-@dataclass(frozen=True)
-class AllocationWeights:
-    """Per-bucket capital weights, non-negative, summing to one; a vector
-    that is not is a ConfigError under the ``weights`` key."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1 or len(w) == 0:
-            raise ConfigError("weights must be a non-empty 1-d vector", key="weights")
-        object.__setattr__(self, "weights", renormalised(w))
-
-    def active_buckets(self) -> np.ndarray:
-        """1-based indices of buckets carrying positive weight."""
-        return np.flatnonzero(self.weights > 0.0) + 1
 
 
 def band_width(partition: BucketPartition, tau: int) -> int:
@@ -88,16 +70,14 @@ def band_weights(partition: BucketPartition, benchmarks, tau: int, seed=None,
     ``np.random.default_rng([seed, e]).random(W)``, normalised to sum to
     one; the same seed and epoch always reproduce the same row.
 
+    Benchmarks (buckets 1..n of a plan) and tau are taken as given.
+
     Returns:
         (offsets, weights): int64 offsets, shape (rows,), and the weight
         table, shape (rows, W).
     """
     s = np.asarray(benchmarks, dtype=np.int64)
     n = partition.n
-    if s.size and not (1 <= s.min() and s.max() <= n):
-        bad = s[(s < 1) | (s > n)][0]
-        raise ValueError(f"benchmark bucket must be in 1..{n}, got {bad}")
-    check_integer(tau, 0, "tau")
     width = band_width(partition, tau)
     offsets = np.clip(s - 1 - tau, 0, n - width)
     # band columns [a, b) inside each window
@@ -107,6 +87,7 @@ def band_weights(partition: BucketPartition, benchmarks, tau: int, seed=None,
     band = (cols >= a[:, None]) & (cols < b[:, None])
     if seed is None:
         return offsets, band / (b - a)[:, None]
+    # checked here as well as in the config: _pcg._words never ends on a negative seed
     check_integer(seed, 0, "seed")
     # imported on the first random draw, so that other runs do not load
     # the generator
@@ -119,15 +100,15 @@ def band_weights(partition: BucketPartition, benchmarks, tau: int, seed=None,
     empty = total[:, 0] <= 0.0  # astronomically unlikely all-zero draw
     w[empty], total[empty] = band[empty], (b - a)[empty, None]
     w /= total
-    # AllocationWeights renormalises every weight vector; so do these rows
+    # every weight vector is renormalised, and so are these rows
     w /= w.sum(axis=1, keepdims=True)
     return offsets, w
 
 
 def renormalised(w: np.ndarray) -> np.ndarray:
-    """Weight rows (the last axis) over their sums, as ``AllocationWeights``
-    holds them; ConfigError under ``weights`` unless every row is finite,
-    non-negative and sums to one."""
+    """Weight rows (the last axis) over their sums, in float64: the form every
+    weight vector a run deploys takes.  ConfigError under ``weights`` unless
+    every row is finite, non-negative and sums to one."""
     if not np.all(np.isfinite(w)) or np.any(w < 0.0):
         raise ConfigError("weights must be finite and non-negative", key="weights")
     total = w.sum(axis=-1, keepdims=True)
@@ -154,20 +135,19 @@ def normal_profile_table(partition: BucketPartition, mu: float, variances,
     return w / w.sum(axis=1, keepdims=True)
 
 
-def normal_profile_weights(partition: BucketPartition,
-                           params: ProfileParams) -> AllocationWeights:
-    """``normal_profile_table``'s weights at one profile."""
-    return AllocationWeights(normal_profile_table(partition, params.mu, [params.variance],
-                                                  params.bound)[0])
+def normal_profile_weights(partition: BucketPartition, params: ProfileParams) -> np.ndarray:
+    """``normal_profile_table``'s weights at one profile, renormalised."""
+    return renormalised(normal_profile_table(partition, params.mu, [params.variance],
+                                             params.bound)[0])
 
 
-def custom_weights(partition: BucketPartition, weights) -> AllocationWeights:
-    """Wrap a user-supplied weight vector after checking its length."""
+def custom_weights(partition: BucketPartition, weights) -> np.ndarray:
+    """A user-supplied weight vector, renormalised, after checking its length."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (partition.n,):
         raise ConfigError(f"expected {partition.n} weights, got shape {w.shape}",
                           key="weights")
-    return AllocationWeights(w)
+    return renormalised(w)
 
 
 def deploy(share: np.ndarray, anchor_price: np.ndarray, sa: np.ndarray,

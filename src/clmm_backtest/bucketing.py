@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 
 def check_integer(value, low: int, key: str) -> None:
@@ -83,7 +83,9 @@ class BucketPartition:
 
     def bucket_column(self, prices) -> np.ndarray:
         """0-based buckets of a 1-d price array, read-only, in int16 if n fits
-        it, else int32; ValueError names a price outside [lower, upper].
+        it, else int32.  A price outside [lower, upper], NaN included, is the
+        DataError (a ValueError) a strict run reports: ``row 3: price 5.0 at
+        index 2 outside partition [1.0, 4.0] (clamp mode would proceed)``.
 
         The guess floor((p - lower) n / (upper - lower)), clamped to n - 1,
         is off by one where the edges' rounding moves them past p: such a
@@ -95,8 +97,8 @@ class BucketPartition:
         # reductions scan without a full-length mask; NaN fails both
         if p.size and not (self.lower <= p.min() and p.max() <= self.upper):
             i = int(np.argmax(~np.isfinite(p) | (p < self.lower) | (p > self.upper)))
-            raise ValueError(f"price {p[i]} at index {i} outside partition "
-                             f"[{self.lower}, {self.upper}]")
+            raise DataError(f"row {i + 1}: price {p[i]} at index {i} outside partition "
+                            f"[{self.lower}, {self.upper}] (clamp mode would proceed)")
         out = np.empty(len(p), dtype=np.int16 if self.n < 1 << 15 else np.int32)
         lows, highs, scale = self.edges[:-1], self._highs, self._scale
         for c0 in range(0, len(p), _LOOKUP_ROWS):
@@ -218,18 +220,16 @@ def segment_epochs(partition: BucketPartition, prices: np.ndarray, tau: int) -> 
     and the first point of the new.
 
     Args:
-        partition: bucket layout; every price must fall inside it.
+        partition: bucket layout; ``bucket_column`` rejects a price outside it.
         prices: price series, length >= 1.
-        tau: reset half-width in buckets, non-negative integer.
+        tau: reset half-width in buckets, a non-negative integer as a
+            checked ``BacktestConfig`` holds it.
 
     Returns:
         EpochPlan covering the whole series, carrying its bucket column.
     """
-    check_integer(tau, 0, "tau")
     p = np.asarray(prices, dtype=np.float64)
     m = len(p)
-    if m == 0:
-        raise ValueError("price series is empty")
     buckets = partition.bucket_column(p)
     if tau >= partition.n - 1:
         # every bucket lies within tau of every other, so nothing resets

@@ -130,7 +130,7 @@ def _fees(pool_config: BacktestConfig, v, mu: float, bound: float, variances) ->
     """Fee totals at one mu, one per variance; DataError if one overflows."""
     part = pool_config.partition
     grid = np.asarray(variances, dtype=np.float64).tolist()
-    # the (grid x n) weight table, each row as normal_profile_weights holds it
+    # the (grid x n) weight table, each row as normal_profile_weights returns it
     w = renormalised(normal_profile_table(part, mu, grid, bound))
     # one pairwise sum per row, the same for any number of rows
     volume = pool_config.capital * (w * v).sum(axis=1)

@@ -1,9 +1,10 @@
 """Flat key-value run configuration.
 
-One ``key = value`` pair per line; blank lines and ``#`` comments are
-ignored.  Unknown and duplicate keys are rejected outright, as are keys
-that only apply to a strategy other than the configured one, so a typo
-cannot silently change a run.
+A config file is UTF-8 text, whatever the locale; one leading byte order
+mark is skipped.  One ``key = value`` pair per line; blank lines and ``#``
+comments are ignored.  Unknown and duplicate keys are rejected outright, as
+are keys that only apply to a strategy other than the configured one, so a
+typo cannot silently change a run.
 
 Keys
 ----
@@ -126,9 +127,9 @@ def parse_config(text: str) -> BacktestConfig:
 
 
 def load_config(path) -> BacktestConfig:
-    """Read and parse a config file."""
+    """Read and parse a UTF-8 config file, skipping one byte order mark."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from None

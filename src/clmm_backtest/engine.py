@@ -69,8 +69,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .allocation import (AllocationWeights, ProfileParams, band_weights, band_width,
-                         custom_weights, deploy, normal_profile_weights)
+from .allocation import (ProfileParams, band_weights, band_width, custom_weights, deploy,
+                         normal_profile_weights, renormalised)
 from .bucketing import (BucketPartition, EpochPlan, check_integer, check_positive,
                         segment_epochs)
 from .errors import ConfigError, DataError
@@ -134,7 +134,9 @@ class StrategyConfig:
                               f"{STRATEGY_MODES}", key="strategy")
         if self.weights is not None:
             w = np.array(self.weights, dtype=np.float64)
-            AllocationWeights(w)  # a 1-d vector, finite, non-negative, summing to 1
+            if w.ndim != 1 or len(w) == 0:
+                raise ConfigError("weights must be a non-empty 1-d vector", key="weights")
+            renormalised(w)  # finite, non-negative, summing to 1
             object.__setattr__(self, "weights", tuple(w.tolist()))
         elif self.mode == "custom":
             raise ConfigError("custom strategy needs a weights vector", key="weights")
@@ -338,12 +340,12 @@ def _strategy_windows(config: BacktestConfig, benchmarks: np.ndarray):
 
     fixed = custom_weights(part, strat.weights) if strat.mode == "custom" \
         else normal_profile_weights(part, strat.profile)
-    active = fixed.active_buckets()
-    lo, hi = int(active[0]) - 1, int(active[-1])
+    active = np.flatnonzero(fixed > 0.0)
+    lo, hi = int(active[0]), int(active[-1]) + 1
 
     def weights(g0, g1):
         return (np.full(g1 - g0, lo, dtype=np.int64),
-                np.repeat(fixed.weights[None, lo:hi], g1 - g0, axis=0))
+                np.repeat(fixed[None, lo:hi], g1 - g0, axis=0))
     return hi - lo, weights
 
 
@@ -612,19 +614,16 @@ class BacktestReport:
 
 
 def checked_prices(config: BacktestConfig, prices, timestamps=None):
-    """(prices, timestamps or None, prices clamped to the partition) of a
-    ``PriceSeries`` as given, or of an array and timestamps, or an object
-    with ``prices`` and ``timestamps``, made into one; DataError names the
-    first bad value."""
+    """(prices, timestamps or None, prices to bucket) of a ``PriceSeries`` as
+    given, or of an array and timestamps, or an object with ``prices`` and
+    ``timestamps``, made into one; DataError names the first bad value.  The
+    prices to bucket are clamped in clamp mode; in strict mode
+    ``bucket_column`` rejects one outside the partition."""
     if not isinstance(prices, PriceSeries):
         if hasattr(prices, "prices"):
             prices, timestamps = prices.prices, getattr(prices, "timestamps", None)
         prices = PriceSeries(prices, timestamps)
     p, part = prices.prices, config.partition
-    if config.price_mode == "strict" and (p.min() < part.lower or p.max() > part.upper):
-        i = int(np.argmax((p < part.lower) | (p > part.upper)))
-        raise DataError(f"row {i + 1}: price {p[i]} at index {i} outside partition "
-                        f"[{part.lower}, {part.upper}] (clamp mode would proceed)")
     clamped = p if config.price_mode == "strict" else np.clip(p, part.lower, part.upper)
     return p, prices.timestamps, clamped
 

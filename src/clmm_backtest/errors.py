@@ -29,8 +29,9 @@ class ConfigError(BacktestError, ValueError):
         return base
 
 
-class DataError(BacktestError):
-    """Malformed or out-of-domain input data (price series, timestamps)."""
+class DataError(BacktestError, ValueError):
+    """Malformed or out-of-domain input data (price series, timestamps); a
+    ``ValueError`` for callers that expect one."""
 
 
 class CalibrationUnreachableError(BacktestError):

@@ -16,9 +16,10 @@ array or an object with ``prices`` and ``timestamps`` given to
 index, as in ``row 8: price 0.0 at index 7 is not a positive finite
 number``.
 
-Loading skips one leading UTF-8 byte order mark, decides the layout from
-the first non-blank row, then reads the rest of the file as bytes with
-``_floatread``'s bulk parser if every row is clean:
+A price file is UTF-8 text, whatever the locale.  Loading skips one
+leading byte order mark, decides the layout from the first non-blank row,
+then reads the rest of the file as bytes with ``_floatread``'s bulk parser
+if every row is clean:
 
   * each row ends in LF or CR LF (the last row may end in neither);
   * a two-column row has exactly one ``,``;
@@ -224,7 +225,7 @@ def _parse_rows(fh, layout: _Layout):
 def load_prices(path) -> PriceSeries:
     """Load a price series from a CSV file (see the module docstring)."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             layout = _read_layout(fh, path)
             parsed = _parse_bulk(fh, layout)
             if parsed is None:

@@ -8,11 +8,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from clmm_backtest import engine
+from clmm_backtest import allocation, bucketing, engine
 from clmm_backtest import prices as prices_module
 from clmm_backtest.allocation import ProfileParams, custom_weights
 from clmm_backtest.bucketing import BucketPartition, segment_epochs
 from clmm_backtest.calibration import fee_curve, whole_pool_fee
+from clmm_backtest.config import parse_config
 from clmm_backtest.engine import (BacktestConfig, GasParams, ReservePair, StrategyConfig,
                                   buy_and_hold, run_backtest)
 from clmm_backtest.errors import ConfigError, DataError
@@ -192,8 +193,8 @@ class TestGasCost(SevenBuckets):
         assert len(plan) == 2
         w1 = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0]) / 3
         w2 = np.array([0, 0, 0, 0, 0, 0, 0, 1, 1, 0]) / 2
-        allocs = [deploy_row(part, custom_weights(part, w1).weights, 1e4, 2.5),
-                  deploy_row(part, custom_weights(part, w2).weights, 1e4, 8.5)]
+        allocs = [deploy_row(part, custom_weights(part, w1), 1e4, 2.5),
+                  deploy_row(part, custom_weights(part, w2), 1e4, 8.5)]
         gas = engine_gas_cost(plan, allocs, GasParams(), prices)
         expect = (3 * 215_000 + 2 * 430_000) * 100e-9 * 8.5
         assert gas.transition_b == pytest.approx(expect, rel=1e-12)
@@ -527,7 +528,7 @@ class TestRunBacktest:
                            StrategyConfig("random", seed=seed), 1e6, 0.003)
         assert exc.value.key == "seed"
 
-    @pytest.mark.parametrize("tau", [True, False, -1, 2.0])
+    @pytest.mark.parametrize("tau", [True, False, -1, 2.0, 0.5, 1.5])
     def test_tau_must_be_a_non_negative_integer(self, tau):
         with pytest.raises(ConfigError) as exc:
             uniform_config(BucketPartition(1000.0, 4000.0, 30), tau)
@@ -541,6 +542,13 @@ class TestRunBacktest:
         with pytest.raises(ConfigError) as exc:
             replace(cfg, strategy=replace(cfg.strategy, mode="random"))
         assert exc.value.key == "seed"
+
+    @pytest.mark.parametrize("weights", [[], [[0.5, 0.5]], [0.5, -0.5, 1.0]],
+                             ids=["empty", "two_dimensional", "negative"])
+    def test_custom_weights_must_be_a_distribution(self, weights):
+        with pytest.raises(ConfigError) as exc:
+            StrategyConfig("custom", weights=weights)
+        assert exc.value.key == "weights"
 
     def test_custom_weights_cannot_change_after_their_check(self):
         given = np.full(30, 1 / 30)
@@ -656,6 +664,22 @@ class TestOneSeriesValidator:
         assert self.message(lambda: run_backtest(cfg, series)) == expect
         assert self.message(lambda: whole_pool_fee(cfg, series, 0.0, 0.5)) == expect
 
+    @pytest.mark.parametrize("prices,expect", [
+        ([2000.0, 5000.0, 2100.0], "row 2: price 5000.0 at index 1"),
+        ([2000.0, 2100.0, 999.5], "row 3: price 999.5 at index 2")], ids=["above", "below"])
+    def test_out_of_partition_has_one_message_at_every_entry_point(self, prices, expect):
+        # bucket_column holds the rule; a strict run and calibration reach it
+        cfg, part, prices = self.CONFIG, self.CONFIG.partition, np.array(prices)
+        expect += " outside partition [1000.0, 4000.0] (clamp mode would proceed)"
+        for call in (lambda: part.bucket_column(prices),
+                     lambda: segment_epochs(part, prices, 2),
+                     lambda: run_backtest(cfg, prices),
+                     lambda: fee_curve(cfg, prices, 0.0, 3.0, [0.5, 1.0])):
+            with pytest.raises(DataError) as err:
+                call()
+            assert isinstance(err.value, ValueError)
+            assert str(err.value) == expect
+
     def test_a_checked_series_is_not_checked_again(self, monkeypatch):
         prices = walk_prices(seed=40, n=900)
         series = PriceSeries(prices, 1610668800 + 3600 * np.arange(len(prices)))
@@ -677,3 +701,22 @@ class TestOneSeriesValidator:
             with pytest.raises(ValueError):
                 column[0] = -1
         prices[0], ts[0] = 2000.0, -1  # the caller's arrays stay writeable
+
+
+@pytest.mark.parametrize("strategy", ["strategy = uniform", "strategy = random\nseed = 110"],
+                         ids=["uniform", "random"])
+def test_a_run_does_not_check_tau_again(monkeypatch, strategy):
+    # parse_config checks tau once; segmentation and the band weights of
+    # every epoch group take the checked value as it is
+    cfg = parse_config(f"lower = 1000\nupper = 4000\nbuckets = 300\ntau = 1\n{strategy}\n"
+                       "capital = 1e6\nfee_rate = 0.003\n")
+    keys = []
+    for module in (bucketing, allocation, engine):
+        check = module.check_integer
+        monkeypatch.setattr(module, "check_integer",
+                            lambda value, low, key, check=check: keys.append(key)
+                            or check(value, low, key))
+    report = run_backtest(cfg, walk_prices(seed=43, n=5000))
+    assert len(report.plan) > 10
+    assert keys.count("tau") == 0
+    assert ("seed" in keys) == ("random" in strategy)  # the spies see the run

@@ -1099,6 +1099,27 @@ def test_module_entry_point(tmp_path):
     assert (out / "report.json").is_file()
 
 
+# files are read as UTF-8 under an ASCII locale too: a config that starts
+# with a byte order mark, a config comment outside ASCII, and a price cell
+# outside ASCII, which the row parser names
+@pytest.mark.parametrize("config_bytes,price_bytes,code,err", [
+    (codecs.BOM_UTF8 + BASE_CONFIG.encode(), b"price\n2000\n2100\n", 0, ""),
+    ("# caf\u00e9\n".encode() + BASE_CONFIG.encode(), b"price\n2000\n2100\n", 0, ""),
+    (BASE_CONFIG.encode(), "price\n2000\n21\u00e900\n".encode(), 3,
+     "error: data: row 2: cannot parse price '21")], ids=["bom", "comment", "price"])
+def test_files_are_utf8_whatever_the_locale(tmp_path, config_bytes, price_bytes, code, err):
+    (tmp_path / "run.cfg").write_bytes(config_bytes)
+    (tmp_path / "p.csv").write_bytes(price_bytes)
+    src = Path(importlib.util.find_spec("clmm_backtest").origin).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "clmm_backtest", "backtest", "--config", "run.cfg",
+         "--prices", "p.csv", "--out-dir", "out"], cwd=tmp_path, capture_output=True,
+        text=True, errors="replace",
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONUTF8": "0", "LC_ALL": "C"})
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(err) and proc.stderr.count("\n") == (1 if code else 0)
+
+
 # --out-dir shapes that cannot be made or written: a regular file, a path
 # under one, and an artifact's name taken by a directory
 @pytest.mark.parametrize("shape,reason", [

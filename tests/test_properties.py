@@ -129,7 +129,7 @@ def epoch_weights(config, e, benchmark):
     strategy at a time; random rows come from the per-row generators."""
     strat, part = config.strategy, config.partition
     if strat.mode == "custom":
-        return custom_weights(part, strat.weights).weights
+        return custom_weights(part, strat.weights)
     return oracle.band_row(part, benchmark, config.tau, strat.seed, e)
 
 
@@ -512,7 +512,7 @@ def test_dot_product_fee_matches_the_oracle_and_the_replay(case):
         return
 
     # the oracle: every bucket's reserves at every row of one deployment
-    liq = oracle.deploy_row(part, normal_profile_weights(part, profile).weights,
+    liq = oracle.deploy_row(part, normal_profile_weights(part, profile),
                             config.capital, prices[0])
     plan = EpochPlan((Epoch(0, len(prices) - 1, 1),), len(prices), part.n)
     ledger = compute_fees(build_state_tensor(part, plan, [liq], prices),
@@ -580,7 +580,7 @@ def test_bucket_volume_is_exact_on_narrow_buckets():
             assert abs(Fraction(float(v[i])) - exact) <= ulps * EPS * exact
         assert (np.count_nonzero(v) > 10) == (reach > 0)
         profile = ProfileParams(0.0, 0.01)
-        liq = oracle.deploy_row(part, normal_profile_weights(part, profile).weights,
+        liq = oracle.deploy_row(part, normal_profile_weights(part, profile),
                                 config.capital, prices[0])
         exact = Fraction(config.fee_rate) * oracle.exact_volume(part, liq, prices)
         fee = whole_pool_fee(config, prices, profile.mu, profile.variance)
@@ -796,10 +796,11 @@ def epoch_allocations(draw):
 @given(epoch_allocations())
 def test_allocation_matches_per_bucket_split(case):
     part, weights, capital, anchor = case
-    liq = oracle.deploy_row(part, weights.weights, capital, anchor)
+    liq = oracle.deploy_row(part, weights, capital, anchor)
+    active = np.flatnonzero(weights > 0.0) + 1
     loop = np.zeros(part.n)
-    for i in weights.active_buckets():
-        share = weights.weights[i - 1] * capital
+    for i in active:
+        share = weights[i - 1] * capital
         loop[i - 1] = oracle.split_capital(share, anchor,
                                            oracle.bucket_range(part, int(i))).liquidity
     assert liq.tobytes() == loop.tobytes()
@@ -807,7 +808,6 @@ def test_allocation_matches_per_bucket_split(case):
     # valued at the anchor, the positions hold the deployed capital; a
     # bucket's token-A depth 1/sa - 1/sb cancels to within eps * sb/(sb - sa)
     # of itself, so narrow buckets widen the bound past 1e-12
-    active = weights.active_buckets()
     value = math.fsum(oracle.position_value(float(liq[i - 1]),
                                             oracle.bucket_range(part, int(i)), anchor, anchor)
                       for i in active)
